@@ -4,7 +4,6 @@ conflicting gradients plus adaptive magnitude rescale, with baselines
 two-head MLP, a synthetic two-task benchmark, and a CSV-emitting trainer.
 """
 
-from ._kernels import BACKEND_ENV_VAR, active_backend
 from .gradvec import (
     DEFAULT_TOL_NORM,
     AngleReport,
@@ -36,7 +35,6 @@ from .surgery import (
     project,
     remedy_layer,
     rescale,
-    theta_prime,
 )
 from .synthdata import SampleBatch, TwoTaskDataset, generate
 from .trainer import (
@@ -54,8 +52,13 @@ from .trainer import (
 
 __version__ = "0.1.0"
 
+
+def active_backend() -> str:
+    """Name of the numeric backend; everything runs on float64 numpy."""
+    return "numpy"
+
+
 __all__ = [
-    "BACKEND_ENV_VAR",
     "active_backend",
     "DEFAULT_TOL_NORM",
     "AngleReport",
@@ -83,7 +86,6 @@ __all__ = [
     "project",
     "remedy_layer",
     "rescale",
-    "theta_prime",
     "SampleBatch",
     "TwoTaskDataset",
     "generate",

@@ -27,13 +27,13 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .net import init_network
-from .surgery import RatioRule, RemedyConfig, Strategy
+from .surgery import RatioRule, RemedyConfig, Strategy, remedy_config_errors
 from .synthdata import TwoTaskDataset
 from .trainer import (
     OptimizerKind,
     TrainConfig,
-    TrainResult,
     train,
+    train_config_errors,
     write_epochs_csv,
     write_steps_csv,
 )
@@ -157,35 +157,13 @@ def validate(spec: ExperimentSpec) -> list[str]:
         errors.append("name must be non-empty")
     if not spec.seeds:
         errors.append("at least one seed is required")
-    if spec.dominance_k <= 1.0:
-        errors.append(f"K must exceed 1 (got {spec.dominance_k})")
-    if not 0.0 < spec.fixed_theta <= math.pi / 2.0:
-        errors.append(
-            f"theta must lie in (0, 90] degrees "
-            f"(got {math.degrees(spec.fixed_theta):g})"
-        )
-    if not 0.0 <= spec.lam <= 1.0:
-        errors.append(f"lambda must lie in [0, 1] (got {spec.lam})")
-    if spec.learning_rate <= 0.0:
-        errors.append(f"learning rate must be positive (got {spec.learning_rate})")
-    if not 0.0 < spec.ratio_constant < 1.0:
-        errors.append(f"ratio constant must lie in (0, 1) (got {spec.ratio_constant})")
-    if not 0.0 < spec.r_min < 1.0:
-        errors.append(f"r_min must lie in (0, 1) (got {spec.r_min})")
-    for name, minimum in (
-        ("epochs", 1),
-        ("batches_per_epoch", 1),
-        ("batch_size", 1),
-        ("eval_batches", 1),
-        ("dim", 2),
-        ("num_classes", 2),
-    ):
-        if getattr(spec, name) < minimum:
-            errors.append(f"{name} must be >= {minimum} (got {getattr(spec, name)})")
+    errors += remedy_config_errors(spec)
+    errors += train_config_errors(spec)
+    for name in ("dim", "num_classes"):
+        if getattr(spec, name) < 2:
+            errors.append(f"{name} must be >= 2 (got {getattr(spec, name)})")
     if not spec.trunk_widths or any(w < 1 for w in spec.trunk_widths):
         errors.append(f"trunk_widths must be positive (got {spec.trunk_widths})")
-    if spec.warmup_steps < 0:
-        errors.append(f"warmup_steps must be >= 0 (got {spec.warmup_steps})")
     if spec.jitter_std < 0.0:
         errors.append(f"jitter_std must be >= 0 (got {spec.jitter_std})")
     if spec.template_scale <= 0.0:
@@ -204,7 +182,7 @@ class SummaryRow:
     mean_pct_wrongly_dominant: float
 
 
-def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> TrainResult:
+def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
     os.makedirs(seed_dir, exist_ok=True)
     try:
         return _run_one_seed_inner(spec, seed, seed_dir)
@@ -214,7 +192,8 @@ def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> TrainResult
         raise
 
 
-def _run_one_seed_inner(spec: ExperimentSpec, seed: int, seed_dir: str) -> TrainResult:
+def _run_one_seed_inner(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
+    """Train one seed, write its files, and return its metrics.json dict."""
     net = init_network(
         seed=seed,
         in_dim=spec.dim,
@@ -242,38 +221,35 @@ def _run_one_seed_inner(spec: ExperimentSpec, seed: int, seed_dir: str) -> Train
     with open(os.path.join(seed_dir, "metrics.json"), "w", encoding="ascii") as out:
         json.dump(metrics, out, indent=2, sort_keys=True)
         out.write("\n")
-    return result
+    return metrics
 
 
 def run_strategy(spec: ExperimentSpec, strategy_dir: str, label: str) -> SummaryRow:
     """Train every seed of one strategy; emit per-seed files under strategy_dir."""
     os.makedirs(strategy_dir, exist_ok=True)
     spec.save_json(os.path.join(strategy_dir, "config.json"))
-    finals = []
-    conflict_means = []
-    dominant_means = []
+    per_seed = []
     for seed in spec.seeds:
-        result = _run_one_seed(spec, seed, os.path.join(strategy_dir, f"seed{seed}"))
-        final = result.epoch_stats[-1]
-        finals.append(final.eval_accuracy)
-        conflict_means.append(
-            statistics.fmean(e.pct_conflicting for e in result.epoch_stats)
-        )
-        dominant_means.append(
-            statistics.fmean(e.pct_wrongly_dominant for e in result.epoch_stats)
-        )
+        m = _run_one_seed(spec, seed, os.path.join(strategy_dir, f"seed{seed}"))
+        per_seed.append(m)
         print(
-            f"  seed {seed}: accuracy={final.eval_accuracy:.4f} "
-            f"conflict%={conflict_means[-1]:.2f} dominant%={dominant_means[-1]:.2f}"
+            f"  seed {seed}: accuracy={m['final_eval_accuracy']:.4f} "
+            f"conflict%={m['mean_pct_conflicting']:.2f} "
+            f"dominant%={m['mean_pct_wrongly_dominant']:.2f}"
         )
+    finals = [m["final_eval_accuracy"] for m in per_seed]
     return SummaryRow(
         label=label,
         seeds=spec.seeds,
         median_accuracy=statistics.median(finals),
         min_accuracy=min(finals),
         max_accuracy=max(finals),
-        mean_pct_conflicting=statistics.fmean(conflict_means),
-        mean_pct_wrongly_dominant=statistics.fmean(dominant_means),
+        mean_pct_conflicting=statistics.fmean(
+            m["mean_pct_conflicting"] for m in per_seed
+        ),
+        mean_pct_wrongly_dominant=statistics.fmean(
+            m["mean_pct_wrongly_dominant"] for m in per_seed
+        ),
     )
 
 
@@ -386,15 +362,10 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             raw.update(json.load(src))
 
     overrides: dict = {}
-    for key in (
-        "name", "dominance_k", "lam", "ratio_rule", "ratio_constant",
-        "rescale_enabled", "r_min", "epochs", "batches_per_epoch", "batch_size",
-        "learning_rate", "optimizer", "warmup_steps", "bias_separate",
-        "eval_batches", "dim", "num_classes", "snr_db", "jitter_std",
-        "template_scale", "out_dir",
-    ):
+    # strategy, seeds and trunk_widths need parsing; fixed_theta comes in degrees
+    for key in (f.name for f in fields(ExperimentSpec)):
         value = getattr(args, key, None)
-        if value is not None:
+        if value is not None and key not in ("strategy", "seeds", "trunk_widths"):
             overrides[key] = value
     if args.strategy is not None:
         strategy, theta = parse_strategy_token(args.strategy)

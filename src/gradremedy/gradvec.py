@@ -7,12 +7,11 @@ as a plain vector and the trainer can reshape the result back bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import acos
+from typing import NamedTuple
 
 import numpy as np
-
-from . import _kernels
 
 # 2-norms below this are treated as zero: the direction of such a gradient is
 # numerically meaningless, so angle-based operations skip it.
@@ -45,7 +44,9 @@ class GradientVector:
             )
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise ValueError(f"non-finite gradient entry at flat index {bad}")
+            raise ValueError(
+                f"non-finite gradient entry at flat index {bad} (shape {shape})"
+            )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "shape", shape)
 
@@ -53,11 +54,56 @@ class GradientVector:
         return self.values.size
 
     def norm(self) -> float:
-        return _kernels.norm(self.values)
+        return float(np.linalg.norm(self.values))
 
     def with_values(self, values: np.ndarray) -> "GradientVector":
         """Same shape metadata, new flat values."""
         return GradientVector(values, self.shape)
+
+
+class Gram(NamedTuple):
+    """a.b, ||a|| and ||b|| of one pair, in units of 4**exponent (the dot)
+    and 2**exponent (the norms); exponent is 0 unless the plain triple
+    overflows. Ratios do not see the unit; absolute norm tests go through
+    degenerate()."""
+
+    dot: float
+    norm_a: float
+    norm_b: float
+    exponent: int = 0
+
+    def cos(self) -> float:
+        """cos(phi), clamped so near-parallel rounding stays in acos's domain."""
+        return min(1.0, max(-1.0, self.dot / (self.norm_a * self.norm_b)))
+
+    def degenerate(self, tol: float, only_b: bool = False) -> bool:
+        """Whether a or b (only b, with only_b) has a 2-norm below tol."""
+        norm = self.norm_b if only_b else min(self.norm_a, self.norm_b)
+        return norm < math.ldexp(tol, -self.exponent)
+
+
+def pair_gram(a: np.ndarray, b: np.ndarray) -> Gram:
+    """The Gram triple of two equal-length float64 vectors.
+
+    Only when a.b, a.a or b.b overflows is the triple rebuilt from copies
+    scaled down by powers of two that bring each vector's largest entry
+    into [0.5, 1).
+    """
+    if a.size != b.size:
+        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
+    # np.vdot gives the same bits as `a @ b` but raises no overflow warning
+    dot, sq_a, sq_b = float(np.vdot(a, b)), float(np.vdot(a, a)), float(np.vdot(b, b))
+    if math.isfinite(dot) and math.isfinite(sq_a) and math.isfinite(sq_b):
+        return Gram(dot, math.sqrt(sq_a), math.sqrt(sq_b))
+    exp_a, exp_b = (max(0, math.frexp(np.abs(v).max())[1]) for v in (a, b))
+    a, b = a * math.ldexp(1.0, -exp_a), b * math.ldexp(1.0, -exp_b)
+    exponent = max(exp_a, exp_b)
+    return Gram(
+        math.ldexp(float(np.vdot(a, b)), exp_a + exp_b - 2 * exponent),
+        math.ldexp(math.sqrt(np.vdot(a, a)), exp_a - exponent),
+        math.ldexp(math.sqrt(np.vdot(b, b)), exp_b - exponent),
+        exponent,
+    )
 
 
 @dataclass(frozen=True)
@@ -75,21 +121,16 @@ class AngleReport:
 def flatten(tensor_values, label: str = "") -> GradientVector:
     """Row-major flatten of a gradient tensor into a GradientVector.
 
-    label, when given, is prepended to the error message for non-finite
-    entries so callers can name the offending layer.
+    label, when given, is prepended to the error message (e.g. for
+    non-finite entries) so callers can name the offending layer.
     """
     arr = np.asarray(tensor_values, dtype=np.float64)
     if arr.ndim == 0:
         raise ValueError("scalar input: pass at least a 1-D array")
-    if not np.all(np.isfinite(arr)):
-        flat = arr.reshape(-1)
-        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
-        where = f"{label}: " if label else ""
-        raise ValueError(
-            f"{where}non-finite gradient entry at flat index {bad} "
-            f"(shape {arr.shape})"
-        )
-    return GradientVector(arr.reshape(-1, order="C").copy(), arr.shape)
+    try:
+        return GradientVector(arr.reshape(-1, order="C").copy(), arr.shape)
+    except ValueError as err:
+        raise ValueError(f"{label}: {err}" if label else str(err)) from None
 
 
 def reshape(g: GradientVector) -> np.ndarray:
@@ -104,14 +145,10 @@ def angle_between(
 ) -> AngleReport:
     """Angle between two equal-length gradients.
 
-    cos is clamped to [-1, 1] before acos so near-parallel rounding can
-    never produce NaN. Either norm below tol_norm makes the report
-    degenerate.
+    Either norm below tol_norm makes the report degenerate.
     """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    dot, norm_a, norm_b = _kernels.dot_and_norms(a.values, b.values)
-    if norm_a < tol_norm or norm_b < tol_norm:
+    gram = pair_gram(a.values, b.values)
+    if gram.degenerate(tol_norm):
         return AngleReport(phi=None, cos_phi=None, degenerate=True)
-    cos_phi = min(1.0, max(-1.0, dot / (norm_a * norm_b)))
-    return AngleReport(phi=acos(cos_phi), cos_phi=cos_phi, degenerate=False)
+    cos_phi = gram.cos()
+    return AngleReport(phi=math.acos(cos_phi), cos_phi=cos_phi, degenerate=False)

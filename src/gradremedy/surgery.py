@@ -11,8 +11,13 @@ Four strategies over a flattened per-layer gradient pair:
   dynamically as arctan(norm ratio), followed by an adaptive magnitude
   rescale when the auxiliary gradient dwarfs the dominant one
 
+Each is a 2x2 map on span(a, d), a the auxiliary and d the dominant
+gradient: a' = a + c*d, then r*a' and d/r. One planner decides c and r from
+the Gram triple (a.d, ||a||, ||d||); pcgrad is its theta = pi/2 case.
+
 Detection flags (conflict, wrong dominance) are computed for every strategy
-so baseline runs emit the same interference statistics as remedied runs.
+so baseline runs emit the same interference statistics as remedied runs;
+remedy_layer measures them on the input pair and on the pair it emits.
 
 All functions are pure; inputs are never mutated.
 """
@@ -24,10 +29,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from . import _kernels
-from .gradvec import DEFAULT_TOL_NORM, GradientVector
+from .gradvec import DEFAULT_TOL_NORM, Gram, GradientVector, pair_gram
 
 _HALF_PI = 0.5 * math.pi
+
+# relative slack when testing conflict on emitted gradients: a projection
+# landing exactly on the normal plane produces rounding-level negative dots
+POST_CONFLICT_TOL = 1e-9
 
 
 class Strategy(Enum):
@@ -41,6 +49,34 @@ class RatioRule(Enum):
     COS_THETA_PRIME = "cos-theta-prime"
     INV_SQRT_K = "inv-sqrt-k"
     CONSTANT = "constant"
+
+
+def bound_errors(config, bounds) -> list[str]:
+    """'field: rule (got value)' for each (field, holds, rule) in bounds
+    whose holds(value) is false; fields config lacks are skipped."""
+    return [
+        f"{name}: {rule} (got {getattr(config, name)!r})"
+        for name, holds, rule in bounds
+        if hasattr(config, name) and not holds(getattr(config, name))
+    ]
+
+
+def _theta_in_range(theta: float) -> bool:
+    return 0.0 < theta <= _HALF_PI
+
+
+def remedy_config_errors(config) -> list[str]:
+    """Every bound a RemedyConfig, or anything with its field names (the
+    CLI passes its ExperimentSpec), breaks."""
+    return bound_errors(config, (
+        ("dominance_k", lambda k: k > 1.0, "K must exceed 1"),
+        ("fixed_theta", _theta_in_range,
+         "theta must lie in (0, 90] degrees, (0, pi/2] in radians"),
+        ("ratio_constant", lambda c: 0.0 < c < 1.0,
+         "ratio constant must lie in (0, 1)"),
+        ("r_min", lambda r: 0.0 < r < 1.0, "r_min must lie in (0, 1)"),
+        ("tol_norm", lambda t: t > 0.0, "tol_norm must be positive"),
+    ))
 
 
 @dataclass(frozen=True)
@@ -62,20 +98,9 @@ class RemedyConfig:
     tol_norm: float = DEFAULT_TOL_NORM
 
     def __post_init__(self):
-        if not self.dominance_k > 1.0:
-            raise ValueError(f"dominance_k must exceed 1, got {self.dominance_k}")
-        if not 0.0 < self.fixed_theta <= _HALF_PI:
-            raise ValueError(
-                f"fixed_theta must lie in (0, pi/2], got {self.fixed_theta}"
-            )
-        if not 0.0 < self.r_min < 1.0:
-            raise ValueError(f"r_min must lie in (0, 1), got {self.r_min}")
-        if not 0.0 < self.ratio_constant < 1.0:
-            raise ValueError(
-                f"ratio_constant must lie in (0, 1), got {self.ratio_constant}"
-            )
-        if not self.tol_norm > 0.0:
-            raise ValueError(f"tol_norm must be positive, got {self.tol_norm}")
+        errors = remedy_config_errors(self)
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -107,7 +132,9 @@ class RemedyOutcome:
     angle (None when either input is degenerate); theta_prime is the angle
     between the post-projection auxiliary gradient and the dominant gradient
     (None when degenerate or when projection collapsed the auxiliary
-    gradient to zero). r_applied/r_clamped record the rescale event.
+    gradient to zero). conflicting_post (with POST_CONFLICT_TOL slack) and
+    wrongly_dominant_post are measured on the emitted g_aux_out, g_dom_out.
+    r_applied/r_clamped record the rescale event.
     """
 
     g_aux_out: GradientVector
@@ -117,6 +144,8 @@ class RemedyOutcome:
     was_wrongly_dominant: bool
     theta_prime: float | None
     phi: float | None
+    conflicting_post: bool
+    wrongly_dominant_post: bool
     r_applied: float | None = None
     r_clamped: bool = False
 
@@ -127,6 +156,72 @@ class RescaleResult(NamedTuple):
     triggered: bool
     r: float | None
     clamped: bool
+
+
+# -- the planner: every decision below is a function of the Gram triple --------
+
+
+class _Plan(NamedTuple):
+    phi: float | None  # pre-surgery angle; None when the pair is degenerate
+    conflicting: bool
+    coef: float | None  # a' = a + coef*d; None when nothing is projected
+    theta: float | None  # the angle a' lands at, when projected
+
+
+def _target_theta(strategy: Strategy, gram: Gram, fixed_theta=None) -> float:
+    if strategy is Strategy.PCGRAD:
+        return _HALF_PI
+    if strategy is Strategy.FIXED_THETA:
+        return fixed_theta
+    return math.atan(gram.norm_a / gram.norm_b)
+
+
+def _plan(gram: Gram, tol: float, strategy: Strategy, fixed_theta: float) -> _Plan:
+    """Angle, conflict flag and projection coefficient of one pair.
+
+    Only a conflicting, non-degenerate pair under a projecting strategy gets
+    a coefficient: it keeps a's part perpendicular to d and lands a' at
+    theta. theta == pi/2 uses an exact zero along-direction term so it
+    reduces to the plain normal-plane projection.
+    """
+    if gram.degenerate(tol):
+        return _Plan(None, False, None, None)
+    cos_phi = gram.cos()
+    phi = math.acos(cos_phi)
+    # dot < 0 is exactly cos(phi) < 0 and avoids arccos at the boundary
+    conflicting = gram.dot < 0.0
+    if not conflicting or strategy is Strategy.NAIVE_SUM:
+        return _Plan(phi, conflicting, None, None)
+    theta = _target_theta(strategy, gram, fixed_theta)
+    sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
+    inv_tan_theta = 0.0 if theta == _HALF_PI else math.cos(theta) / math.sin(theta)
+    coef = gram.norm_a * (sin_phi * inv_tan_theta - cos_phi) / gram.norm_b
+    return _Plan(phi, True, coef, theta)
+
+
+def _interference(gram: Gram, config: RemedyConfig) -> tuple[bool, bool]:
+    """(conflicting, wrongly dominant) as measured on a pair; both False
+    when the pair is degenerate."""
+    if gram.degenerate(config.tol_norm):
+        return False, False
+    return (
+        gram.dot < -POST_CONFLICT_TOL * gram.norm_a * gram.norm_b,
+        gram.norm_a > config.dominance_k * gram.norm_b,
+    )
+
+
+def _ratio(theta_prime_val: float, config: RemedyConfig) -> tuple[float, bool]:
+    """The rescale ratio r, clamped below at r_min, and whether it was."""
+    if config.ratio_rule is RatioRule.COS_THETA_PRIME:
+        r = math.cos(theta_prime_val)
+    elif config.ratio_rule is RatioRule.INV_SQRT_K:
+        r = 1.0 / math.sqrt(config.dominance_k)
+    else:
+        r = config.ratio_constant
+    return max(r, config.r_min), r < config.r_min
+
+
+# -- public entry points --------------------------------------------------------
 
 
 def dynamic_theta(
@@ -140,31 +235,13 @@ def dynamic_theta(
     projection pushes it more toward the dominant direction; grows toward
     pi/2 when it is relatively large.
     """
-    norm_dom = _kernels.norm(g_dom.values)
-    if norm_dom < tol_norm:
+    gram = pair_gram(g_aux.values, g_dom.values)
+    if gram.degenerate(tol_norm, only_b=True):
         raise ValueError(
-            f"dominant gradient is degenerate (norm {norm_dom:.3e}); "
+            f"dominant gradient is degenerate (norm {g_dom.norm():.3e}); "
             "the norm-ratio angle is undefined"
         )
-    return math.atan(_kernels.norm(g_aux.values) / norm_dom)
-
-
-def _clamped_cos(dot: float, norm_a: float, norm_b: float) -> float:
-    return min(1.0, max(-1.0, dot / (norm_a * norm_b)))
-
-
-def _project_values(g_aux, g_dom, theta, dot, norm_aux, norm_dom):
-    """Conflict branch of the projection: land g_aux at angle theta to g_dom.
-
-    Caller guarantees dot < 0 and both norms non-degenerate. theta == pi/2
-    uses an exact zero along-direction term so it reduces to the plain
-    normal-plane projection.
-    """
-    cos_phi = _clamped_cos(dot, norm_aux, norm_dom)
-    sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
-    inv_tan_theta = 0.0 if theta == _HALF_PI else math.cos(theta) / math.sin(theta)
-    coef = norm_aux * (sin_phi * inv_tan_theta - cos_phi) / norm_dom
-    return _kernels.add_scaled(g_aux.values, coef, g_dom.values)
+    return _target_theta(Strategy.GRADIENT_REMEDY, gram)
 
 
 def project(
@@ -181,49 +258,13 @@ def project(
     untouched. The component of g_aux perpendicular to g_dom is preserved
     exactly; only the along-g_dom component moves.
     """
-    if len(g_aux) != len(g_dom):
-        raise ValueError(f"length mismatch: {len(g_aux)} vs {len(g_dom)}")
-    if not 0.0 < theta <= _HALF_PI:
+    if not _theta_in_range(theta):
         raise ValueError(f"theta must lie in (0, pi/2], got {theta}")
-    dot, norm_aux, norm_dom = _kernels.dot_and_norms(g_aux.values, g_dom.values)
-    if norm_aux < tol_norm or norm_dom < tol_norm:
+    plan = _plan(pair_gram(g_aux.values, g_dom.values), tol_norm,
+                 Strategy.FIXED_THETA, theta)
+    if plan.coef is None:
         return g_aux
-    if dot >= 0.0:
-        return g_aux
-    return g_aux.with_values(
-        _project_values(g_aux, g_dom, theta, dot, norm_aux, norm_dom)
-    )
-
-
-def theta_prime(
-    g_aux_projected: GradientVector,
-    g_dom: GradientVector,
-    phi_pre: float,
-    theta: float,
-    was_conflicting: bool,
-    tol_norm: float = DEFAULT_TOL_NORM,
-) -> float | None:
-    """Angle between the post-projection auxiliary gradient and g_dom.
-
-    Equals theta when the projection fired, the original angle otherwise.
-    None when either vector is degenerate (e.g. an exactly anti-parallel
-    pair projects to the zero vector).
-    """
-    if _kernels.norm(g_aux_projected.values) < tol_norm:
-        return None
-    if _kernels.norm(g_dom.values) < tol_norm:
-        return None
-    return theta if was_conflicting else phi_pre
-
-
-def _ratio(rule: RatioRule, theta_prime_val: float | None, config: RemedyConfig) -> float:
-    if rule is RatioRule.COS_THETA_PRIME:
-        if theta_prime_val is None:
-            raise ValueError("cos-theta-prime ratio rule needs theta_prime")
-        return math.cos(theta_prime_val)
-    if rule is RatioRule.INV_SQRT_K:
-        return 1.0 / math.sqrt(config.dominance_k)
-    return config.ratio_constant
+    return g_aux.with_values(g_aux.values + plan.coef * g_dom.values)
 
 
 def rescale(
@@ -239,26 +280,19 @@ def rescale(
     (recorded, not an error). Directions are unchanged and the product of
     the two norms is invariant under the rescale.
     """
-    norm_dom = _kernels.norm(g_dom.values)
-    if norm_dom < config.tol_norm:
+    gram = pair_gram(g_aux_projected.values, g_dom.values)
+    if gram.degenerate(config.tol_norm, only_b=True):
         raise ValueError(
-            f"dominant gradient is degenerate (norm {norm_dom:.3e}); "
+            f"dominant gradient is degenerate (norm {g_dom.norm():.3e}); "
             "rescale is undefined"
         )
-    norm_aux = _kernels.norm(g_aux_projected.values)
-    if not norm_aux > config.dominance_k * norm_dom:
+    _, dominant = _interference(gram, config)
+    # a zero projected gradient (theta_prime None) cannot trip the threshold
+    if not dominant or theta_prime_val is None:
         return RescaleResult(g_aux_projected, g_dom, False, None, False)
-    if theta_prime_val is None:
-        # Zero projected gradient cannot trip the norm threshold, so this is
-        # only reachable through inconsistent caller input.
-        return RescaleResult(g_aux_projected, g_dom, False, None, False)
-    r_raw = _ratio(config.ratio_rule, theta_prime_val, config)
-    clamped = r_raw < config.r_min
-    r = max(r_raw, config.r_min)
-    aux_out = g_aux_projected.with_values(
-        _kernels.scale(g_aux_projected.values, r)
-    )
-    dom_out = g_dom.with_values(_kernels.scale(g_dom.values, 1.0 / r))
+    r, clamped = _ratio(theta_prime_val, config)
+    aux_out = g_aux_projected.with_values(r * g_aux_projected.values)
+    dom_out = g_dom.with_values((1.0 / r) * g_dom.values)
     return RescaleResult(aux_out, dom_out, True, r, clamped)
 
 
@@ -266,76 +300,46 @@ def remedy_layer(grads: TaskGradients, config: RemedyConfig) -> RemedyOutcome:
     """Apply the configured strategy to one layer's task-gradient pair.
 
     Degenerate inputs (either norm ~zero) pass both gradients through with
-    flags false and angles absent, for every strategy.
+    flags false and angles absent, for every strategy. The post-projection
+    norm that triggers the rescale, and the post-surgery flags, are measured
+    on the emitted vectors rather than derived from the input triple: near
+    anti-parallel pairs leave a cancellation residue whose direction no
+    closed form predicts.
     """
     g_aux, g_dom = grads.g_aux, grads.g_dom
-    if g_aux.shape != g_dom.shape:
-        raise ValueError(
-            f"layer {grads.layer_id!r}: task gradients disagree on shape"
-        )
-    tol = config.tol_norm
-    dot, norm_aux, norm_dom = _kernels.dot_and_norms(g_aux.values, g_dom.values)
-
+    gram = pair_gram(g_aux.values, g_dom.values)
+    plan = _plan(gram, config.tol_norm, config.strategy, config.fixed_theta)
     aux_out, dom_out = g_aux, g_dom
+    theta_p = plan.phi
+    if plan.coef is not None:
+        aux_out = g_aux.with_values(g_aux.values + plan.coef * g_dom.values)
+        gram = pair_gram(aux_out.values, g_dom.values)
+        theta_p = None if gram.degenerate(config.tol_norm) else plan.theta
+    _, wrongly_dominant = _interference(gram, config)
+
     r_applied: float | None = None
     r_clamped = False
+    if (
+        wrongly_dominant
+        and config.strategy is Strategy.GRADIENT_REMEDY
+        and config.rescale_enabled
+    ):
+        rescaled = rescale(aux_out, g_dom, theta_p, config)
+        aux_out, dom_out = rescaled.g_aux, rescaled.g_dom
+        r_applied, r_clamped = rescaled.r, rescaled.clamped
+        gram = pair_gram(aux_out.values, dom_out.values)
+    conflicting_post, wrongly_dominant_post = _interference(gram, config)
 
-    if norm_aux < tol or norm_dom < tol:
-        phi = None
-        was_conflicting = False
-        wrongly_dominant = False
-        theta_p: float | None = None
-    else:
-        cos_phi = _clamped_cos(dot, norm_aux, norm_dom)
-        phi = math.acos(cos_phi)
-        # dot < 0 is exactly cos(phi) < 0 and avoids arccos at the boundary
-        was_conflicting = dot < 0.0
-
-        if config.strategy is Strategy.NAIVE_SUM:
-            theta_p = phi
-            wrongly_dominant = norm_aux > config.dominance_k * norm_dom
-        else:
-            if config.strategy is Strategy.PCGRAD:
-                theta = _HALF_PI
-            elif config.strategy is Strategy.FIXED_THETA:
-                theta = config.fixed_theta
-            else:
-                theta = math.atan(norm_aux / norm_dom)
-
-            norm_aux_post = norm_aux
-            if was_conflicting:
-                aux_out = g_aux.with_values(
-                    _project_values(g_aux, g_dom, theta, dot, norm_aux, norm_dom)
-                )
-                norm_aux_post = _kernels.norm(aux_out.values)
-
-            if norm_aux_post < tol:
-                theta_p = None
-            else:
-                theta_p = theta if was_conflicting else phi
-            wrongly_dominant = norm_aux_post > config.dominance_k * norm_dom
-
-            if (
-                config.strategy is Strategy.GRADIENT_REMEDY
-                and config.rescale_enabled
-                and wrongly_dominant
-            ):
-                rescaled = rescale(aux_out, g_dom, theta_p, config)
-                aux_out, dom_out = rescaled.g_aux, rescaled.g_dom
-                r_applied = rescaled.r
-                r_clamped = rescaled.clamped
-
-    g_total = aux_out.with_values(
-        _kernels.vec_add(aux_out.values, dom_out.values)
-    )
     return RemedyOutcome(
         g_aux_out=aux_out,
         g_dom_out=dom_out,
-        g_total=g_total,
-        was_conflicting=was_conflicting,
+        g_total=aux_out.with_values(aux_out.values + dom_out.values),
+        was_conflicting=plan.conflicting,
         was_wrongly_dominant=wrongly_dominant,
         theta_prime=theta_p,
-        phi=phi,
+        phi=plan.phi,
+        conflicting_post=conflicting_post,
+        wrongly_dominant_post=wrongly_dominant_post,
         r_applied=r_applied,
         r_clamped=r_clamped,
     )

@@ -9,9 +9,9 @@ Interference statistics are recorded every step:
 
 - conflicting_pre: layer pairs arriving with a negative inner product
 - conflicting_post / wrongly_dominant: the same predicates evaluated on the
-  pair the strategy actually emitted, i.e. what the strategy leaves behind
-  (post-conflict uses a -1e-9 relative tolerance so an exactly-orthogonal
-  projection is not miscounted as conflict)
+  pair the strategy actually emitted, i.e. what the strategy leaves behind;
+  remedy_layer measures them (RemedyOutcome.conflicting_post and
+  wrongly_dominant_post) and the loop here only counts
 
 Per-epoch aggregates average the per-step percentages and add a held-out
 dominant-task accuracy. CSV emission uses %.12g floats so identical runs
@@ -26,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import _kernels
 from .gradvec import GradientVector, flatten
 from .net import (
     LayerGrads,
@@ -35,17 +34,27 @@ from .net import (
     forward,
     losses,
 )
-from .surgery import RemedyConfig, TaskGradients, remedy_layer
+from .surgery import RemedyConfig, TaskGradients, bound_errors, remedy_layer
 from .synthdata import SampleBatch, TwoTaskDataset
-
-# relative slack when re-testing conflict on emitted gradients: a projection
-# landing exactly on the normal plane produces rounding-level negative dots
-POST_CONFLICT_TOL = 1e-9
 
 
 class OptimizerKind(Enum):
     SGD = "sgd"
     ADAM = "adam"
+
+
+def train_config_errors(config) -> list[str]:
+    """Every bound a TrainConfig, or anything with its field names (the
+    CLI passes its ExperimentSpec), breaks."""
+    return bound_errors(config, (
+        ("learning_rate", lambda lr: lr > 0.0, "learning rate must be positive"),
+        ("lam", lambda lam: 0.0 <= lam <= 1.0, "lambda must lie in [0, 1]"),
+        *((name, lambda n: n >= 1, f"{name} must be >= 1")
+          for name in ("epochs", "batches_per_epoch", "batch_size", "eval_batches")),
+        ("warmup_steps", lambda n: n >= 0, "warmup_steps must be >= 0"),
+        ("adam_beta1", lambda b: 0.0 <= b < 1.0, "adam_beta1 must lie in [0, 1)"),
+        ("adam_beta2", lambda b: 0.0 <= b < 1.0, "adam_beta2 must lie in [0, 1)"),
+    ))
 
 
 @dataclass(frozen=True)
@@ -75,18 +84,9 @@ class TrainConfig:
     eval_batches: int = 4
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        for name in ("epochs", "batches_per_epoch", "batch_size", "eval_batches"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        errors = train_config_errors(self)
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,6 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     """
     opt = _make_optimizer(config)
     remedy_cfg = config.remedy
-    tol = remedy_cfg.tol_norm
     step_stats: list[StepStats] = []
     epoch_stats: list[EpochStats] = []
     rescale_events = 0
@@ -304,21 +303,14 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                 for unit in units:
                     outcome = remedy_layer(unit, remedy_cfg)
                     units_total += 1
-                    if outcome.was_conflicting:
-                        conflicting_pre += 1
+                    conflicting_pre += outcome.was_conflicting
+                    conflicting_post += outcome.conflicting_post
+                    wrongly_dominant += outcome.wrongly_dominant_post
                     if outcome.phi is not None:
                         phis.append(outcome.phi)
                     if outcome.r_applied is not None:
                         rescale_events += 1
                         r_applied_sum += outcome.r_applied
-                    dot, n_aux, n_dom = _kernels.dot_and_norms(
-                        outcome.g_aux_out.values, outcome.g_dom_out.values
-                    )
-                    if n_aux >= tol and n_dom >= tol:
-                        if dot < -POST_CONFLICT_TOL * n_aux * n_dom:
-                            conflicting_post += 1
-                        if n_aux > remedy_cfg.dominance_k * n_dom:
-                            wrongly_dominant += 1
                     totals.append(outcome.g_total.values)
                 if config.bias_separate:
                     g_weights = totals[0].reshape(layer.weights.shape)

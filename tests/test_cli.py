@@ -75,6 +75,26 @@ def test_validate_collects_all_errors():
     assert any("learning rate" in e for e in errors)
 
 
+def test_validate_reports_each_broken_bound_once():
+    broken = {
+        "dominance_k": 0.5,
+        "fixed_theta": -0.1,
+        "r_min": 1.0,
+        "ratio_constant": 0.0,
+        "lam": -0.5,
+        "learning_rate": 0.0,
+        "epochs": 0,
+        "batches_per_epoch": 0,
+        "batch_size": 0,
+        "eval_batches": 0,
+        "warmup_steps": -1,
+    }
+    errors = validate(ExperimentSpec(**broken))
+    assert len(errors) == len(broken)
+    for name in broken:
+        assert sum(e.startswith(f"{name}: ") for e in errors) == 1, name
+
+
 def test_parse_strategy_token():
     assert parse_strategy_token("naive") == (Strategy.NAIVE_SUM, None)
     assert parse_strategy_token("pcgrad") == (Strategy.PCGRAD, None)

@@ -20,7 +20,6 @@ from gradremedy import (
     project,
     remedy_layer,
     rescale,
-    theta_prime,
 )
 
 HALF_PI = math.pi / 2
@@ -147,6 +146,11 @@ def test_project_anti_parallel_collapses_to_zero():
     aux, dom = vec(-2.0, 0.0), vec(1.0, 0.0)
     out = project(aux, dom, math.radians(45.0))
     np.testing.assert_array_equal(out.values, [0.0, 0.0])
+    # the collapsed auxiliary gradient has no angle to report
+    config = RemedyConfig(strategy=Strategy.FIXED_THETA, fixed_theta=math.radians(45.0))
+    outcome = remedy_layer(TaskGradients(aux, dom), config)
+    np.testing.assert_array_equal(outcome.g_aux_out.values, [0.0, 0.0])
+    assert outcome.was_conflicting and outcome.theta_prime is None
 
 
 def test_project_rejects_theta_outside_range():
@@ -193,29 +197,6 @@ def test_project_two_d_matches_rotation_construction():
         expected = (rot @ dhat) * (aux.norm() * math.sin(phi) / math.sin(theta))
         out = project(aux, dom, theta)
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-9)
-
-
-# --- theta prime -------------------------------------------------------------
-
-
-def test_theta_prime_after_projection_is_theta():
-    aux, dom = vec(-1.0, 1.0), vec(1.0, 0.0)
-    theta = dynamic_theta(aux, dom)
-    out = project(aux, dom, theta)
-    assert theta_prime(out, dom, math.radians(135.0), theta, True) == theta
-
-
-def test_theta_prime_without_conflict_is_original_angle():
-    aux, dom = vec(1.0, 1.0), vec(1.0, 0.0)
-    phi = angle_between(aux, dom).phi
-    assert theta_prime(aux, dom, phi, math.radians(36.0), False) == phi
-
-
-def test_theta_prime_degenerate_returns_none():
-    zero = vec(0.0, 0.0)
-    dom = vec(1.0, 0.0)
-    assert theta_prime(zero, dom, math.pi, 0.5, True) is None
-    assert theta_prime(dom, zero, math.pi, 0.5, True) is None
 
 
 # --- rescale -----------------------------------------------------------------
@@ -327,6 +308,8 @@ def test_remedy_layer_frozen_total():
     assert outcome.r_applied is None
     assert outcome.phi == pytest.approx(math.radians(135.0), abs=1e-12)
     assert outcome.theta_prime == pytest.approx(0.9553166181245093, abs=1e-15)
+    # the projected pair reports exactly the angle it was moved to
+    assert outcome.theta_prime == dynamic_theta(grads.g_aux, grads.g_dom)
     np.testing.assert_allclose(
         outcome.g_total.values, [math.sqrt(2.0) / 2.0 + 1.0, 1.0], rtol=0, atol=1e-15
     )
@@ -364,6 +347,11 @@ def test_remedy_layer_fixed_theta_lands_at_configured_angle():
             math.radians(36), abs=1e-9
         )
         assert outcome.theta_prime == pytest.approx(math.radians(36), abs=1e-15)
+    # a pair that does not conflict is not projected and keeps its angle
+    aux, dom = vec(1.0, 1.0), vec(1.0, 0.0)
+    outcome = remedy_layer(TaskGradients(aux, dom), config)
+    assert outcome.g_aux_out is aux
+    assert outcome.theta_prime == outcome.phi == angle_between(aux, dom).phi
 
 
 def test_remedy_layer_rescale_fires_on_wrong_dominance():
@@ -395,6 +383,12 @@ def test_remedy_layer_degenerate_pair_passes_through():
     assert not outcome.was_wrongly_dominant
     assert outcome.phi is None and outcome.theta_prime is None
     np.testing.assert_array_equal(outcome.g_total.values, dom.values)
+    # a zero dominant gradient: no angle, and no dominance however large aux is
+    aux = vec(-100.0, 1.0)
+    outcome = remedy_layer(TaskGradients(aux, zero), RemedyConfig())
+    assert outcome.g_aux_out is aux and outcome.g_dom_out is zero
+    assert outcome.phi is None and outcome.theta_prime is None
+    assert not (outcome.was_wrongly_dominant or outcome.wrongly_dominant_post)
 
 
 def test_remedy_layer_non_conflicting_dominant_pair_still_rescales():
