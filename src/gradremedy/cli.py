@@ -26,9 +26,9 @@ import statistics
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
-from .net import init_network
+from .net import init_network, network_errors
 from .surgery import RatioRule, RemedyConfig, Strategy, remedy_config_errors
-from .synthdata import TwoTaskDataset
+from .synthdata import TwoTaskDataset, dataset_errors
 from .trainer import (
     OptimizerKind,
     TrainConfig,
@@ -159,15 +159,8 @@ def validate(spec: ExperimentSpec) -> list[str]:
         errors.append("at least one seed is required")
     errors += remedy_config_errors(spec)
     errors += train_config_errors(spec)
-    for name in ("dim", "num_classes"):
-        if getattr(spec, name) < 2:
-            errors.append(f"{name} must be >= 2 (got {getattr(spec, name)})")
-    if not spec.trunk_widths or any(w < 1 for w in spec.trunk_widths):
-        errors.append(f"trunk_widths must be positive (got {spec.trunk_widths})")
-    if spec.jitter_std < 0.0:
-        errors.append(f"jitter_std must be >= 0 (got {spec.jitter_std})")
-    if spec.template_scale <= 0.0:
-        errors.append(f"template_scale must be positive (got {spec.template_scale})")
+    errors += dataset_errors(spec)
+    errors += network_errors(spec)
     return errors
 
 

@@ -16,9 +16,13 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+
+from .surgery import bound_errors, raise_if_any
+from .synthdata import dataset_errors
 
 
 class Activation(Enum):
@@ -106,6 +110,16 @@ class Network:
         return out
 
 
+def network_errors(config) -> list[str]:
+    """Every bound init_network's arguments, or anything with their field
+    names (the CLI passes its ExperimentSpec), break; num_classes is
+    checked by synthdata.dataset_errors."""
+    return bound_errors(config, ((
+        "trunk_widths", lambda widths: len(widths) > 0 and min(widths) >= 1,
+        "trunk_widths must name at least one layer, each at least 1 wide",
+    ),))
+
+
 def init_network(
     seed: int,
     in_dim: int,
@@ -119,10 +133,8 @@ def init_network(
     The reconstruction head maps back to aux_out_dim (defaults to in_dim,
     i.e. the clean signal lives in the input space).
     """
-    if not trunk_widths:
-        raise ValueError("trunk_widths must name at least one layer")
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    shape = SimpleNamespace(trunk_widths=trunk_widths, num_classes=num_classes)
+    raise_if_any(network_errors(shape) + dataset_errors(shape))
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def dense(fan_in: int, fan_out: int, activation: Activation) -> Layer:
@@ -279,18 +291,25 @@ class TwoTaskGradients:
 
 
 def _backward_chain(
-    chain: list[Layer], cache: ChainCache, delta_out: np.ndarray
+    chain: list[Layer],
+    cache: ChainCache,
+    delta_out: np.ndarray,
+    out: list[LayerGrads] | None,
 ) -> tuple[list[LayerGrads], np.ndarray]:
-    """Walk one chain backward; returns per-layer grads and d(loss)/d(input)."""
-    grads: list[LayerGrads] = [None] * len(chain)  # type: ignore[list-item]
+    """Walk one chain backward; returns per-layer grads (written into `out`'s
+    arrays when given) and d(loss)/d(input)."""
+    if out is None:
+        out = [LayerGrads(np.empty_like(layer.weights), np.empty_like(layer.bias))
+               for layer in chain]
     delta = delta_out
     for i in range(len(chain) - 1, -1, -1):
         layer = chain[i]
         z = cache.pre_acts[i]
         dz = np.where(z > 0.0, delta, 0.0) if layer.activation is Activation.RELU else delta
-        grads[i] = LayerGrads(weights=dz.T @ cache.inputs[i], bias=dz.sum(axis=0))
+        np.matmul(dz.T, cache.inputs[i], out=out[i].weights)
+        np.add.reduce(dz, axis=0, out=out[i].bias)
         delta = dz @ layer.weights
-    return grads, delta
+    return out, delta
 
 
 def backward_two_task(
@@ -299,12 +318,16 @@ def backward_two_task(
     targets_clean: np.ndarray,
     labels: np.ndarray,
     lam: float,
+    out: TwoTaskGradients | None = None,
 ) -> TwoTaskGradients:
     """Two separate backward passes, one per task, through the shared trunk.
 
     The loss weights are folded in here: the auxiliary pass propagates
     (1-lam)*d(MSE), the dominant pass lam*d(CE). Surgery downstream therefore
     sees exactly the gradients that would otherwise be summed.
+
+    With `out`, every gradient is written into its arrays (the trainer's
+    buffer views) and `out` is returned; otherwise fresh arrays are made.
     """
     if cache.net is not net:
         raise ValueError("cache was produced by a different network")
@@ -324,17 +347,21 @@ def backward_two_task(
 
     # auxiliary task: (1-lam) * MSE
     d_aux = (1.0 - lam) * 2.0 * (cache.aux_out - targets_clean) / cache.aux_out.size
-    aux_head_grads, delta_trunk_aux = _backward_chain(net.aux_head, cache.aux, d_aux)
-    trunk_aux, _ = _backward_chain(net.trunk, cache.trunk, delta_trunk_aux)
+    aux_head_grads, delta_trunk_aux = _backward_chain(
+        net.aux_head, cache.aux, d_aux, out and out.aux_head)
+    trunk_aux, _ = _backward_chain(
+        net.trunk, cache.trunk, delta_trunk_aux, out and out.trunk_aux)
 
     # dominant task: lam * cross-entropy
     p = _softmax(cache.dom_logits)
     p[np.arange(p.shape[0]), labels] -= 1.0
     d_dom = lam * p / p.shape[0]
-    dom_head_grads, delta_trunk_dom = _backward_chain(net.dom_head, cache.dom, d_dom)
-    trunk_dom, _ = _backward_chain(net.trunk, cache.trunk, delta_trunk_dom)
+    dom_head_grads, delta_trunk_dom = _backward_chain(
+        net.dom_head, cache.dom, d_dom, out and out.dom_head)
+    trunk_dom, _ = _backward_chain(
+        net.trunk, cache.trunk, delta_trunk_dom, out and out.trunk_dom)
 
-    return TwoTaskGradients(
+    return out or TwoTaskGradients(
         trunk_aux=trunk_aux,
         trunk_dom=trunk_dom,
         aux_head=aux_head_grads,

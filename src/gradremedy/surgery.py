@@ -17,7 +17,9 @@ the Gram triple (a.d, ||a||, ||d||); pcgrad is its theta = pi/2 case.
 
 Detection flags (conflict, wrong dominance) are computed for every strategy
 so baseline runs emit the same interference statistics as remedied runs;
-remedy_layer measures them on the input pair and on the pair it emits.
+remedy_pair measures them on the input pair and on the pair it emits.
+remedy_pair works on plain arrays (the trainer hands it views of its
+gradient buffers); remedy_layer is its GradientVector wrapper.
 
 All functions are pure; inputs are never mutated.
 """
@@ -28,6 +30,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .gradvec import DEFAULT_TOL_NORM, Gram, GradientVector, pair_gram
 
@@ -59,6 +63,12 @@ def bound_errors(config, bounds) -> list[str]:
         for name, holds, rule in bounds
         if hasattr(config, name) and not holds(getattr(config, name))
     ]
+
+
+def raise_if_any(errors: list[str]) -> None:
+    """One ValueError naming every error in the list, if it has any."""
+    if errors:
+        raise ValueError("; ".join(errors))
 
 
 def _theta_in_range(theta: float) -> bool:
@@ -98,9 +108,7 @@ class RemedyConfig:
     tol_norm: float = DEFAULT_TOL_NORM
 
     def __post_init__(self):
-        errors = remedy_config_errors(self)
-        if errors:
-            raise ValueError("; ".join(errors))
+        raise_if_any(remedy_config_errors(self))
 
 
 @dataclass(frozen=True)
@@ -296,6 +304,51 @@ def rescale(
     return RescaleResult(aux_out, dom_out, True, r, clamped)
 
 
+class Remedy(NamedTuple):
+    """remedy_pair's result: the emitted pair (the input arrays themselves
+    when unchanged) plus RemedyOutcome's flags and angles, in its order."""
+
+    aux: np.ndarray
+    dom: np.ndarray
+    was_conflicting: bool
+    was_wrongly_dominant: bool
+    theta_prime: float | None
+    phi: float | None
+    conflicting_post: bool
+    wrongly_dominant_post: bool
+    r_applied: float | None
+    r_clamped: bool
+
+
+def remedy_pair(aux: np.ndarray, dom: np.ndarray, config: RemedyConfig) -> Remedy:
+    """Apply the configured strategy to one (auxiliary, dominant) pair of
+    equal-length float64 vectors; see remedy_layer. Never writes to its
+    inputs, and expects them finite (the caller scans them)."""
+    gram = pair_gram(aux, dom)
+    plan = _plan(gram, config.tol_norm, config.strategy, config.fixed_theta)
+    theta_p = plan.phi
+    if plan.coef is not None:
+        aux = aux + plan.coef * dom
+        gram = pair_gram(aux, dom)
+        theta_p = None if gram.degenerate(config.tol_norm) else plan.theta
+    _, wrongly_dominant = _interference(gram, config)
+
+    r_applied: float | None = None
+    r_clamped = False
+    # wrongly_dominant implies a non-degenerate pair, so theta_p is set
+    if (
+        wrongly_dominant
+        and config.strategy is Strategy.GRADIENT_REMEDY
+        and config.rescale_enabled
+    ):
+        r_applied, r_clamped = _ratio(theta_p, config)
+        aux, dom = r_applied * aux, (1.0 / r_applied) * dom
+        gram = pair_gram(aux, dom)
+    conflicting_post, wrongly_dominant_post = _interference(gram, config)
+    return Remedy(aux, dom, plan.conflicting, wrongly_dominant, theta_p, plan.phi,
+                  conflicting_post, wrongly_dominant_post, r_applied, r_clamped)
+
+
 def remedy_layer(grads: TaskGradients, config: RemedyConfig) -> RemedyOutcome:
     """Apply the configured strategy to one layer's task-gradient pair.
 
@@ -304,42 +357,11 @@ def remedy_layer(grads: TaskGradients, config: RemedyConfig) -> RemedyOutcome:
     norm that triggers the rescale, and the post-surgery flags, are measured
     on the emitted vectors rather than derived from the input triple: near
     anti-parallel pairs leave a cancellation residue whose direction no
-    closed form predicts.
+    closed form predicts. An output equal to its input is the input object.
     """
     g_aux, g_dom = grads.g_aux, grads.g_dom
-    gram = pair_gram(g_aux.values, g_dom.values)
-    plan = _plan(gram, config.tol_norm, config.strategy, config.fixed_theta)
-    aux_out, dom_out = g_aux, g_dom
-    theta_p = plan.phi
-    if plan.coef is not None:
-        aux_out = g_aux.with_values(g_aux.values + plan.coef * g_dom.values)
-        gram = pair_gram(aux_out.values, g_dom.values)
-        theta_p = None if gram.degenerate(config.tol_norm) else plan.theta
-    _, wrongly_dominant = _interference(gram, config)
-
-    r_applied: float | None = None
-    r_clamped = False
-    if (
-        wrongly_dominant
-        and config.strategy is Strategy.GRADIENT_REMEDY
-        and config.rescale_enabled
-    ):
-        rescaled = rescale(aux_out, g_dom, theta_p, config)
-        aux_out, dom_out = rescaled.g_aux, rescaled.g_dom
-        r_applied, r_clamped = rescaled.r, rescaled.clamped
-        gram = pair_gram(aux_out.values, dom_out.values)
-    conflicting_post, wrongly_dominant_post = _interference(gram, config)
-
-    return RemedyOutcome(
-        g_aux_out=aux_out,
-        g_dom_out=dom_out,
-        g_total=aux_out.with_values(aux_out.values + dom_out.values),
-        was_conflicting=plan.conflicting,
-        was_wrongly_dominant=wrongly_dominant,
-        theta_prime=theta_p,
-        phi=plan.phi,
-        conflicting_post=conflicting_post,
-        wrongly_dominant_post=wrongly_dominant_post,
-        r_applied=r_applied,
-        r_clamped=r_clamped,
-    )
+    out = remedy_pair(g_aux.values, g_dom.values, config)
+    aux_out = g_aux if out.aux is g_aux.values else g_aux.with_values(out.aux)
+    dom_out = g_dom if out.dom is g_dom.values else g_dom.with_values(out.dom)
+    return RemedyOutcome(aux_out, dom_out, aux_out.with_values(out.aux + out.dom),
+                         *out[2:])

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
+
+from .surgery import bound_errors, raise_if_any
 
 DEFAULT_JITTER_STD = 0.05
 DEFAULT_ANGLE_FLOOR_DEG = 45.0
@@ -25,6 +28,17 @@ DEFAULT_ANGLE_FLOOR_DEG = 45.0
 _TEMPLATE_STREAM = 0
 _TRAIN_STREAM = 1
 _EVAL_STREAM = 2
+
+
+def dataset_errors(config) -> list[str]:
+    """Every bound a TwoTaskDataset, or anything with its field names (the
+    CLI passes its ExperimentSpec), breaks."""
+    return bound_errors(config, (
+        ("dim", lambda d: d >= 2, "dim must be >= 2"),
+        ("num_classes", lambda n: n >= 2, "num_classes must be >= 2"),
+        ("jitter_std", lambda s: s >= 0.0, "jitter_std must be >= 0"),
+        ("template_scale", lambda s: s > 0.0, "template_scale must be positive"),
+    ))
 
 
 @dataclass(frozen=True)
@@ -77,10 +91,7 @@ def class_templates(
     Raises if the floor cannot be met within max_tries draws (too many
     classes for the dimension / floor combination).
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    raise_if_any(dataset_errors(SimpleNamespace(num_classes=num_classes, dim=dim)))
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((seed, _TEMPLATE_STREAM)))
     )
@@ -112,16 +123,13 @@ class TwoTaskDataset:
         angle_floor_deg: float = DEFAULT_ANGLE_FLOOR_DEG,
         template_scale: float = 1.0,
     ):
-        if jitter_std < 0.0:
-            raise ValueError(f"jitter_std must be >= 0, got {jitter_std}")
-        if template_scale <= 0.0:
-            raise ValueError(f"template_scale must be positive, got {template_scale}")
         self.seed = seed
         self.num_classes = num_classes
         self.dim = dim
         self.snr_db = snr_db
         self.jitter_std = jitter_std
         self.template_scale = template_scale
+        raise_if_any(dataset_errors(self))
         self.templates = template_scale * class_templates(
             seed, num_classes, dim, angle_floor_deg
         )

@@ -1,17 +1,25 @@
 """Two-task training loop with per-layer gradient surgery on the trunk.
 
-Each step runs one forward pass, one backward pass per task, then feeds each
-trunk layer's flattened (auxiliary, dominant) gradient pair through the
-configured strategy before the optimizer update. Heads are updated with
-their own task's gradient, untouched by surgery.
+train() first moves every parameter of the net into one contiguous float64
+buffer, laid out trunk, auxiliary head, dominant head, each layer's weights
+(row-major) before its bias; the layers' weights and bias arrays become views
+of it. Three gradient buffers go with it: `total`, laid out like the
+parameters, and one per task, laid out like the trunk part. Each step runs
+one forward pass and one backward pass per task; backward writes each task's
+trunk gradients into that task's buffer and the head gradients into
+`total`. After one non-finite scan per task buffer, the strategy runs on
+each surgery unit, a (start, stop) segment of the trunk layout: a whole
+trunk layer, or its weights and its bias as two units with bias_separate.
+It writes aux' + dom' into the unit's segment of `total`; one more scan of
+`total` and one optimizer call over the whole buffer end the step. Heads
+are updated with their own task's gradient, untouched by surgery.
 
 Interference statistics are recorded every step:
 
-- conflicting_pre: layer pairs arriving with a negative inner product
+- conflicting_pre: units arriving with a negative inner product
 - conflicting_post / wrongly_dominant: the same predicates evaluated on the
   pair the strategy actually emitted, i.e. what the strategy leaves behind;
-  remedy_layer measures them (RemedyOutcome.conflicting_post and
-  wrongly_dominant_post) and the loop here only counts
+  surgery.remedy_pair measures them and the loop here only counts
 
 Per-epoch aggregates average the per-step percentages and add a held-out
 dominant-task accuracy. CSV emission uses %.12g floats so identical runs
@@ -20,21 +28,23 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .gradvec import GradientVector, flatten
 from .net import (
+    Layer,
     LayerGrads,
     Network,
+    TwoTaskGradients,
     backward_two_task,
     forward,
     losses,
 )
-from .surgery import RemedyConfig, TaskGradients, bound_errors, remedy_layer
+from .surgery import RemedyConfig, bound_errors, raise_if_any, remedy_pair
 from .synthdata import SampleBatch, TwoTaskDataset
 
 
@@ -84,9 +94,7 @@ class TrainConfig:
     eval_batches: int = 4
 
     def __post_init__(self):
-        errors = train_config_errors(self)
-        if errors:
-            raise ValueError("; ".join(errors))
+        raise_if_any(train_config_errors(self))
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,9 @@ class StepStats:
 
     wrongly_dominant applies ||g_aux|| > K*||g_dom|| to the pair the strategy
     emitted (post-rescale); the pre-rescale flag stays available on each
-    RemedyOutcome for callers that want it. mean_phi_rad averages the
-    pre-remedy angle over non-degenerate layers (nan if none).
+    surgery.Remedy (was_wrongly_dominant) for callers that want it.
+    mean_phi_rad averages the pre-remedy angle over non-degenerate units
+    (nan if none).
     """
 
     epoch: int
@@ -138,12 +147,12 @@ class SGD:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
         param -= self.lr * grad
 
 
 class Adam:
-    """Standard Adam with bias correction; state keyed per parameter array."""
+    """Standard Adam with bias correction over one parameter buffer."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -151,21 +160,21 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._t: dict[str, int] = {}
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
+        self._t = 0
 
-    def step(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        m = self._m.setdefault(key, np.zeros_like(param))
-        v = self._v.setdefault(key, np.zeros_like(param))
-        t = self._t.get(key, 0) + 1
-        self._t[key] = t
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        if self._m is None:
+            self._m, self._v = np.zeros_like(param), np.zeros_like(param)
+        m, v = self._m, self._v
+        self._t += 1
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
         v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
+        m_hat = m / (1.0 - self.beta1 ** self._t)
+        v_hat = v / (1.0 - self.beta2 ** self._t)
         param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
@@ -203,41 +212,86 @@ def evaluate(net: Network, batches: list[SampleBatch]) -> EvalMetrics:
     return EvalMetrics(dom_accuracy=correct / samples, aux_mse=sq_err / elements)
 
 
-def _remedy_units(
-    layer_index: int,
-    g_aux: LayerGrads,
-    g_dom: LayerGrads,
-    bias_separate: bool,
-) -> list[TaskGradients]:
-    """Flatten one trunk layer's gradient pair into surgery input vectors."""
-    name = f"trunk[{layer_index}]"
-    if bias_separate:
-        return [
-            TaskGradients(
-                flatten(g_aux.weights, name), flatten(g_dom.weights, name),
-                layer_id=f"{name}.weights",
-            ),
-            TaskGradients(
-                flatten(g_aux.bias, name), flatten(g_dom.bias, name),
-                layer_id=f"{name}.bias",
-            ),
-        ]
-    aux_flat = np.concatenate([g_aux.weights.ravel(), g_aux.bias])
-    dom_flat = np.concatenate([g_dom.weights.ravel(), g_dom.bias])
-    return [
-        TaskGradients(
-            GradientVector(aux_flat, (aux_flat.size,)),
-            GradientVector(dom_flat, (dom_flat.size,)),
-            layer_id=name,
+def _views(buffer: np.ndarray, chain: list[Layer], offset: int) -> list[LayerGrads]:
+    """Each layer's (weights, bias) as views of buffer, laid out from offset."""
+    views = []
+    for layer in chain:
+        mid = offset + layer.weights.size
+        stop = mid + layer.bias.size
+        views.append(LayerGrads(buffer[offset:mid].reshape(layer.weights.shape),
+                                buffer[mid:stop]))
+        offset = stop
+    return views
+
+
+class _Arena:
+    """A net's parameters and gradients in flat buffers (see the module
+    docstring); building one rebinds the net's layer arrays as views.
+
+    units holds the (aux, dom, total) views of each surgery unit's segment,
+    in trunk order. places names each segment of the total
+    layout as (name, gradient, start, stop): the surgery units first, whose
+    segments aux and dom share, then the head layers.
+    """
+
+    def __init__(self, net: Network, bias_separate: bool):
+        pieces = []  # (name, gradient, size) along the total layout
+        for chain_name, chain, gradient in (
+            ("trunk", net.trunk, "post-surgery total"),
+            ("aux_head", net.aux_head, "auxiliary-task"),
+            ("dom_head", net.dom_head, "dominant-task"),
+        ):
+            for i, layer in enumerate(chain):
+                name = f"{chain_name}[{i}]"
+                if bias_separate and chain is net.trunk:
+                    pieces += [(f"{name}.weights", gradient, layer.weights.size),
+                               (f"{name}.bias", gradient, layer.bias.size)]
+                else:
+                    pieces.append((name, gradient, layer.weights.size + layer.bias.size))
+        ends = list(itertools.accumulate(size for _, _, size in pieces))
+        self.places = [(name, gradient, end - size, end)
+                       for (name, gradient, size), end in zip(pieces, ends)]
+
+        trunk_end = sum(l.weights.size + l.bias.size for l in net.trunk)
+        aux_end = trunk_end + sum(l.weights.size + l.bias.size for l in net.aux_head)
+        self.params = np.empty(ends[-1])
+        self.total = np.empty(ends[-1])
+        self.aux = np.empty(trunk_end)
+        self.dom = np.empty(trunk_end)
+        layers = [layer for _, layer in net.named_layers()]
+        for layer, view in zip(layers, _views(self.params, layers, 0)):
+            view.weights[...] = layer.weights
+            view.bias[...] = layer.bias
+            layer.weights, layer.bias = view
+        self.grads = TwoTaskGradients(
+            trunk_aux=_views(self.aux, net.trunk, 0),
+            trunk_dom=_views(self.dom, net.trunk, 0),
+            aux_head=_views(self.total, net.aux_head, trunk_end),
+            dom_head=_views(self.total, net.dom_head, aux_end),
         )
-    ]
+        self.units = [(self.aux[a:b], self.dom[a:b], self.total[a:b])
+                      for _, _, a, b in self.places if b <= trunk_end]
+
+    def check_finite(self, buffer: np.ndarray, task: str | None,
+                     epoch: int, batch: int) -> None:
+        """Raise ValueError naming the gradient, unit, epoch and batch of the
+        first non-finite entry of aux or dom (task names the buffer's task)
+        or of total (task None: the place names it)."""
+        if np.isfinite(buffer).all():
+            return
+        bad = int(np.flatnonzero(~np.isfinite(buffer))[0])
+        name, gradient, start, stop = next(p for p in self.places if p[2] <= bad < p[3])
+        raise ValueError(
+            f"non-finite {task or gradient} gradient in {name} at epoch {epoch}, "
+            f"batch {batch} (entry {bad - start} of {stop - start}: {buffer[bad]})"
+        )
 
 
 @dataclass
 class TrainResult:
     """Trained network plus everything the CSV/JSON emitters need.
 
-    rescale_events counts optimizer steps' per-layer rescale firings over
+    rescale_events counts optimizer steps' per-unit rescale firings over
     the whole run; mean_r_applied averages the applied ratio (None when the
     rescale never fired), letting a run's effective r be audited without
     widening the steps.csv column contract.
@@ -251,12 +305,17 @@ class TrainResult:
 
 
 def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResult:
-    """Run the full schedule, mutating `net` in place.
+    """Run the full schedule, mutating `net` in place; its layer arrays end
+    up as views of one parameter buffer (see the module docstring).
 
     Deterministic given (config, dataset seed, initial parameters): batches
     are addressed by global step index, so there is no hidden RNG state.
-    Aborts with a diagnostic naming epoch/batch if a loss goes non-finite.
+    Aborts with a diagnostic naming epoch and batch if a loss goes
+    non-finite (RuntimeError), and also the gradient and unit if a gradient
+    entry does (ValueError).
     """
+    arena = _Arena(net, config.bias_separate)
+    units_total = len(arena.units)
     opt = _make_optimizer(config)
     remedy_cfg = config.remedy
     step_stats: list[StepStats] = []
@@ -286,51 +345,28 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}: "
                     f"loss_aux={bundle.loss_aux}, loss_dom={bundle.loss_dom}"
                 )
-            grads = backward_two_task(
-                net, cache, batch.clean, batch.labels, config.lam
-            )
+            backward_two_task(net, cache, batch.clean, batch.labels, config.lam,
+                              out=arena.grads)
+            arena.check_finite(arena.aux, "auxiliary-task", epoch, batch_idx)
+            arena.check_finite(arena.dom, "dominant-task", epoch, batch_idx)
 
             conflicting_pre = 0
             conflicting_post = 0
             wrongly_dominant = 0
-            units_total = 0
             phis: list[float] = []
-            for i, layer in enumerate(net.trunk):
-                units = _remedy_units(
-                    i, grads.trunk_aux[i], grads.trunk_dom[i], config.bias_separate
-                )
-                totals: list[np.ndarray] = []
-                for unit in units:
-                    outcome = remedy_layer(unit, remedy_cfg)
-                    units_total += 1
-                    conflicting_pre += outcome.was_conflicting
-                    conflicting_post += outcome.conflicting_post
-                    wrongly_dominant += outcome.wrongly_dominant_post
-                    if outcome.phi is not None:
-                        phis.append(outcome.phi)
-                    if outcome.r_applied is not None:
-                        rescale_events += 1
-                        r_applied_sum += outcome.r_applied
-                    totals.append(outcome.g_total.values)
-                if config.bias_separate:
-                    g_weights = totals[0].reshape(layer.weights.shape)
-                    g_bias = totals[1]
-                else:
-                    split = layer.weights.size
-                    g_weights = totals[0][:split].reshape(layer.weights.shape)
-                    g_bias = totals[0][split:]
-                opt.step(f"trunk[{i}].weights", layer.weights, g_weights)
-                opt.step(f"trunk[{i}].bias", layer.bias, g_bias)
-
-            for head_name, chain, head_grads in (
-                ("aux_head", net.aux_head, grads.aux_head),
-                ("dom_head", net.dom_head, grads.dom_head),
-            ):
-                for i, layer in enumerate(chain):
-                    opt.step(f"{head_name}[{i}].weights", layer.weights,
-                             head_grads[i].weights)
-                    opt.step(f"{head_name}[{i}].bias", layer.bias,
-                             head_grads[i].bias)
+            for g_aux, g_dom, g_total in arena.units:
+                outcome = remedy_pair(g_aux, g_dom, remedy_cfg)
+                conflicting_pre += outcome.was_conflicting
+                conflicting_post += outcome.conflicting_post
+                wrongly_dominant += outcome.wrongly_dominant_post
+                if outcome.phi is not None:
+                    phis.append(outcome.phi)
+                if outcome.r_applied is not None:
+                    rescale_events += 1
+                    r_applied_sum += outcome.r_applied
+                np.add(outcome.aux, outcome.dom, out=g_total)
+            arena.check_finite(arena.total, None, epoch, batch_idx)
+            opt.step(arena.params, arena.total)
 
             step_stats.append(
                 StepStats(

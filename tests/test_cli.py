@@ -88,6 +88,11 @@ def test_validate_reports_each_broken_bound_once():
         "batch_size": 0,
         "eval_batches": 0,
         "warmup_steps": -1,
+        "dim": 1,
+        "num_classes": 1,
+        "trunk_widths": (),
+        "jitter_std": -0.5,
+        "template_scale": 0.0,
     }
     errors = validate(ExperimentSpec(**broken))
     assert len(errors) == len(broken)

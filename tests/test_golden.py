@@ -1,0 +1,99 @@
+"""Golden trace: final parameters and per-step counts of small fixed runs.
+
+Twelve runs of the small test_trainer.py network (trunk 6x5, dim 8, three
+classes): the four strategies, each plain, with bias_separate, and on the
+jitter_std=4, template_scale=30 SGD data that makes gradient-remedy rescale.
+tests/data/golden/ holds each run's final checkpoint and the integer columns
+of its steps.csv. A change to the training step must keep every parameter
+array within 1e-12 relative (in the 2-norm) of the checkpoint and every
+count exact. Regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+only when a change is meant to move them, and say so in CHANGES.md.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from gradremedy import (
+    OptimizerKind,
+    RemedyConfig,
+    Strategy,
+    TrainConfig,
+    TwoTaskDataset,
+    init_network,
+    load_network,
+    save_network,
+    train,
+)
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
+STRATEGIES = ("naive", "pcgrad", "fixed-theta", "gradient-remedy")
+# case -> (TrainConfig overrides, TwoTaskDataset overrides)
+CASES = {
+    "plain": ({}, {}),
+    "bias-separate": ({"bias_separate": True}, {}),
+    "rescale": (
+        {"epochs": 3, "optimizer": OptimizerKind.SGD, "learning_rate": 5e-3},
+        {"jitter_std": 4.0, "template_scale": 30.0},
+    ),
+}
+COUNT_COLUMNS = "epoch,batch,layers_total,conflicting_pre,conflicting_post,wrongly_dominant"
+REL_TOL = 1e-12
+
+
+def run_case(case, strategy):
+    config_kw, data_kw = CASES[case]
+    config = TrainConfig(**{
+        "remedy": RemedyConfig(strategy=Strategy(strategy)),
+        "epochs": 2, "batches_per_epoch": 5, "batch_size": 16, "eval_batches": 1,
+        **config_kw,
+    })
+    data = TwoTaskDataset(seed=1, num_classes=3, dim=8, snr_db=0.0, **data_kw)
+    net = init_network(seed=1, in_dim=8, trunk_widths=(6, 5), num_classes=3)
+    return train(config, data, net)
+
+
+def counts_csv(result) -> str:
+    rows = [COUNT_COLUMNS] + [
+        f"{s.epoch},{s.batch},{s.layers_total},{s.conflicting_pre},"
+        f"{s.conflicting_post},{s.wrongly_dominant}"
+        for s in result.step_stats
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def _stem(case, strategy):
+    return os.path.join(DATA, f"{case}.{strategy}")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("case", CASES)
+def test_run_matches_golden_trace(case, strategy):
+    result = run_case(case, strategy)
+    with open(_stem(case, strategy) + ".counts.csv", encoding="ascii") as src:
+        assert counts_csv(result) == src.read()
+    want = load_network(_stem(case, strategy) + ".net")
+    for (name, got), (_, ref) in zip(result.net.named_layers(), want.named_layers()):
+        for attr in ("weights", "bias"):
+            g, r = getattr(got, attr), getattr(ref, attr)
+            assert g.shape == r.shape, f"{name}.{attr}"
+            assert np.linalg.norm(g - r) <= REL_TOL * np.linalg.norm(r), f"{name}.{attr}"
+
+
+def test_rescale_case_fires_the_rescale():
+    assert run_case("rescale", "gradient-remedy").rescale_events > 0
+
+
+if __name__ == "__main__":
+    os.makedirs(DATA, exist_ok=True)
+    for case in CASES:
+        for strategy in STRATEGIES:
+            result = run_case(case, strategy)
+            save_network(result.net, _stem(case, strategy) + ".net")
+            with open(_stem(case, strategy) + ".counts.csv", "w", encoding="ascii") as out:
+                out.write(counts_csv(result))
+    print(f"wrote {len(CASES) * len(STRATEGIES)} cases to {DATA}")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gradremedy.trainer as trainer_module
 from gradremedy import (
     OptimizerKind,
     RemedyConfig,
@@ -16,6 +17,8 @@ from gradremedy import (
     evaluate,
     forward,
     init_network,
+    load_network,
+    save_network,
     train,
     write_epochs_csv,
     write_steps_csv,
@@ -196,6 +199,112 @@ def test_nonfinite_loss_aborts_with_location():
     config = tiny_config(optimizer=OptimizerKind.SGD, learning_rate=1e8)
     with pytest.raises(RuntimeError, match="non-finite loss at epoch"):
         train(config, make_dataset(), make_net())
+
+
+@pytest.mark.parametrize(
+    "bias_separate, poison, message",
+    [
+        (False, lambda g: g.trunk_dom[1].bias, r"dominant-task gradient in trunk\[1\] "),
+        (True, lambda g: g.trunk_dom[1].bias, r"dominant-task gradient in trunk\[1\]\.bias "),
+        (True, lambda g: g.trunk_aux[0].weights, r"auxiliary-task gradient in trunk\[0\]\.weights "),
+        (False, lambda g: g.aux_head[0].weights, r"auxiliary-task gradient in aux_head\[0\] "),
+    ],
+    ids=["trunk-layer", "trunk-bias", "trunk-weights", "head"],
+)
+def test_nonfinite_gradient_names_task_unit_epoch_and_batch(
+    monkeypatch, bias_separate, poison, message
+):
+    real_backward = trainer_module.backward_two_task
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 7:  # epoch 1, batch 1 at five batches per epoch
+            poison(grads).flat[1] = np.inf
+        return grads
+
+    monkeypatch.setattr(trainer_module, "backward_two_task", poisoned)
+    with pytest.raises(ValueError, match=message + "at epoch 1, batch 1"):
+        train(tiny_config(bias_separate=bias_separate), make_dataset(), make_net())
+
+
+def _reference_adam_steps(params, grads_per_step, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with one (m, v, t) per parameter array, as the trainer once kept it."""
+    state = [(np.zeros_like(p), np.zeros_like(p), 0) for p in params]
+    for grads, lr in zip(grads_per_step, lrs):
+        for i, (param, grad) in enumerate(zip(params, grads)):
+            m, v, t = state[i]
+            t += 1
+            state[i] = (m, v, t)
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_flat_adam_matches_per_array_adam_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = [(6, 8), (6,), (5, 6), (5,), (3, 5), (3,)]
+    params = [rng.standard_normal(shape) for shape in shapes]
+    steps = [[rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes]
+             for _ in range(7)]
+    lrs = [1e-2 * min(1.0, (k + 1) / 4) for k in range(len(steps))]  # warmup over 4
+
+    flat = np.concatenate([p.ravel() for p in params])
+    adam = trainer_module.Adam(lrs[0])
+    for grads, lr in zip(steps, lrs):
+        adam.lr = lr
+        adam.step(flat, np.concatenate([g.ravel() for g in grads]))
+    _reference_adam_steps(params, steps, lrs)
+    assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+
+
+def _assert_same_parameters(a, b):
+    for (name, x), (_, y) in zip(a.named_layers(), b.named_layers()):
+        assert np.array_equal(x.weights, y.weights), name
+        assert np.array_equal(x.bias, y.bias), name
+
+
+def test_copied_and_reloaded_nets_train_like_the_original(tmp_path):
+    config = tiny_config(warmup_steps=3)
+    original = make_net()
+    train(config, make_dataset(), original)  # its arrays are now arena views
+    copied = copy.deepcopy(original)
+    save_network(original, str(tmp_path / "net.txt"))
+    reloaded = load_network(str(tmp_path / "net.txt"))
+    for net in (original, copied, reloaded):
+        train(config, make_dataset(), net)
+    _assert_same_parameters(copied, original)
+    _assert_same_parameters(reloaded, original)
+
+
+def test_training_twice_continues_from_the_trained_parameters(tmp_path):
+    config = tiny_config(bias_separate=True)
+    net = make_net()
+    train(config, make_dataset(), net)
+    save_network(net, str(tmp_path / "after_first.txt"))
+    restarted = load_network(str(tmp_path / "after_first.txt"))
+    train(config, make_dataset(), net)
+    train(config, make_dataset(), restarted)
+    _assert_same_parameters(net, restarted)
+    assert not np.array_equal(
+        net.trunk[0].weights, load_network(str(tmp_path / "after_first.txt")).trunk[0].weights
+    )
+
+
+def test_trained_layer_arrays_keep_their_shapes_and_are_contiguous():
+    net = make_net()
+    shapes = [(layer.weights.shape, layer.bias.shape) for _, layer in net.named_layers()]
+    train(tiny_config(), make_dataset(), net)
+    assert [(layer.weights.shape, layer.bias.shape)
+            for _, layer in net.named_layers()] == shapes
+    for name, layer in net.named_layers():
+        assert layer.weights.flags.c_contiguous and layer.bias.flags.c_contiguous, name
+        assert layer.weights.dtype == layer.bias.dtype == np.float64, name
 
 
 def test_train_config_validation():
