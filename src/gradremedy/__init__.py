@@ -9,8 +9,6 @@ from .gradvec import (
     AngleReport,
     GradientVector,
     angle_between,
-    flatten,
-    reshape,
 )
 from .net import (
     Activation,
@@ -64,8 +62,6 @@ __all__ = [
     "AngleReport",
     "GradientVector",
     "angle_between",
-    "flatten",
-    "reshape",
     "Activation",
     "Layer",
     "LossBundle",

@@ -24,10 +24,18 @@ import os
 import shutil
 import statistics
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields, replace
+from enum import Enum
 
 from .net import init_network, network_errors
-from .surgery import RatioRule, RemedyConfig, Strategy, remedy_config_errors
+from .surgery import (
+    RatioRule,
+    RemedyConfig,
+    Strategy,
+    raise_if_any,
+    remedy_config_errors,
+)
 from .synthdata import TwoTaskDataset, dataset_errors
 from .trainer import (
     OptimizerKind,
@@ -46,32 +54,35 @@ DEFAULT_OUT_ROOT = "runs"
 class ExperimentSpec:
     """Full description of one experiment; JSON-serializable, flat.
 
-    fixed_theta is stored in radians (the CLI converts from degrees).
+    A field that RemedyConfig, TrainConfig or TwoTaskDataset also has takes
+    its default from that class, and remedy_config(), train_config() and
+    dataset() pass it on by name. fixed_theta is stored in radians (the CLI
+    converts from degrees).
     """
 
     name: str = "experiment"
-    strategy: Strategy = Strategy.GRADIENT_REMEDY
-    fixed_theta: float = math.radians(36.0)
-    dominance_k: float = 5.0
-    ratio_rule: RatioRule = RatioRule.COS_THETA_PRIME
-    ratio_constant: float = 0.5
-    rescale_enabled: bool = True
-    r_min: float = 1e-3
-    lam: float = 0.7
-    epochs: int = 20
-    batches_per_epoch: int = 50
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    optimizer: OptimizerKind = OptimizerKind.ADAM
-    warmup_steps: int = 0
-    bias_separate: bool = False
-    eval_batches: int = 4
+    strategy: Strategy = RemedyConfig.strategy
+    fixed_theta: float = RemedyConfig.fixed_theta
+    dominance_k: float = RemedyConfig.dominance_k
+    ratio_rule: RatioRule = RemedyConfig.ratio_rule
+    ratio_constant: float = RemedyConfig.ratio_constant
+    rescale_enabled: bool = RemedyConfig.rescale_enabled
+    r_min: float = RemedyConfig.r_min
+    lam: float = TrainConfig.lam
+    epochs: int = TrainConfig.epochs
+    batches_per_epoch: int = TrainConfig.batches_per_epoch
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    optimizer: OptimizerKind = TrainConfig.optimizer
+    warmup_steps: int = TrainConfig.warmup_steps
+    bias_separate: bool = TrainConfig.bias_separate
+    eval_batches: int = TrainConfig.eval_batches
     trunk_widths: tuple[int, ...] = (48, 48)
     dim: int = 32
     num_classes: int = 4
     snr_db: float = 0.0
-    jitter_std: float = 0.05
-    template_scale: float = 1.0
+    jitter_std: float = TwoTaskDataset.jitter_std
+    template_scale: float = TwoTaskDataset.template_scale
     seeds: tuple[int, ...] = (1, 2, 3)
     out_dir: str = ""
 
@@ -86,21 +97,19 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        data = dict(raw)
-        if "strategy" in data:
-            data["strategy"] = Strategy(data["strategy"])
-        if "ratio_rule" in data:
-            data["ratio_rule"] = RatioRule(data["ratio_rule"])
-        if "optimizer" in data:
-            data["optimizer"] = OptimizerKind(data["optimizer"])
-        if "seeds" in data:
-            data["seeds"] = tuple(int(s) for s in data["seeds"])
-        if "trunk_widths" in data:
-            data["trunk_widths"] = tuple(int(w) for w in data["trunk_widths"])
+        """Inverse of to_dict; one ValueError names every unknown key and
+        every value of the wrong type."""
+        kinds = typing.get_type_hints(cls)
+        unknown = sorted(set(raw) - set(kinds))
+        errors = [f"unknown config keys: {', '.join(unknown)}"] if unknown else []
+        data = {}
+        for key, value in raw.items():
+            if key in kinds:
+                try:
+                    data[key] = _typed(kinds[key], value)
+                except ValueError as err:
+                    errors.append(f"{key}: {err}")
+        raise_if_any(errors)
         return cls(**data)
 
     def save_json(self, path: str) -> None:
@@ -113,41 +122,38 @@ class ExperimentSpec:
         with open(path, "r", encoding="ascii") as src:
             return cls.from_dict(json.load(src))
 
+    def _build(self, cls, **given):
+        """cls from this spec's fields that cls also has, plus given."""
+        names = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in names}
+        return cls(**shared, **given)
+
     def remedy_config(self) -> RemedyConfig:
-        return RemedyConfig(
-            strategy=self.strategy,
-            fixed_theta=self.fixed_theta,
-            dominance_k=self.dominance_k,
-            ratio_rule=self.ratio_rule,
-            ratio_constant=self.ratio_constant,
-            rescale_enabled=self.rescale_enabled,
-            r_min=self.r_min,
-        )
+        return self._build(RemedyConfig)
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            remedy=self.remedy_config(),
-            lam=self.lam,
-            epochs=self.epochs,
-            batches_per_epoch=self.batches_per_epoch,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            optimizer=self.optimizer,
-            warmup_steps=self.warmup_steps,
-            bias_separate=self.bias_separate,
-            eval_batches=self.eval_batches,
-            seed=seed,
-        )
+        return self._build(TrainConfig, remedy=self.remedy_config(), seed=seed)
 
     def dataset(self, seed: int) -> TwoTaskDataset:
-        return TwoTaskDataset(
-            seed=seed,
-            num_classes=self.num_classes,
-            dim=self.dim,
-            snr_db=self.snr_db,
-            jitter_std=self.jitter_std,
-            template_scale=self.template_scale,
-        )
+        return self._build(TwoTaskDataset, seed=seed)
+
+
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number",
+             str: "a string"}
+
+
+def _typed(kind, value):
+    """value as a spec field of type kind holds it: enum members from their
+    values, tuples from lists of integers; ValueError when it does not fit."""
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return kind(value)
+    if kind == tuple[int, ...]:
+        if isinstance(value, (list, tuple)) and all(type(v) is int for v in value):
+            return tuple(value)
+        raise ValueError(f"must be a list of integers, got {value!r}")
+    if type(value) in ((int, float) if kind is float else (kind,)):
+        return value
+    raise ValueError(f"must be {_EXPECTED[kind]}, got {value!r}")
 
 
 def validate(spec: ExperimentSpec) -> list[str]:
@@ -274,13 +280,6 @@ def parse_strategy_token(token: str) -> tuple[Strategy, float | None]:
     return strategy, math.radians(float(angle[: -len("deg")]))
 
 
-def _spec_with_strategy(spec: ExperimentSpec, token: str) -> ExperimentSpec:
-    strategy, theta = parse_strategy_token(token)
-    if theta is None:
-        return replace(spec, strategy=strategy)
-    return replace(spec, strategy=strategy, fixed_theta=theta)
-
-
 # --- argument parsing --------------------------------------------------------
 
 
@@ -348,11 +347,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ValueError(
+            f"{flag} must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     raw: dict = {}
     if args.config:
         with open(args.config, "r", encoding="ascii") as src:
-            raw.update(json.load(src))
+            raw = json.load(src)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config}: a config file holds one JSON object")
 
     overrides: dict = {}
     # strategy, seeds and trunk_widths need parsing; fixed_theta comes in degrees
@@ -368,11 +378,9 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if args.fixed_theta_deg is not None:
         overrides["fixed_theta"] = math.radians(args.fixed_theta_deg)
     if args.seeds is not None:
-        overrides["seeds"] = [int(s) for s in args.seeds.split(",") if s]
-    if getattr(args, "trunk_widths", None) is not None:
-        overrides["trunk_widths"] = [
-            int(w) for w in args.trunk_widths.split(",") if w
-        ]
+        overrides["seeds"] = _int_list("--seeds", args.seeds)
+    if args.trunk_widths is not None:
+        overrides["trunk_widths"] = _int_list("--trunk-widths", args.trunk_widths)
     raw.update(overrides)
 
     spec = ExperimentSpec.from_dict(raw)
@@ -383,94 +391,74 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return spec
 
 
-def _fail(exp_dir: str, existed_before: bool, err: Exception) -> int:
-    # never leave half-written run directories behind
-    if not existed_before and os.path.isdir(exp_dir):
-        shutil.rmtree(exp_dir, ignore_errors=True)
-    print(f"error: {err}", file=sys.stderr)
-    return 1
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    errors = validate(spec)
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
-    exp_dir = os.path.join(spec.out_dir, spec.name)
-    existed = os.path.isdir(exp_dir)
-    print(f"run {spec.name}: strategy={spec.strategy.value}")
-    try:
-        row = run_strategy(spec, exp_dir, spec.strategy.value)
-        write_summary_csv([row], os.path.join(exp_dir, "summary.csv"))
-    except Exception as err:  # noqa: BLE001 - CLI boundary
-        return _fail(exp_dir, existed, err)
-    print(f"wrote {exp_dir}")
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    errors = validate(spec)
+def _strategy_runs(
+    args: argparse.Namespace, spec: ExperimentSpec
+) -> tuple[list[tuple[str, ExperimentSpec, str]], list[str]]:
+    """(label, spec, subdirectory) of each strategy the command trains, plus
+    an error per token that names none. `run` trains the spec itself straight
+    into the experiment directory; `sweep` each --strategies token into a
+    subdirectory of its own."""
+    if args.command != "sweep":
+        return [(spec.strategy.value, spec, "")], []
+    runs, errors = [], []
     tokens = [t for t in args.strategies.split(",") if t]
     if not tokens:
         errors.append("at least one strategy token is required")
+    for token in tokens:
+        try:
+            strategy, theta = parse_strategy_token(token)
+        except ValueError as err:
+            errors.append(str(err))
+            continue
+        child = replace(spec, strategy=strategy,
+                        fixed_theta=spec.fixed_theta if theta is None else theta)
+        runs.append((token, child, token.replace(":", "-")))
+    return runs, errors
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Every command first loads the spec and checks it and each spec it
+    would train: any error is printed as an `error:` line and exits 2
+    before a directory is made. `validate` stops there; `run` and `sweep`
+    train."""
+    args = build_parser().parse_args(argv)
+    try:
+        spec = _spec_from_args(args)
+    except (OSError, ValueError) as err:  # JSON and encoding errors are ValueErrors
+        errors, runs = [str(err)], []
     else:
-        for token in tokens:
-            try:
-                parse_strategy_token(token)
-            except ValueError as err:
-                errors.append(str(err))
+        runs, token_errors = _strategy_runs(args, spec)
+        checked = [e for _, child, _ in runs for e in validate(child)]
+        errors = list(dict.fromkeys(validate(spec) + token_errors + checked))
     if errors:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.command == "validate":
+        print("ok")
+        return 0
+
     exp_dir = os.path.join(spec.out_dir, spec.name)
     existed = os.path.isdir(exp_dir)
     rows = []
     try:
-        os.makedirs(exp_dir, exist_ok=True)
-        spec.save_json(os.path.join(exp_dir, "config.json"))
-        for token in tokens:
-            child = _spec_with_strategy(spec, token)
-            print(f"sweep {spec.name}: strategy={token}")
-            rows.append(
-                run_strategy(
-                    child,
-                    os.path.join(exp_dir, token.replace(":", "-")),
-                    token,
-                )
-            )
+        # run_strategy writes each strategy's config.json; a sweep also
+        # keeps its base spec at the root
+        if args.command == "sweep":
+            os.makedirs(exp_dir, exist_ok=True)
+            spec.save_json(os.path.join(exp_dir, "config.json"))
+        for label, child, subdir in runs:
+            print(f"{args.command} {spec.name}: strategy={label}")
+            rows.append(run_strategy(child, os.path.join(exp_dir, subdir), label))
         write_summary_csv(rows, os.path.join(exp_dir, "summary.csv"))
     except Exception as err:  # noqa: BLE001 - CLI boundary
-        return _fail(exp_dir, existed, err)
+        # never leave half-written run directories behind
+        if not existed and os.path.isdir(exp_dir):
+            shutil.rmtree(exp_dir, ignore_errors=True)
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     print(f"wrote {exp_dir}")
     return 0
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        spec = _spec_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    errors = validate(spec)
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
-    print("ok")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    return cmd_validate(args)
 
 
 if __name__ == "__main__":

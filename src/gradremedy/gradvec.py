@@ -1,8 +1,7 @@
 """Flat gradient vectors and the angle geometry everything else builds on.
 
-A layer's gradient tensor is flattened row-major into a 1-D float64 vector
-carrying its original shape, so the surgery strategies can treat every layer
-as a plain vector and the trainer can reshape the result back bit-exactly.
+A layer's gradient is a 1-D float64 vector carrying its original shape, so
+the surgery strategies can treat every layer as a plain vector.
 """
 
 from __future__ import annotations
@@ -14,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 # 2-norms below this are treated as zero: the direction of such a gradient is
-# numerically meaningless, so angle-based operations skip it.
+# numerically meaningless, so angle-based operations skip it. Gram.degenerate
+# is the one reader.
 DEFAULT_TOL_NORM = 1e-12
 
 
@@ -76,10 +76,11 @@ class Gram(NamedTuple):
         """cos(phi), clamped so near-parallel rounding stays in acos's domain."""
         return min(1.0, max(-1.0, self.dot / (self.norm_a * self.norm_b)))
 
-    def degenerate(self, tol: float, only_b: bool = False) -> bool:
-        """Whether a or b (only b, with only_b) has a 2-norm below tol."""
+    def degenerate(self, only_b: bool = False) -> bool:
+        """Whether a or b (only b, with only_b) has a 2-norm below
+        DEFAULT_TOL_NORM."""
         norm = self.norm_b if only_b else min(self.norm_a, self.norm_b)
-        return norm < math.ldexp(tol, -self.exponent)
+        return norm < math.ldexp(DEFAULT_TOL_NORM, -self.exponent)
 
 
 def pair_gram(a: np.ndarray, b: np.ndarray) -> Gram:
@@ -118,37 +119,13 @@ class AngleReport:
     degenerate: bool
 
 
-def flatten(tensor_values, label: str = "") -> GradientVector:
-    """Row-major flatten of a gradient tensor into a GradientVector.
-
-    label, when given, is prepended to the error message (e.g. for
-    non-finite entries) so callers can name the offending layer.
-    """
-    arr = np.asarray(tensor_values, dtype=np.float64)
-    if arr.ndim == 0:
-        raise ValueError("scalar input: pass at least a 1-D array")
-    try:
-        return GradientVector(arr.reshape(-1, order="C").copy(), arr.shape)
-    except ValueError as err:
-        raise ValueError(f"{label}: {err}" if label else str(err)) from None
-
-
-def reshape(g: GradientVector) -> np.ndarray:
-    """Inverse of flatten; round-trips bit-exactly."""
-    return g.values.reshape(g.shape, order="C").copy()
-
-
-def angle_between(
-    a: GradientVector,
-    b: GradientVector,
-    tol_norm: float = DEFAULT_TOL_NORM,
-) -> AngleReport:
+def angle_between(a: GradientVector, b: GradientVector) -> AngleReport:
     """Angle between two equal-length gradients.
 
-    Either norm below tol_norm makes the report degenerate.
+    Either norm below DEFAULT_TOL_NORM makes the report degenerate.
     """
     gram = pair_gram(a.values, b.values)
-    if gram.degenerate(tol_norm):
+    if gram.degenerate():
         return AngleReport(phi=None, cos_phi=None, degenerate=True)
     cos_phi = gram.cos()
     return AngleReport(phi=math.acos(cos_phi), cos_phi=cos_phi, degenerate=False)

@@ -125,13 +125,12 @@ def init_network(
     in_dim: int,
     trunk_widths: tuple[int, ...],
     num_classes: int,
-    aux_out_dim: int | None = None,
 ) -> Network:
     """Build a seeded network: ReLU trunk, one linear layer per head.
 
     Weights and biases are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
-    The reconstruction head maps back to aux_out_dim (defaults to in_dim,
-    i.e. the clean signal lives in the input space).
+    The reconstruction head maps back to in_dim: the clean signal lives in
+    the input space.
     """
     shape = SimpleNamespace(trunk_widths=trunk_widths, num_classes=num_classes)
     raise_if_any(network_errors(shape) + dataset_errors(shape))
@@ -150,8 +149,7 @@ def init_network(
     for width in trunk_widths:
         trunk.append(dense(prev, width, Activation.RELU))
         prev = width
-    aux_head = [dense(prev, in_dim if aux_out_dim is None else aux_out_dim,
-                      Activation.IDENTITY)]
+    aux_head = [dense(prev, in_dim, Activation.IDENTITY)]
     dom_head = [dense(prev, num_classes, Activation.IDENTITY)]
     return Network(trunk=trunk, aux_head=aux_head, dom_head=dom_head)
 
@@ -293,23 +291,24 @@ class TwoTaskGradients:
 def _backward_chain(
     chain: list[Layer],
     cache: ChainCache,
-    delta_out: np.ndarray,
+    delta: np.ndarray,
     out: list[LayerGrads] | None,
 ) -> tuple[list[LayerGrads], np.ndarray]:
-    """Walk one chain backward; returns per-layer grads (written into `out`'s
-    arrays when given) and d(loss)/d(input)."""
+    """Walk one chain backward from d(loss)/d(output). Returns per-layer
+    grads (written into `out`'s arrays when given) and dz, the gradient at
+    chain[0]'s pre-activation; dz @ chain[0].weights is d(loss)/d(input)."""
     if out is None:
         out = [LayerGrads(np.empty_like(layer.weights), np.empty_like(layer.bias))
                for layer in chain]
-    delta = delta_out
     for i in range(len(chain) - 1, -1, -1):
         layer = chain[i]
         z = cache.pre_acts[i]
         dz = np.where(z > 0.0, delta, 0.0) if layer.activation is Activation.RELU else delta
         np.matmul(dz.T, cache.inputs[i], out=out[i].weights)
         np.add.reduce(dz, axis=0, out=out[i].bias)
-        delta = dz @ layer.weights
-    return out, delta
+        if i:
+            delta = dz @ layer.weights
+    return out, dz
 
 
 def backward_two_task(
@@ -347,19 +346,21 @@ def backward_two_task(
 
     # auxiliary task: (1-lam) * MSE
     d_aux = (1.0 - lam) * 2.0 * (cache.aux_out - targets_clean) / cache.aux_out.size
-    aux_head_grads, delta_trunk_aux = _backward_chain(
+    aux_head_grads, dz_aux = _backward_chain(
         net.aux_head, cache.aux, d_aux, out and out.aux_head)
     trunk_aux, _ = _backward_chain(
-        net.trunk, cache.trunk, delta_trunk_aux, out and out.trunk_aux)
+        net.trunk, cache.trunk, dz_aux @ net.aux_head[0].weights,
+        out and out.trunk_aux)
 
     # dominant task: lam * cross-entropy
     p = _softmax(cache.dom_logits)
     p[np.arange(p.shape[0]), labels] -= 1.0
     d_dom = lam * p / p.shape[0]
-    dom_head_grads, delta_trunk_dom = _backward_chain(
+    dom_head_grads, dz_dom = _backward_chain(
         net.dom_head, cache.dom, d_dom, out and out.dom_head)
     trunk_dom, _ = _backward_chain(
-        net.trunk, cache.trunk, delta_trunk_dom, out and out.trunk_dom)
+        net.trunk, cache.trunk, dz_dom @ net.dom_head[0].weights,
+        out and out.trunk_dom)
 
     return out or TwoTaskGradients(
         trunk_aux=trunk_aux,

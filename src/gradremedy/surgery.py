@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gradvec import DEFAULT_TOL_NORM, Gram, GradientVector, pair_gram
+from .gradvec import Gram, GradientVector, pair_gram
 
 _HALF_PI = 0.5 * math.pi
 
@@ -85,7 +85,6 @@ def remedy_config_errors(config) -> list[str]:
         ("ratio_constant", lambda c: 0.0 < c < 1.0,
          "ratio constant must lie in (0, 1)"),
         ("r_min", lambda r: 0.0 < r < 1.0, "r_min must lie in (0, 1)"),
-        ("tol_norm", lambda t: t > 0.0, "tol_norm must be positive"),
     ))
 
 
@@ -105,7 +104,6 @@ class RemedyConfig:
     ratio_constant: float = 0.5
     rescale_enabled: bool = True
     r_min: float = 1e-3
-    tol_norm: float = DEFAULT_TOL_NORM
 
     def __post_init__(self):
         raise_if_any(remedy_config_errors(self))
@@ -121,14 +119,11 @@ class TaskGradients:
 
     g_aux: GradientVector
     g_dom: GradientVector
-    layer_id: str = ""
 
     def __post_init__(self):
         if self.g_aux.shape != self.g_dom.shape:
-            raise ValueError(
-                f"layer {self.layer_id!r}: task gradients disagree on shape "
-                f"({self.g_aux.shape} vs {self.g_dom.shape})"
-            )
+            raise ValueError("task gradients disagree on shape "
+                             f"({self.g_aux.shape} vs {self.g_dom.shape})")
 
 
 @dataclass(frozen=True)
@@ -184,7 +179,7 @@ def _target_theta(strategy: Strategy, gram: Gram, fixed_theta=None) -> float:
     return math.atan(gram.norm_a / gram.norm_b)
 
 
-def _plan(gram: Gram, tol: float, strategy: Strategy, fixed_theta: float) -> _Plan:
+def _plan(gram: Gram, strategy: Strategy, fixed_theta: float) -> _Plan:
     """Angle, conflict flag and projection coefficient of one pair.
 
     Only a conflicting, non-degenerate pair under a projecting strategy gets
@@ -192,7 +187,7 @@ def _plan(gram: Gram, tol: float, strategy: Strategy, fixed_theta: float) -> _Pl
     theta. theta == pi/2 uses an exact zero along-direction term so it
     reduces to the plain normal-plane projection.
     """
-    if gram.degenerate(tol):
+    if gram.degenerate():
         return _Plan(None, False, None, None)
     cos_phi = gram.cos()
     phi = math.acos(cos_phi)
@@ -210,7 +205,7 @@ def _plan(gram: Gram, tol: float, strategy: Strategy, fixed_theta: float) -> _Pl
 def _interference(gram: Gram, config: RemedyConfig) -> tuple[bool, bool]:
     """(conflicting, wrongly dominant) as measured on a pair; both False
     when the pair is degenerate."""
-    if gram.degenerate(config.tol_norm):
+    if gram.degenerate():
         return False, False
     return (
         gram.dot < -POST_CONFLICT_TOL * gram.norm_a * gram.norm_b,
@@ -232,11 +227,7 @@ def _ratio(theta_prime_val: float, config: RemedyConfig) -> tuple[float, bool]:
 # -- public entry points --------------------------------------------------------
 
 
-def dynamic_theta(
-    g_aux: GradientVector,
-    g_dom: GradientVector,
-    tol_norm: float = DEFAULT_TOL_NORM,
-) -> float:
+def dynamic_theta(g_aux: GradientVector, g_dom: GradientVector) -> float:
     """Projection target angle arctan(||g_aux|| / ||g_dom||).
 
     Shrinks toward 0 when the auxiliary gradient is relatively small, so the
@@ -244,7 +235,7 @@ def dynamic_theta(
     pi/2 when it is relatively large.
     """
     gram = pair_gram(g_aux.values, g_dom.values)
-    if gram.degenerate(tol_norm, only_b=True):
+    if gram.degenerate(only_b=True):
         raise ValueError(
             f"dominant gradient is degenerate (norm {g_dom.norm():.3e}); "
             "the norm-ratio angle is undefined"
@@ -253,10 +244,7 @@ def dynamic_theta(
 
 
 def project(
-    g_aux: GradientVector,
-    g_dom: GradientVector,
-    theta: float,
-    tol_norm: float = DEFAULT_TOL_NORM,
+    g_aux: GradientVector, g_dom: GradientVector, theta: float
 ) -> GradientVector:
     """Project a conflicting auxiliary gradient to angle theta from g_dom.
 
@@ -268,8 +256,7 @@ def project(
     """
     if not _theta_in_range(theta):
         raise ValueError(f"theta must lie in (0, pi/2], got {theta}")
-    plan = _plan(pair_gram(g_aux.values, g_dom.values), tol_norm,
-                 Strategy.FIXED_THETA, theta)
+    plan = _plan(pair_gram(g_aux.values, g_dom.values), Strategy.FIXED_THETA, theta)
     if plan.coef is None:
         return g_aux
     return g_aux.with_values(g_aux.values + plan.coef * g_dom.values)
@@ -289,7 +276,7 @@ def rescale(
     the two norms is invariant under the rescale.
     """
     gram = pair_gram(g_aux_projected.values, g_dom.values)
-    if gram.degenerate(config.tol_norm, only_b=True):
+    if gram.degenerate(only_b=True):
         raise ValueError(
             f"dominant gradient is degenerate (norm {g_dom.norm():.3e}); "
             "rescale is undefined"
@@ -325,12 +312,12 @@ def remedy_pair(aux: np.ndarray, dom: np.ndarray, config: RemedyConfig) -> Remed
     equal-length float64 vectors; see remedy_layer. Never writes to its
     inputs, and expects them finite (the caller scans them)."""
     gram = pair_gram(aux, dom)
-    plan = _plan(gram, config.tol_norm, config.strategy, config.fixed_theta)
+    plan = _plan(gram, config.strategy, config.fixed_theta)
     theta_p = plan.phi
     if plan.coef is not None:
         aux = aux + plan.coef * dom
         gram = pair_gram(aux, dom)
-        theta_p = None if gram.degenerate(config.tol_norm) else plan.theta
+        theta_p = None if gram.degenerate() else plan.theta
     _, wrongly_dominant = _interference(gram, config)
 
     r_applied: float | None = None

@@ -15,14 +15,13 @@ regardless of generation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from .surgery import bound_errors, raise_if_any
 
-DEFAULT_JITTER_STD = 0.05
 DEFAULT_ANGLE_FLOOR_DEG = 45.0
 
 _TEMPLATE_STREAM = 0
@@ -110,28 +109,23 @@ def class_templates(
     )
 
 
+@dataclass
 class TwoTaskDataset:
     """Template set plus addressable, reproducible batch streams."""
 
-    def __init__(
-        self,
-        seed: int,
-        num_classes: int,
-        dim: int,
-        snr_db: float,
-        jitter_std: float = DEFAULT_JITTER_STD,
-        angle_floor_deg: float = DEFAULT_ANGLE_FLOOR_DEG,
-        template_scale: float = 1.0,
-    ):
-        self.seed = seed
-        self.num_classes = num_classes
-        self.dim = dim
-        self.snr_db = snr_db
-        self.jitter_std = jitter_std
-        self.template_scale = template_scale
+    seed: int
+    num_classes: int
+    dim: int
+    snr_db: float
+    jitter_std: float = 0.05
+    angle_floor_deg: float = DEFAULT_ANGLE_FLOOR_DEG
+    template_scale: float = 1.0
+    templates: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
         raise_if_any(dataset_errors(self))
-        self.templates = template_scale * class_templates(
-            seed, num_classes, dim, angle_floor_deg
+        self.templates = self.template_scale * class_templates(
+            self.seed, self.num_classes, self.dim, self.angle_floor_deg
         )
 
     def _batch(self, batch_size: int, stream: int, index: int) -> SampleBatch:

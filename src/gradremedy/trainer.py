@@ -62,8 +62,6 @@ def train_config_errors(config) -> list[str]:
         *((name, lambda n: n >= 1, f"{name} must be >= 1")
           for name in ("epochs", "batches_per_epoch", "batch_size", "eval_batches")),
         ("warmup_steps", lambda n: n >= 0, "warmup_steps must be >= 0"),
-        ("adam_beta1", lambda b: 0.0 <= b < 1.0, "adam_beta1 must lie in [0, 1)"),
-        ("adam_beta2", lambda b: 0.0 <= b < 1.0, "adam_beta2 must lie in [0, 1)"),
     ))
 
 
@@ -85,9 +83,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     optimizer: OptimizerKind = OptimizerKind.ADAM
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     bias_separate: bool = False
     warmup_steps: int = 0
@@ -181,12 +176,7 @@ class Adam:
 def _make_optimizer(config: TrainConfig):
     if config.optimizer is OptimizerKind.SGD:
         return SGD(config.learning_rate)
-    return Adam(
-        config.learning_rate,
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        eps=config.adam_eps,
-    )
+    return Adam(config.learning_rate)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from gradremedy import OptimizerKind, RatioRule, Strategy
+from gradremedy import OptimizerKind, RatioRule, RemedyConfig, Strategy, TrainConfig
 from gradremedy.cli import (
     ExperimentSpec,
     main,
@@ -44,6 +45,15 @@ def test_spec_json_round_trip(tmp_path):
     path = str(tmp_path / "config.json")
     spec.save_json(path)
     assert ExperimentSpec.load_json(path) == spec
+
+
+def test_spec_states_every_config_field_with_its_default():
+    spec_fields = {f.name for f in fields(ExperimentSpec)}
+    for cls in (RemedyConfig, TrainConfig):
+        missing = {f.name for f in fields(cls)} - {"remedy", "seed"} - spec_fields
+        assert not missing, (cls.__name__, missing)
+    assert ExperimentSpec().remedy_config() == RemedyConfig()
+    assert ExperimentSpec().train_config(7) == TrainConfig(seed=7)
 
 
 def test_spec_rejects_unknown_keys():
@@ -112,6 +122,36 @@ def test_parse_strategy_token():
         parse_strategy_token("fixed-theta:0.6rad")
     with pytest.raises(ValueError):
         parse_strategy_token("bogus")
+
+
+# flags of each case; a dict goes into a config file passed with --config
+MALFORMED = {
+    "unknown-strategy": ["--strategy", "bogus"],
+    "missing-config": ["--config", "absent.json"],
+    "non-integer-seed": ["--seeds", "1,x"],
+    "seeds-not-a-list": {"seeds": 5},
+    "epochs-a-string": {"epochs": "3"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_malformed_input_exits_2_with_error_lines(command, case, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    flags = MALFORMED[case]
+    if isinstance(flags, dict):
+        (tmp_path / "bad.json").write_text(json.dumps(flags))
+        flags = ["--config", "bad.json"]
+    argv = [command, *flags, "--out", "out"]
+    if command == "sweep":
+        argv += ["--strategies", "naive"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("error: ") for line in lines), lines
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_command_exit_codes(capsys):
@@ -189,6 +229,12 @@ def test_sweep_rejects_bad_strategy_token(tmp_path, monkeypatch, capsys):
     code = main(["sweep", "--name", "bad", "--strategies", "naive,warp", *FAST])
     assert code == 2
     assert not (tmp_path / "bad").exists()
+    # a token whose angle breaks a bound is refused before any training
+    code = main(["sweep", "--name", "bad", "--strategies", "naive,fixed-theta:120deg",
+                 *FAST])
+    assert code == 2
+    assert not (tmp_path / "bad").exists()
+    assert "theta must lie in (0, 90] degrees" in capsys.readouterr().err
 
 
 def test_out_flag_beats_env_var(tmp_path, monkeypatch):

@@ -1,36 +1,11 @@
-"""Flatten/reshape round-trips and the angle report."""
+"""GradientVector checks and the angle report."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gradremedy import GradientVector, angle_between, flatten, reshape
-
-
-def test_flatten_reshape_round_trip_is_bit_exact():
-    rng = np.random.Generator(np.random.PCG64(3))
-    for shape in [(4,), (3, 5), (2, 3, 4), (1, 1), (7, 1, 2)]:
-        tensor = rng.standard_normal(shape)
-        g = flatten(tensor)
-        assert g.shape == shape
-        assert g.values.ndim == 1
-        back = reshape(g)
-        assert back.dtype == np.float64
-        np.testing.assert_array_equal(back, tensor)
-
-
-def test_flatten_is_row_major():
-    tensor = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(flatten(tensor).values, [1.0, 2.0, 3.0, 4.0])
-
-
-def test_flatten_rejects_scalars_and_names_nonfinite_entries():
-    with pytest.raises(ValueError, match="scalar"):
-        flatten(np.float64(3.0))
-    bad = np.array([[0.0, 1.0], [np.nan, 2.0]])
-    with pytest.raises(ValueError, match=r"conv1: non-finite .* index 2"):
-        flatten(bad, label="conv1")
+from gradremedy import GradientVector, angle_between
 
 
 def test_gradient_vector_validates_shape_and_length():
@@ -40,6 +15,8 @@ def test_gradient_vector_validates_shape_and_length():
         GradientVector(np.zeros((2, 3)), (2, 3))
     with pytest.raises(ValueError, match="positive"):
         GradientVector(np.zeros(0), (0,))
+    with pytest.raises(ValueError, match="non-finite gradient entry at flat index 2"):
+        GradientVector(np.array([0.0, 1.0, np.nan, 2.0]), (2, 2))
 
 
 def test_gradient_vector_norm_and_len():
@@ -49,7 +26,7 @@ def test_gradient_vector_norm_and_len():
 
 
 def test_with_values_keeps_shape_metadata():
-    g = flatten(np.ones((2, 2)))
+    g = GradientVector(np.ones(4), (2, 2))
     h = g.with_values(np.zeros(4))
     assert h.shape == (2, 2)
     np.testing.assert_array_equal(h.values, 0.0)

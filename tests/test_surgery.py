@@ -288,14 +288,12 @@ def test_remedy_config_validation():
         RemedyConfig(r_min=1.0)
     with pytest.raises(ValueError, match="ratio_constant"):
         RemedyConfig(ratio_constant=0.0)
-    with pytest.raises(ValueError, match="tol_norm"):
-        RemedyConfig(tol_norm=0.0)
     RemedyConfig(fixed_theta=HALF_PI)  # the boundary angle is legal
 
 
 def test_task_gradients_shape_mismatch():
     with pytest.raises(ValueError, match="disagree on shape"):
-        TaskGradients(vec(1.0, 2.0), GradientVector(np.zeros(2), (2, 1)), "t")
+        TaskGradients(vec(1.0, 2.0), GradientVector(np.zeros(2), (2, 1)))
 
 
 def test_remedy_layer_frozen_total():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import gradremedy
 from gradremedy import (
+    DEFAULT_TOL_NORM,
     GradientVector,
     RatioRule,
     RemedyConfig,
@@ -72,7 +73,7 @@ def test_post_flags_are_the_predicates_of_the_emitted_pair(pair, config):
     a, d = outcome.g_aux_out.values, outcome.g_dom_out.values
     dot = float(a @ d)
     norm_a, norm_d = float(np.linalg.norm(a)), float(np.linalg.norm(d))
-    if norm_a < config.tol_norm or norm_d < config.tol_norm:
+    if norm_a < DEFAULT_TOL_NORM or norm_d < DEFAULT_TOL_NORM:
         conflicting = dominant = False
     else:
         conflicting = dot < -POST_CONFLICT_TOL * norm_a * norm_d
@@ -90,7 +91,7 @@ def test_no_entry_point_mutates_its_inputs(pair, config):
     remedy_layer(TaskGradients(aux, dom), config)
     project(aux, dom, math.radians(36.0))
     angle_between(aux, dom)
-    if dom.norm() >= config.tol_norm:
+    if dom.norm() >= DEFAULT_TOL_NORM:
         dynamic_theta(aux, dom)
         rescale(aux, dom, math.radians(36.0), config)
     np.testing.assert_array_equal(aux.values, before[0])

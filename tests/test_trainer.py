@@ -316,8 +316,6 @@ def test_train_config_validation():
         tiny_config(epochs=0)
     with pytest.raises(ValueError, match="warmup_steps"):
         tiny_config(warmup_steps=-1)
-    with pytest.raises(ValueError, match="adam_beta1"):
-        tiny_config(adam_beta1=1.0)
 
 
 def test_steps_csv_format(tmp_path):
