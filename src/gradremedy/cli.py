@@ -38,12 +38,13 @@ from .surgery import (
 )
 from .synthdata import TwoTaskDataset, dataset_errors
 from .trainer import (
+    EpochStats,
     OptimizerKind,
+    StepStats,
     TrainConfig,
     train,
     train_config_errors,
-    write_epochs_csv,
-    write_steps_csv,
+    write_csv,
 )
 
 OUT_ENV_VAR = "GRADREMEDY_OUT"
@@ -99,23 +100,12 @@ class ExperimentSpec:
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
         """Inverse of to_dict; one ValueError names every unknown key and
         every value of the wrong type."""
-        kinds = typing.get_type_hints(cls)
-        unknown = sorted(set(raw) - set(kinds))
-        errors = [f"unknown config keys: {', '.join(unknown)}"] if unknown else []
-        data = {}
-        for key, value in raw.items():
-            if key in kinds:
-                try:
-                    data[key] = _typed(kinds[key], value)
-                except ValueError as err:
-                    errors.append(f"{key}: {err}")
+        spec, errors = _load(raw)
         raise_if_any(errors)
-        return cls(**data)
+        return spec
 
     def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as out:
-            json.dump(self.to_dict(), out, indent=2, sort_keys=True)
-            out.write("\n")
+        _write_json(self.to_dict(), path)
 
     @classmethod
     def load_json(cls, path: str) -> "ExperimentSpec":
@@ -142,6 +132,28 @@ _EXPECTED = {bool: "true or false", int: "an integer", float: "a number",
              str: "a string"}
 
 
+def _load(raw: dict) -> tuple[ExperimentSpec, list[str]]:
+    """The spec of raw's well-typed values, defaults elsewhere, plus an error
+    for every unknown key and every value of the wrong type."""
+    kinds = typing.get_type_hints(ExperimentSpec)
+    unknown = sorted(set(raw) - set(kinds))
+    errors = [f"unknown config keys: {', '.join(unknown)}"] if unknown else []
+    data = {}
+    for key, value in raw.items():
+        if key in kinds:
+            try:
+                data[key] = _typed(kinds[key], value)
+            except ValueError as err:
+                errors.append(f"{key}: {err}")
+    return ExperimentSpec(**data), errors
+
+
+def _write_json(value, path: str) -> None:
+    with open(path, "w", encoding="ascii") as out:
+        json.dump(value, out, indent=2, sort_keys=True)
+        out.write("\n")
+
+
 def _typed(kind, value):
     """value as a spec field of type kind holds it: enum members from their
     values, tuples from lists of integers; ValueError when it does not fit."""
@@ -163,6 +175,8 @@ def validate(spec: ExperimentSpec) -> list[str]:
         errors.append("name must be non-empty")
     if not spec.seeds:
         errors.append("at least one seed is required")
+    if len(set(spec.seeds)) < len(spec.seeds):
+        errors.append(f"seeds: each seed may appear once (got {list(spec.seeds)})")
     errors += remedy_config_errors(spec)
     errors += train_config_errors(spec)
     errors += dataset_errors(spec)
@@ -172,8 +186,10 @@ def validate(spec: ExperimentSpec) -> list[str]:
 
 @dataclass
 class SummaryRow:
-    label: str
-    seeds: tuple[int, ...]
+    """One summary.csv row; seeds is the space-joined seed list."""
+
+    strategy: str
+    seeds: str
     median_accuracy: float
     min_accuracy: float
     max_accuracy: float
@@ -200,8 +216,8 @@ def _run_one_seed_inner(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
         num_classes=spec.num_classes,
     )
     result = train(spec.train_config(seed), spec.dataset(seed), net)
-    write_steps_csv(result.step_stats, os.path.join(seed_dir, "steps.csv"))
-    write_epochs_csv(result.epoch_stats, os.path.join(seed_dir, "epochs.csv"))
+    write_csv(result.step_stats, StepStats, os.path.join(seed_dir, "steps.csv"))
+    write_csv(result.epoch_stats, EpochStats, os.path.join(seed_dir, "epochs.csv"))
     final = result.epoch_stats[-1]
     metrics = {
         "seed": seed,
@@ -217,9 +233,7 @@ def _run_one_seed_inner(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
         "rescale_events": result.rescale_events,
         "mean_r_applied": result.mean_r_applied,
     }
-    with open(os.path.join(seed_dir, "metrics.json"), "w", encoding="ascii") as out:
-        json.dump(metrics, out, indent=2, sort_keys=True)
-        out.write("\n")
+    _write_json(metrics, os.path.join(seed_dir, "metrics.json"))
     return metrics
 
 
@@ -238,8 +252,8 @@ def run_strategy(spec: ExperimentSpec, strategy_dir: str, label: str) -> Summary
         )
     finals = [m["final_eval_accuracy"] for m in per_seed]
     return SummaryRow(
-        label=label,
-        seeds=spec.seeds,
+        strategy=label,
+        seeds=" ".join(str(s) for s in spec.seeds),
         median_accuracy=statistics.median(finals),
         min_accuracy=min(finals),
         max_accuracy=max(finals),
@@ -250,21 +264,6 @@ def run_strategy(spec: ExperimentSpec, strategy_dir: str, label: str) -> Summary
             m["mean_pct_wrongly_dominant"] for m in per_seed
         ),
     )
-
-
-def write_summary_csv(rows: list[SummaryRow], path: str) -> None:
-    with open(path, "w", encoding="ascii") as out:
-        out.write(
-            "strategy,seeds,median_accuracy,min_accuracy,max_accuracy,"
-            "mean_pct_conflicting,mean_pct_wrongly_dominant\n"
-        )
-        for r in rows:
-            seeds = " ".join(str(s) for s in r.seeds)
-            out.write(
-                f"{r.label},{seeds},{r.median_accuracy:.12g},"
-                f"{r.min_accuracy:.12g},{r.max_accuracy:.12g},"
-                f"{r.mean_pct_conflicting:.12g},{r.mean_pct_wrongly_dominant:.12g}\n"
-            )
 
 
 def parse_strategy_token(token: str) -> tuple[Strategy, float | None]:
@@ -356,7 +355,10 @@ def _int_list(flag: str, text: str) -> list[int]:
         ) from None
 
 
-def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+def _spec_from_args(args: argparse.Namespace) -> tuple[ExperimentSpec, list[str]]:
+    """The spec the flags and config file give, plus an error for every
+    unknown key and wrong-typed value (their fields keep the defaults);
+    ValueError or OSError when the flags or the file cannot be read."""
     raw: dict = {}
     if args.config:
         with open(args.config, "r", encoding="ascii") as src:
@@ -383,21 +385,21 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         overrides["trunk_widths"] = _int_list("--trunk-widths", args.trunk_widths)
     raw.update(overrides)
 
-    spec = ExperimentSpec.from_dict(raw)
+    spec, errors = _load(raw)
     if not spec.out_dir:
         spec = replace(
             spec, out_dir=os.environ.get(OUT_ENV_VAR, DEFAULT_OUT_ROOT)
         )
-    return spec
+    return spec, errors
 
 
 def _strategy_runs(
     args: argparse.Namespace, spec: ExperimentSpec
 ) -> tuple[list[tuple[str, ExperimentSpec, str]], list[str]]:
     """(label, spec, subdirectory) of each strategy the command trains, plus
-    an error per token that names none. `run` trains the spec itself straight
-    into the experiment directory; `sweep` each --strategies token into a
-    subdirectory of its own."""
+    an error per token that names none or repeats another's subdirectory.
+    `run` trains the spec itself straight into the experiment directory;
+    `sweep` each --strategies token into a subdirectory of its own."""
     if args.command != "sweep":
         return [(spec.strategy.value, spec, "")], []
     runs, errors = [], []
@@ -410,9 +412,13 @@ def _strategy_runs(
         except ValueError as err:
             errors.append(str(err))
             continue
+        subdir = token.replace(":", "-")
+        if any(subdir == taken for _, _, taken in runs):
+            errors.append(f"strategy token {token!r} repeats the subdirectory {subdir!r}")
+            continue
         child = replace(spec, strategy=strategy,
                         fixed_theta=spec.fixed_theta if theta is None else theta)
-        runs.append((token, child, token.replace(":", "-")))
+        runs.append((token, child, subdir))
     return runs, errors
 
 
@@ -423,13 +429,13 @@ def main(argv: list[str] | None = None) -> int:
     train."""
     args = build_parser().parse_args(argv)
     try:
-        spec = _spec_from_args(args)
+        spec, errors = _spec_from_args(args)
     except (OSError, ValueError) as err:  # JSON and encoding errors are ValueErrors
         errors, runs = [str(err)], []
     else:
         runs, token_errors = _strategy_runs(args, spec)
         checked = [e for _, child, _ in runs for e in validate(child)]
-        errors = list(dict.fromkeys(validate(spec) + token_errors + checked))
+        errors = list(dict.fromkeys(errors + validate(spec) + token_errors + checked))
     if errors:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
@@ -450,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         for label, child, subdir in runs:
             print(f"{args.command} {spec.name}: strategy={label}")
             rows.append(run_strategy(child, os.path.join(exp_dir, subdir), label))
-        write_summary_csv(rows, os.path.join(exp_dir, "summary.csv"))
+        write_csv(rows, SummaryRow, os.path.join(exp_dir, "summary.csv"))
     except Exception as err:  # noqa: BLE001 - CLI boundary
         # never leave half-written run directories behind
         if not existed and os.path.isdir(exp_dir):

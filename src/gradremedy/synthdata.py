@@ -174,20 +174,3 @@ def nearest_template_labels(
     d2 = ((vectors[:, None, :] - templates[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
 
-
-def export_csv(batch: SampleBatch, path: str) -> None:
-    """Write one row per sample: label, clean_0.., noisy_0.. (%.12g floats)."""
-    dim = batch.clean.shape[1]
-    header = (
-        "label,"
-        + ",".join(f"clean_{i}" for i in range(dim))
-        + ","
-        + ",".join(f"noisy_{i}" for i in range(dim))
-    )
-    with open(path, "w", encoding="ascii") as out:
-        out.write(header + "\n")
-        for label, clean_row, noisy_row in zip(batch.labels, batch.clean, batch.noisy):
-            values = [str(int(label))]
-            values.extend(f"{v:.12g}" for v in clean_row)
-            values.extend(f"{v:.12g}" for v in noisy_row)
-            out.write(",".join(values) + "\n")

@@ -21,16 +21,17 @@ Interference statistics are recorded every step:
   pair the strategy actually emitted, i.e. what the strategy leaves behind;
   surgery.remedy_pair measures them and the loop here only counts
 
-Per-epoch aggregates average the per-step percentages and add a held-out
-dominant-task accuracy. CSV emission uses %.12g floats so identical runs
-produce byte-identical files.
+Each epoch's EpochStats averages the percentages and losses of that epoch's
+StepStats and adds a held-out dominant-task accuracy. write_csv writes any
+such record list with its field names as the header and %.12g floats, so
+identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -136,6 +137,21 @@ class EpochStats:
         for name in ("pct_conflicting", "pct_wrongly_dominant"):
             if not 0.0 <= getattr(self, name) <= 100.0:
                 raise ValueError(f"{name} must lie in [0, 100]")
+
+    @classmethod
+    def from_steps(cls, steps: list[StepStats], eval_accuracy: float) -> "EpochStats":
+        """The means over one epoch's steps, which must be non-empty."""
+        n = len(steps)
+        return cls(
+            epoch=steps[0].epoch,
+            pct_conflicting=sum(100.0 * s.conflicting_post / s.layers_total
+                                for s in steps) / n,
+            pct_wrongly_dominant=sum(100.0 * s.wrongly_dominant / s.layers_total
+                                     for s in steps) / n,
+            loss_aux=sum(s.loss_aux for s in steps) / n,
+            loss_dom=sum(s.loss_dom for s in steps) / n,
+            eval_accuracy=eval_accuracy,
+        )
 
 
 class SGD:
@@ -317,10 +333,6 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     ]
 
     for epoch in range(config.epochs):
-        conflict_pcts: list[float] = []
-        dominant_pcts: list[float] = []
-        losses_aux: list[float] = []
-        losses_dom: list[float] = []
         for batch_idx in range(config.batches_per_epoch):
             global_step = epoch * config.batches_per_epoch + batch_idx
             if config.warmup_steps > 0:
@@ -373,22 +385,11 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                     loss_dom=bundle.loss_dom,
                 )
             )
-            conflict_pcts.append(100.0 * conflicting_post / units_total)
-            dominant_pcts.append(100.0 * wrongly_dominant / units_total)
-            losses_aux.append(bundle.loss_aux)
-            losses_dom.append(bundle.loss_dom)
 
-        metrics = evaluate(net, eval_set)
-        epoch_stats.append(
-            EpochStats(
-                epoch=epoch,
-                pct_conflicting=sum(conflict_pcts) / len(conflict_pcts),
-                pct_wrongly_dominant=sum(dominant_pcts) / len(dominant_pcts),
-                loss_aux=sum(losses_aux) / len(losses_aux),
-                loss_dom=sum(losses_dom) / len(losses_dom),
-                eval_accuracy=metrics.dom_accuracy,
-            )
-        )
+        epoch_stats.append(EpochStats.from_steps(
+            step_stats[epoch * config.batches_per_epoch:],
+            evaluate(net, eval_set).dom_accuracy,
+        ))
     return TrainResult(
         net=net,
         epoch_stats=epoch_stats,
@@ -398,37 +399,23 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def write_csv(rows: list, kind: type, path: str) -> None:
+    """One header line of kind's dataclass field names, then one line per
+    record: floats as %.12g, everything else with str()."""
+    names = [f.name for f in fields(kind)]
+    with open(path, "w", encoding="ascii") as out:
+        out.write(",".join(names) + "\n")
+        for row in rows:
+            out.write(",".join(_cell(getattr(row, name)) for name in names) + "\n")
+
+
+def _cell(value) -> str:
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def write_steps_csv(steps: list[StepStats], path: str) -> None:
-    """epoch,batch,layers_total,conflicting_pre,conflicting_post,
-    wrongly_dominant,mean_phi_rad,loss_aux,loss_dom — one row per step."""
-    with open(path, "w", encoding="ascii") as out:
-        out.write(
-            "epoch,batch,layers_total,conflicting_pre,conflicting_post,"
-            "wrongly_dominant,mean_phi_rad,loss_aux,loss_dom\n"
-        )
-        for s in steps:
-            out.write(
-                f"{s.epoch},{s.batch},{s.layers_total},{s.conflicting_pre},"
-                f"{s.conflicting_post},{s.wrongly_dominant},"
-                f"{_fmt(s.mean_phi_rad)},{_fmt(s.loss_aux)},{_fmt(s.loss_dom)}\n"
-            )
+    write_csv(steps, StepStats, path)
 
 
 def write_epochs_csv(epochs: list[EpochStats], path: str) -> None:
-    """epoch,pct_conflicting,pct_wrongly_dominant,loss_aux,loss_dom,
-    eval_accuracy — one row per epoch."""
-    with open(path, "w", encoding="ascii") as out:
-        out.write(
-            "epoch,pct_conflicting,pct_wrongly_dominant,loss_aux,loss_dom,"
-            "eval_accuracy\n"
-        )
-        for e in epochs:
-            out.write(
-                f"{e.epoch},{_fmt(e.pct_conflicting)},"
-                f"{_fmt(e.pct_wrongly_dominant)},{_fmt(e.loss_aux)},"
-                f"{_fmt(e.loss_dom)},{_fmt(e.eval_accuracy)}\n"
-            )
+    write_csv(epochs, EpochStats, path)

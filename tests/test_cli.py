@@ -1,7 +1,9 @@
 """CLI plumbing: config round-trips, validation, and run/sweep output trees."""
 
+import csv
 import json
 import math
+import statistics
 from dataclasses import fields
 
 import pytest
@@ -131,6 +133,7 @@ MALFORMED = {
     "non-integer-seed": ["--seeds", "1,x"],
     "seeds-not-a-list": {"seeds": 5},
     "epochs-a-string": {"epochs": "3"},
+    "repeated-seed": ["--seeds", "2,1,2"],
 }
 
 
@@ -152,6 +155,20 @@ def test_malformed_input_exits_2_with_error_lines(command, case, tmp_path,
     lines = captured.err.splitlines()
     assert lines and all(line.startswith("error: ") for line in lines), lines
     assert not (tmp_path / "out").exists()
+
+
+def test_config_type_and_bound_errors_print_one_line_each(tmp_path, capsys):
+    config = tmp_path / "f.json"
+    config.write_text(json.dumps(
+        {"seeds": 5, "epochs": "3", "bogus": 1, "dominance_k": 0.5}
+    ))
+    assert main(["validate", "--config", str(config)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    starts = ("error: unknown config keys: bogus", "error: seeds: ",
+              "error: epochs: ", "error: dominance_k: K must exceed 1")
+    assert len(lines) == len(starts), lines
+    for start in starts:
+        assert sum(line.startswith(start) for line in lines) == 1, start
 
 
 def test_validate_command_exit_codes(capsys):
@@ -184,6 +201,49 @@ def test_run_writes_expected_tree(tmp_path, monkeypatch, capsys):
     summary = (exp / "summary.csv").read_text().splitlines()
     assert summary[0].startswith("strategy,seeds,median_accuracy")
     assert summary[1].startswith("gradient-remedy,1,")
+
+
+def _rows(path):
+    with open(path, encoding="ascii", newline="") as src:
+        return list(csv.DictReader(src))
+
+
+def test_epoch_rows_are_means_of_their_step_rows(tmp_path):
+    # naive leaves conflicts in place; lambda 0.2 and K 3 make the auxiliary
+    # task wrongly dominant on part of the steps
+    code = main(["run", "--name", "means", "--out", str(tmp_path),
+                 "--strategy", "naive", *FAST, "--batches-per-epoch", "5",
+                 "--trunk-widths", "6,5", "--lambda", "0.2", "--k", "3",
+                 "--seeds", "1,2"])
+    assert code == 0
+    exp = tmp_path / "means"
+    pcts = set()
+    for seed in (1, 2):
+        steps = _rows(exp / f"seed{seed}" / "steps.csv")
+        epochs = _rows(exp / f"seed{seed}" / "epochs.csv")
+        assert [e["epoch"] for e in epochs] == ["0", "1"]
+        for e in epochs:
+            mine = [s for s in steps if s["epoch"] == e["epoch"]]
+            assert len(mine) == 5
+            expected = {
+                "pct_conflicting": [100 * int(s["conflicting_post"])
+                                    / int(s["layers_total"]) for s in mine],
+                "pct_wrongly_dominant": [100 * int(s["wrongly_dominant"])
+                                         / int(s["layers_total"]) for s in mine],
+                "loss_aux": [float(s["loss_aux"]) for s in mine],
+                "loss_dom": [float(s["loss_dom"]) for s in mine],
+            }
+            for column, values in expected.items():
+                assert float(e[column]) == pytest.approx(
+                    statistics.fmean(values), rel=1e-10, abs=1e-12), column
+            pcts.update(float(e[c]) for c in ("pct_conflicting", "pct_wrongly_dominant"))
+    # the means are not all 0 or 100, so the test tells a mean from a copy
+    assert pcts - {0.0, 100.0}
+    with open(exp / "summary.csv", encoding="ascii") as src:
+        header, row = src.read().splitlines()
+    assert header == ("strategy,seeds,median_accuracy,min_accuracy,max_accuracy,"
+                      "mean_pct_conflicting,mean_pct_wrongly_dominant")
+    assert row.split(",")[:2] == ["naive", "1 2"]
 
 
 def test_run_flags_override_config_file(tmp_path, monkeypatch):
@@ -235,6 +295,11 @@ def test_sweep_rejects_bad_strategy_token(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert not (tmp_path / "bad").exists()
     assert "theta must lie in (0, 90] degrees" in capsys.readouterr().err
+    # a repeated token would train twice into one subdirectory
+    code = main(["sweep", "--name", "bad", "--strategies", "naive,pcgrad,naive", *FAST])
+    assert code == 2
+    assert not (tmp_path / "bad").exists()
+    assert "repeats the subdirectory 'naive'" in capsys.readouterr().err
 
 
 def test_out_flag_beats_env_var(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Network forward/backward correctness, including a finite-difference oracle."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     # and the round trip survives a second generation unchanged
     path2 = str(tmp_path / "net2.txt")
     save_network(loaded, path2)
-    assert open(path).read() == open(path2).read()
+    assert Path(path).read_text() == Path(path2).read_text()
 
 
 def test_load_network_rejects_other_files(tmp_path):

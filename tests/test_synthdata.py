@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradremedy import TwoTaskDataset, generate
-from gradremedy.synthdata import class_templates, export_csv, nearest_template_labels
+from gradremedy.synthdata import class_templates, nearest_template_labels
 
 
 def test_templates_are_unit_norm_with_angle_floor():
@@ -111,18 +111,3 @@ def test_dataset_validates_arguments():
     data = TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=0.0)
     with pytest.raises(ValueError, match="batch_size"):
         data.train_batch(0, 0)
-
-
-def test_export_csv_round_trips_values(tmp_path):
-    batch = generate(seed=8, num_classes=3, dim=4, batch=5, snr_db=0.0)
-    path = tmp_path / "batch.csv"
-    export_csv(batch, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == (
-        "label,clean_0,clean_1,clean_2,clean_3,noisy_0,noisy_1,noisy_2,noisy_3"
-    )
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert int(first[0]) == int(batch.labels[0])
-    # %.12g keeps ~12 significant digits
-    assert float(first[1]) == pytest.approx(batch.clean[0, 0], rel=1e-11)
