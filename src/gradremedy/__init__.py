@@ -37,7 +37,6 @@ from .surgery import (
 from .synthdata import SampleBatch, TwoTaskDataset, generate
 from .trainer import (
     EpochStats,
-    EvalMetrics,
     OptimizerKind,
     StepStats,
     TrainConfig,
@@ -86,7 +85,6 @@ __all__ = [
     "TwoTaskDataset",
     "generate",
     "EpochStats",
-    "EvalMetrics",
     "OptimizerKind",
     "StepStats",
     "TrainConfig",

@@ -33,6 +33,7 @@ from .surgery import (
     RatioRule,
     RemedyConfig,
     Strategy,
+    bound_errors,
     raise_if_any,
     remedy_config_errors,
 )
@@ -109,8 +110,7 @@ class ExperimentSpec:
 
     @classmethod
     def load_json(cls, path: str) -> "ExperimentSpec":
-        with open(path, "r", encoding="ascii") as src:
-            return cls.from_dict(json.load(src))
+        return cls.from_dict(_read_config(path))
 
     def _build(self, cls, **given):
         """cls from this spec's fields that cls also has, plus given."""
@@ -148,6 +148,19 @@ def _load(raw: dict) -> tuple[ExperimentSpec, list[str]]:
     return ExperimentSpec(**data), errors
 
 
+def _read_config(path: str) -> dict:
+    """The one JSON object a config file holds; ValueError naming the file
+    when it cannot be decoded or holds anything else."""
+    try:
+        with open(path, "r", encoding="ascii") as src:
+            raw = json.load(src)
+    except ValueError as err:  # JSON and encoding errors are ValueErrors
+        raise ValueError(f"{path}: {err}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a config file holds one JSON object")
+    return raw
+
+
 def _write_json(value, path: str) -> None:
     with open(path, "w", encoding="ascii") as out:
         json.dump(value, out, indent=2, sort_keys=True)
@@ -170,9 +183,10 @@ def _typed(kind, value):
 
 def validate(spec: ExperimentSpec) -> list[str]:
     """All config errors at once; empty list means runnable."""
-    errors = []
-    if not spec.name:
-        errors.append("name must be non-empty")
+    errors = bound_errors(spec, ((
+        "name", lambda n: n not in ("", ".", "..") and os.path.basename(n) == n,
+        "must be one plain directory name: not empty, '.', '..' or a path",
+    ),))
     if not spec.seeds:
         errors.append("at least one seed is required")
     if len(set(spec.seeds)) < len(spec.seeds):
@@ -346,9 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split(flag: str, text: str) -> list[str]:
+    """text's comma-separated entries; ValueError if one is empty."""
+    entries = text.split(",")
+    if "" in entries:
+        raise ValueError(f"{flag} has an empty entry, got {text!r}")
+    return entries
+
+
 def _int_list(flag: str, text: str) -> list[int]:
+    entries = _split(flag, text)
     try:
-        return [int(s) for s in text.split(",") if s]
+        return [int(s) for s in entries]
     except ValueError:
         raise ValueError(
             f"{flag} must be comma-separated integers, got {text!r}"
@@ -359,12 +382,7 @@ def _spec_from_args(args: argparse.Namespace) -> tuple[ExperimentSpec, list[str]
     """The spec the flags and config file give, plus an error for every
     unknown key and wrong-typed value (their fields keep the defaults);
     ValueError or OSError when the flags or the file cannot be read."""
-    raw: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="ascii") as src:
-            raw = json.load(src)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{args.config}: a config file holds one JSON object")
+    raw = _read_config(args.config) if args.config else {}
 
     overrides: dict = {}
     # strategy, seeds and trunk_widths need parsing; fixed_theta comes in degrees
@@ -397,15 +415,17 @@ def _strategy_runs(
     args: argparse.Namespace, spec: ExperimentSpec
 ) -> tuple[list[tuple[str, ExperimentSpec, str]], list[str]]:
     """(label, spec, subdirectory) of each strategy the command trains, plus
-    an error per token that names none or repeats another's subdirectory.
+    an error per token that names none or repeats another's subdirectory
+    (or one error if a token is empty).
     `run` trains the spec itself straight into the experiment directory;
     `sweep` each --strategies token into a subdirectory of its own."""
     if args.command != "sweep":
         return [(spec.strategy.value, spec, "")], []
     runs, errors = [], []
-    tokens = [t for t in args.strategies.split(",") if t]
-    if not tokens:
-        errors.append("at least one strategy token is required")
+    try:
+        tokens = _split("--strategies", args.strategies)
+    except ValueError as err:
+        return [], [str(err)]
     for token in tokens:
         try:
             strategy, theta = parse_strategy_token(token)
@@ -430,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec, errors = _spec_from_args(args)
-    except (OSError, ValueError) as err:  # JSON and encoding errors are ValueErrors
+    except (OSError, ValueError) as err:
         errors, runs = [str(err)], []
     else:
         runs, token_errors = _strategy_runs(args, spec)

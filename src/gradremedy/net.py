@@ -14,7 +14,7 @@ Everything is plain float64 numpy; batches are (batch, dim) matrices.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -66,18 +66,18 @@ class Layer:
 
 @dataclass
 class Network:
-    """Trunk shared by both tasks plus one private head per task."""
+    """Trunk shared by both tasks plus one private head per task.
+
+    The field order is the layout order of everything that walks the net:
+    named_layers, the checkpoint format and the trainer's parameter buffer.
+    """
 
     trunk: list[Layer]
     aux_head: list[Layer]
     dom_head: list[Layer]
 
     def __post_init__(self):
-        for name, chain in (
-            ("trunk", self.trunk),
-            ("aux_head", self.aux_head),
-            ("dom_head", self.dom_head),
-        ):
+        for name, chain in self.chains():
             if not chain:
                 raise ValueError(f"{name} must contain at least one layer")
             for i in range(1, len(chain)):
@@ -86,13 +86,16 @@ class Network:
                         f"{name}[{i}] expects input dim {chain[i].in_dim}, "
                         f"but {name}[{i - 1}] emits {chain[i - 1].out_dim}"
                     )
-        trunk_out = self.trunk[-1].out_dim
-        for name, chain in (("aux_head", self.aux_head), ("dom_head", self.dom_head)):
-            if chain[0].in_dim != trunk_out:
+            trunk_out = self.trunk[-1].out_dim
+            if chain is not self.trunk and chain[0].in_dim != trunk_out:
                 raise ValueError(
                     f"{name}[0] expects input dim {chain[0].in_dim}, "
                     f"but the trunk emits {trunk_out}"
                 )
+
+    def chains(self) -> list[tuple[str, list[Layer]]]:
+        """(name, layers) of the trunk and each head, in field order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     @property
     def in_dim(self) -> int:
@@ -100,14 +103,8 @@ class Network:
 
     def named_layers(self) -> list[tuple[str, Layer]]:
         """All layers with stable names like 'trunk[0]', for tests/optimizers."""
-        out = []
-        for name, chain in (
-            ("trunk", self.trunk),
-            ("aux_head", self.aux_head),
-            ("dom_head", self.dom_head),
-        ):
-            out.extend((f"{name}[{i}]", layer) for i, layer in enumerate(chain))
-        return out
+        return [(f"{name}[{i}]", layer)
+                for name, chain in self.chains() for i, layer in enumerate(chain)]
 
 
 def network_errors(config) -> list[str]:
@@ -155,49 +152,44 @@ def init_network(
 
 
 @dataclass
-class ChainCache:
-    """Per-layer inputs and pre-activations of one forward chain."""
-
-    inputs: list[np.ndarray]
-    pre_acts: list[np.ndarray]
-    output: np.ndarray
-
-
-@dataclass
 class ForwardCache:
-    """Everything backward_two_task needs, tied to the net that produced it."""
+    """Every activation backward_two_task needs, tied to the net that
+    produced them. acts maps each chain's name to its activations: the
+    chain's input first, then each layer's output (a head's input is the
+    trunk's output array itself)."""
 
     net: Network = field(repr=False)
-    batch: np.ndarray = field(repr=False)
-    trunk: ChainCache = field(repr=False)
-    aux: ChainCache = field(repr=False)
-    dom: ChainCache = field(repr=False)
+    acts: dict[str, list[np.ndarray]] = field(repr=False)
+
+    @property
+    def batch(self) -> np.ndarray:
+        return self.acts["trunk"][0]
 
     @property
     def trunk_out(self) -> np.ndarray:
-        return self.trunk.output
+        return self.acts["trunk"][-1]
 
     @property
     def aux_out(self) -> np.ndarray:
-        return self.aux.output
+        return self.acts["aux_head"][-1]
 
     @property
     def dom_logits(self) -> np.ndarray:
-        return self.dom.output
+        return self.acts["dom_head"][-1]
 
 
-def _forward_chain(chain: list[Layer], x: np.ndarray, name: str) -> ChainCache:
-    inputs, pre_acts = [], []
+def _forward_chain(chain: list[Layer], x: np.ndarray, name: str) -> list[np.ndarray]:
+    acts = [x]
     for i, layer in enumerate(chain):
         if x.shape[1] != layer.in_dim:
             raise ValueError(
                 f"{name}[{i}] expects input dim {layer.in_dim}, got {x.shape[1]}"
             )
-        z = x @ layer.weights.T + layer.bias
-        inputs.append(x)
-        pre_acts.append(z)
-        x = np.maximum(z, 0.0) if layer.activation is Activation.RELU else z
-    return ChainCache(inputs=inputs, pre_acts=pre_acts, output=x)
+        x = x @ layer.weights.T + layer.bias
+        if layer.activation is Activation.RELU:
+            x = np.maximum(x, 0.0)
+        acts.append(x)
+    return acts
 
 
 def forward(net: Network, batch_inputs: np.ndarray) -> ForwardCache:
@@ -205,10 +197,10 @@ def forward(net: Network, batch_inputs: np.ndarray) -> ForwardCache:
     x = np.ascontiguousarray(batch_inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"batch_inputs must be 2-D (batch, dim), got ndim {x.ndim}")
-    trunk = _forward_chain(net.trunk, x, "trunk")
-    aux = _forward_chain(net.aux_head, trunk.output, "aux_head")
-    dom = _forward_chain(net.dom_head, trunk.output, "dom_head")
-    return ForwardCache(net=net, batch=x, trunk=trunk, aux=aux, dom=dom)
+    acts: dict[str, list[np.ndarray]] = {}
+    for name, chain in net.chains():  # the trunk comes first and feeds each head
+        acts[name] = _forward_chain(chain, acts["trunk"][-1] if acts else x, name)
+    return ForwardCache(net=net, acts=acts)
 
 
 class LayerGrads(NamedTuple):
@@ -290,21 +282,23 @@ class TwoTaskGradients:
 
 def _backward_chain(
     chain: list[Layer],
-    cache: ChainCache,
+    acts: list[np.ndarray],
     delta: np.ndarray,
     out: list[LayerGrads] | None,
 ) -> tuple[list[LayerGrads], np.ndarray]:
-    """Walk one chain backward from d(loss)/d(output). Returns per-layer
-    grads (written into `out`'s arrays when given) and dz, the gradient at
-    chain[0]'s pre-activation; dz @ chain[0].weights is d(loss)/d(input)."""
+    """Walk one chain backward from d(loss)/d(output), given its forward
+    activations. Returns per-layer grads (written into `out`'s arrays when
+    given) and dz, the gradient at chain[0]'s pre-activation;
+    dz @ chain[0].weights is d(loss)/d(input). A ReLU passes delta where
+    its output is positive, which is exactly where its input was."""
     if out is None:
         out = [LayerGrads(np.empty_like(layer.weights), np.empty_like(layer.bias))
                for layer in chain]
     for i in range(len(chain) - 1, -1, -1):
         layer = chain[i]
-        z = cache.pre_acts[i]
-        dz = np.where(z > 0.0, delta, 0.0) if layer.activation is Activation.RELU else delta
-        np.matmul(dz.T, cache.inputs[i], out=out[i].weights)
+        dz = (np.where(acts[i + 1] > 0.0, delta, 0.0)
+              if layer.activation is Activation.RELU else delta)
+        np.matmul(dz.T, acts[i], out=out[i].weights)
         np.add.reduce(dz, axis=0, out=out[i].bias)
         if i:
             delta = dz @ layer.weights
@@ -347,9 +341,9 @@ def backward_two_task(
     # auxiliary task: (1-lam) * MSE
     d_aux = (1.0 - lam) * 2.0 * (cache.aux_out - targets_clean) / cache.aux_out.size
     aux_head_grads, dz_aux = _backward_chain(
-        net.aux_head, cache.aux, d_aux, out and out.aux_head)
+        net.aux_head, cache.acts["aux_head"], d_aux, out and out.aux_head)
     trunk_aux, _ = _backward_chain(
-        net.trunk, cache.trunk, dz_aux @ net.aux_head[0].weights,
+        net.trunk, cache.acts["trunk"], dz_aux @ net.aux_head[0].weights,
         out and out.trunk_aux)
 
     # dominant task: lam * cross-entropy
@@ -357,9 +351,9 @@ def backward_two_task(
     p[np.arange(p.shape[0]), labels] -= 1.0
     d_dom = lam * p / p.shape[0]
     dom_head_grads, dz_dom = _backward_chain(
-        net.dom_head, cache.dom, d_dom, out and out.dom_head)
+        net.dom_head, cache.acts["dom_head"], d_dom, out and out.dom_head)
     trunk_dom, _ = _backward_chain(
-        net.trunk, cache.trunk, dz_dom @ net.dom_head[0].weights,
+        net.trunk, cache.acts["trunk"], dz_dom @ net.dom_head[0].weights,
         out and out.trunk_dom)
 
     return out or TwoTaskGradients(
@@ -394,11 +388,7 @@ def save_network(net: Network, path: str) -> None:
     """Write the checkpoint text format described above."""
     with open(path, "w", encoding="ascii") as out:
         out.write(_MAGIC + "\n")
-        for name, chain in (
-            ("trunk", net.trunk),
-            ("aux_head", net.aux_head),
-            ("dom_head", net.dom_head),
-        ):
+        for name, chain in net.chains():
             out.write(f"{name} {len(chain)}\n")
             for layer in chain:
                 out.write(
@@ -416,7 +406,7 @@ def load_network(path: str) -> Network:
         raise ValueError(f"{path}: not a {_MAGIC!r} checkpoint")
     pos = 1
     chains: dict[str, list[Layer]] = {}
-    for expected in ("trunk", "aux_head", "dom_head"):
+    for expected in (f.name for f in fields(Network)):
         name, count = lines[pos].split()
         if name != expected:
             raise ValueError(f"{path}: expected section {expected!r}, got {name!r}")
@@ -438,8 +428,4 @@ def load_network(path: str) -> Network:
             )
             pos += 3
         chains[expected] = chain
-    return Network(
-        trunk=chains["trunk"],
-        aux_head=chains["aux_head"],
-        dom_head=chains["dom_head"],
-    )
+    return Network(**chains)

@@ -14,12 +14,13 @@ It writes aux' + dom' into the unit's segment of `total`; one more scan of
 `total` and one optimizer call over the whole buffer end the step. Heads
 are updated with their own task's gradient, untouched by surgery.
 
-Interference statistics are recorded every step:
+Each step's StepStats row is built from that step's unit outcomes, in unit
+order (StepStats.from_units):
 
 - conflicting_pre: units arriving with a negative inner product
 - conflicting_post / wrongly_dominant: the same predicates evaluated on the
   pair the strategy actually emitted, i.e. what the strategy leaves behind;
-  surgery.remedy_pair measures them and the loop here only counts
+  surgery.remedy_pair measures them and the row only counts
 
 Each epoch's EpochStats averages the percentages and losses of that epoch's
 StepStats and adds a held-out dominant-task accuracy. write_csv writes any
@@ -39,13 +40,14 @@ import numpy as np
 from .net import (
     Layer,
     LayerGrads,
+    LossBundle,
     Network,
     TwoTaskGradients,
     backward_two_task,
     forward,
     losses,
 )
-from .surgery import RemedyConfig, bound_errors, raise_if_any, remedy_pair
+from .surgery import Remedy, RemedyConfig, bound_errors, raise_if_any, remedy_pair
 from .synthdata import SampleBatch, TwoTaskDataset
 
 
@@ -114,12 +116,24 @@ class StepStats:
     loss_aux: float
     loss_dom: float
 
-    def __post_init__(self):
-        for name in ("conflicting_pre", "conflicting_post", "wrongly_dominant"):
-            if not 0 <= getattr(self, name) <= self.layers_total:
-                raise ValueError(
-                    f"{name}={getattr(self, name)} outside [0, {self.layers_total}]"
-                )
+    @classmethod
+    def from_units(cls, epoch: int, batch: int, units: list[Remedy],
+                   bundle: LossBundle) -> "StepStats":
+        """The row of one step from its surgery units' outcomes, in unit
+        order, and its losses. Each count sums one flag over the units, so
+        it lies in [0, layers_total]."""
+        phis = [u.phi for u in units if u.phi is not None]
+        return cls(
+            epoch=epoch,
+            batch=batch,
+            layers_total=len(units),
+            conflicting_pre=sum(u.was_conflicting for u in units),
+            conflicting_post=sum(u.conflicting_post for u in units),
+            wrongly_dominant=sum(u.wrongly_dominant_post for u in units),
+            mean_phi_rad=sum(phis) / len(phis) if phis else float("nan"),
+            loss_aux=bundle.loss_aux,
+            loss_dom=bundle.loss_dom,
+        )
 
 
 @dataclass(frozen=True)
@@ -189,38 +203,16 @@ class Adam:
         param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _make_optimizer(config: TrainConfig):
-    if config.optimizer is OptimizerKind.SGD:
-        return SGD(config.learning_rate)
-    return Adam(config.learning_rate)
+def evaluate(net: Network, batches: list[SampleBatch]) -> float:
+    """Held-out dominant-task accuracy over the batches."""
+    correct = sum(int((forward(net, b.noisy).dom_logits.argmax(axis=1) == b.labels).sum())
+                  for b in batches)
+    return correct / sum(len(b) for b in batches)
 
 
-@dataclass(frozen=True)
-class EvalMetrics:
-    dom_accuracy: float
-    aux_mse: float
-
-
-def evaluate(net: Network, batches: list[SampleBatch]) -> EvalMetrics:
-    """Held-out dominant-task accuracy and auxiliary MSE over the batches."""
-    correct = 0
-    samples = 0
-    sq_err = 0.0
-    elements = 0
-    for batch in batches:
-        cache = forward(net, batch.noisy)
-        pred = cache.dom_logits.argmax(axis=1)
-        correct += int((pred == batch.labels).sum())
-        samples += len(batch)
-        diff = cache.aux_out - batch.clean
-        sq_err += float((diff * diff).sum())
-        elements += diff.size
-    return EvalMetrics(dom_accuracy=correct / samples, aux_mse=sq_err / elements)
-
-
-def _views(buffer: np.ndarray, chain: list[Layer], offset: int) -> list[LayerGrads]:
-    """Each layer's (weights, bias) as views of buffer, laid out from offset."""
-    views = []
+def _views(buffer: np.ndarray, chain: list[Layer]) -> list[LayerGrads]:
+    """Each layer's (weights, bias) as views of buffer, laid out from its start."""
+    views, offset = [], 0
     for layer in chain:
         mid = offset + layer.weights.size
         stop = mid + layer.bias.size
@@ -242,11 +234,8 @@ class _Arena:
 
     def __init__(self, net: Network, bias_separate: bool):
         pieces = []  # (name, gradient, size) along the total layout
-        for chain_name, chain, gradient in (
-            ("trunk", net.trunk, "post-surgery total"),
-            ("aux_head", net.aux_head, "auxiliary-task"),
-            ("dom_head", net.dom_head, "dominant-task"),
-        ):
+        for (chain_name, chain), gradient in zip(
+                net.chains(), ("post-surgery total", "auxiliary-task", "dominant-task")):
             for i, layer in enumerate(chain):
                 name = f"{chain_name}[{i}]"
                 if bias_separate and chain is net.trunk:
@@ -259,21 +248,21 @@ class _Arena:
                        for (name, gradient, size), end in zip(pieces, ends)]
 
         trunk_end = sum(l.weights.size + l.bias.size for l in net.trunk)
-        aux_end = trunk_end + sum(l.weights.size + l.bias.size for l in net.aux_head)
         self.params = np.empty(ends[-1])
         self.total = np.empty(ends[-1])
         self.aux = np.empty(trunk_end)
         self.dom = np.empty(trunk_end)
         layers = [layer for _, layer in net.named_layers()]
-        for layer, view in zip(layers, _views(self.params, layers, 0)):
+        for layer, view in zip(layers, _views(self.params, layers)):
             view.weights[...] = layer.weights
             view.bias[...] = layer.bias
             layer.weights, layer.bias = view
+        heads = _views(self.total, layers)[len(net.trunk):]
         self.grads = TwoTaskGradients(
-            trunk_aux=_views(self.aux, net.trunk, 0),
-            trunk_dom=_views(self.dom, net.trunk, 0),
-            aux_head=_views(self.total, net.aux_head, trunk_end),
-            dom_head=_views(self.total, net.dom_head, aux_end),
+            trunk_aux=_views(self.aux, net.trunk),
+            trunk_dom=_views(self.dom, net.trunk),
+            aux_head=heads[:len(net.aux_head)],
+            dom_head=heads[len(net.aux_head):],
         )
         self.units = [(self.aux[a:b], self.dom[a:b], self.total[a:b])
                       for _, _, a, b in self.places if b <= trunk_end]
@@ -321,13 +310,11 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     entry does (ValueError).
     """
     arena = _Arena(net, config.bias_separate)
-    units_total = len(arena.units)
-    opt = _make_optimizer(config)
+    opt = (SGD if config.optimizer is OptimizerKind.SGD else Adam)(config.learning_rate)
     remedy_cfg = config.remedy
     step_stats: list[StepStats] = []
     epoch_stats: list[EpochStats] = []
-    rescale_events = 0
-    r_applied_sum = 0.0
+    r_applied: list[float] = []  # every rescale's ratio, in step and unit order
     eval_set = [
         data.eval_batch(config.batch_size, j) for j in range(config.eval_batches)
     ]
@@ -352,50 +339,25 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
             arena.check_finite(arena.aux, "auxiliary-task", epoch, batch_idx)
             arena.check_finite(arena.dom, "dominant-task", epoch, batch_idx)
 
-            conflicting_pre = 0
-            conflicting_post = 0
-            wrongly_dominant = 0
-            phis: list[float] = []
+            outcomes = []
             for g_aux, g_dom, g_total in arena.units:
                 outcome = remedy_pair(g_aux, g_dom, remedy_cfg)
-                conflicting_pre += outcome.was_conflicting
-                conflicting_post += outcome.conflicting_post
-                wrongly_dominant += outcome.wrongly_dominant_post
-                if outcome.phi is not None:
-                    phis.append(outcome.phi)
-                if outcome.r_applied is not None:
-                    rescale_events += 1
-                    r_applied_sum += outcome.r_applied
                 np.add(outcome.aux, outcome.dom, out=g_total)
+                outcomes.append(outcome)
             arena.check_finite(arena.total, None, epoch, batch_idx)
             opt.step(arena.params, arena.total)
 
-            step_stats.append(
-                StepStats(
-                    epoch=epoch,
-                    batch=batch_idx,
-                    layers_total=units_total,
-                    conflicting_pre=conflicting_pre,
-                    conflicting_post=conflicting_post,
-                    wrongly_dominant=wrongly_dominant,
-                    mean_phi_rad=(
-                        sum(phis) / len(phis) if phis else float("nan")
-                    ),
-                    loss_aux=bundle.loss_aux,
-                    loss_dom=bundle.loss_dom,
-                )
-            )
+            step_stats.append(StepStats.from_units(epoch, batch_idx, outcomes, bundle))
+            r_applied += [o.r_applied for o in outcomes if o.r_applied is not None]
 
         epoch_stats.append(EpochStats.from_steps(
-            step_stats[epoch * config.batches_per_epoch:],
-            evaluate(net, eval_set).dom_accuracy,
-        ))
+            step_stats[epoch * config.batches_per_epoch:], evaluate(net, eval_set)))
     return TrainResult(
         net=net,
         epoch_stats=epoch_stats,
         step_stats=step_stats,
-        rescale_events=rescale_events,
-        mean_r_applied=(r_applied_sum / rescale_events) if rescale_events else None,
+        rescale_events=len(r_applied),
+        mean_r_applied=sum(r_applied) / len(r_applied) if r_applied else None,
     )
 
 

@@ -58,6 +58,18 @@ def test_spec_states_every_config_field_with_its_default():
     assert ExperimentSpec().train_config(7) == TrainConfig(seed=7)
 
 
+def test_config_reader_names_the_file_it_cannot_use(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="list.json: a config file holds one JSON object"):
+        ExperimentSpec.load_json(str(path))
+    path.write_text("{bad")
+    with pytest.raises(ValueError, match="list.json: Expecting property name"):
+        ExperimentSpec.load_json(str(path))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: Expecting property name")
+
+
 def test_spec_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: snr"):
         ExperimentSpec.from_dict({"snr": 3.0})
@@ -126,7 +138,8 @@ def test_parse_strategy_token():
         parse_strategy_token("bogus")
 
 
-# flags of each case; a dict goes into a config file passed with --config
+# flags of each case; a dict goes into a config file passed with --config,
+# and TMP stands for the test's directory
 MALFORMED = {
     "unknown-strategy": ["--strategy", "bogus"],
     "missing-config": ["--config", "absent.json"],
@@ -134,11 +147,21 @@ MALFORMED = {
     "seeds-not-a-list": {"seeds": 5},
     "epochs-a-string": {"epochs": "3"},
     "repeated-seed": ["--seeds", "2,1,2"],
+    "name-escapes-out": ["--name", "../escape"],
+    "name-absolute": ["--name", "TMP/abs"],
+    "empty-seed": ["--seeds", "1,,2"],
+    "trailing-comma-seed": ["--seeds", "3,"],
+    "empty-trunk-width": ["--trunk-widths", "8,,8"],
+    "empty-strategy-token": ["--strategies", "naive,,pcgrad"],
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+@pytest.mark.parametrize("command, case", [
+    (command, case) for case in sorted(MALFORMED)
+    for command in ("run", "sweep", "validate")
+    # --strategies is a sweep flag
+    if command == "sweep" or "--strategies" not in MALFORMED[case]
+])
 def test_malformed_input_exits_2_with_error_lines(command, case, tmp_path,
                                                   monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -146,8 +169,8 @@ def test_malformed_input_exits_2_with_error_lines(command, case, tmp_path,
     if isinstance(flags, dict):
         (tmp_path / "bad.json").write_text(json.dumps(flags))
         flags = ["--config", "bad.json"]
-    argv = [command, *flags, "--out", "out"]
-    if command == "sweep":
+    argv = [command, *(f.replace("TMP", str(tmp_path)) for f in flags), "--out", "out"]
+    if command == "sweep" and "--strategies" not in argv:
         argv += ["--strategies", "naive"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -155,6 +178,8 @@ def test_malformed_input_exits_2_with_error_lines(command, case, tmp_path,
     lines = captured.err.splitlines()
     assert lines and all(line.startswith("error: ") for line in lines), lines
     assert not (tmp_path / "out").exists()
+    # nor anywhere else, such as next to the output root
+    assert {p.name for p in tmp_path.iterdir()} <= {"bad.json"}
 
 
 def test_config_type_and_bound_errors_print_one_line_each(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gradremedy
 import gradremedy.trainer as trainer_module
 from gradremedy import (
     OptimizerKind,
@@ -189,9 +190,10 @@ def test_evaluate_counts_over_all_batches():
     net = make_net()
     data = make_dataset()
     batches = [data.eval_batch(16, j) for j in range(3)]
-    metrics = evaluate(net, batches)
-    assert 0.0 <= metrics.dom_accuracy <= 1.0
-    assert metrics.aux_mse > 0.0
+    accuracy = evaluate(net, batches)
+    assert 0.0 <= accuracy <= 1.0
+    # equal batch sizes: the pooled accuracy is the mean of the per-batch ones
+    assert accuracy * 3 == pytest.approx(sum(evaluate(net, [b]) for b in batches))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")  # the blow-up is the point
@@ -305,6 +307,12 @@ def test_trained_layer_arrays_keep_their_shapes_and_are_contiguous():
     for name, layer in net.named_layers():
         assert layer.weights.flags.c_contiguous and layer.bias.flags.c_contiguous, name
         assert layer.weights.dtype == layer.bias.dtype == np.float64, name
+
+
+def test_every_package_export_resolves_once():
+    names = gradremedy.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(gradremedy, n)] == []
 
 
 def test_train_config_validation():

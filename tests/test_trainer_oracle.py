@@ -1,0 +1,223 @@
+"""Differential oracle: train() against a plain reference trainer.
+
+The reference trainer is built from public pieces, the way the loop looked
+before parameters moved into one flat buffer:
+
+- forward, losses, and backward_two_task returning fresh arrays;
+- remedy_layer on each surgery unit's GradientVector pair: a whole trunk
+  layer (weights then bias, concatenated), or with bias_separate its
+  weights and its bias as two units;
+- one SGD or Adam state per parameter array, with the same warmup rule.
+
+Hypothesis draws the network shape, the data, the schedule, the strategy
+and the optimizer. Every StepStats field, every epoch row, the rescale
+telemetry and the final parameters must be equal, not merely close: both
+trainers apply the same per-element operations in the same order. A run
+that goes non-finite must raise in both.
+
+The reference shares the surgery math (the planner and the Gram triple)
+with the system, so this checks the plumbing around it; the acceptance
+gates check the math against an independent rotation oracle.
+"""
+
+import copy
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gradremedy import (
+    EpochStats,
+    GradientVector,
+    OptimizerKind,
+    RatioRule,
+    RemedyConfig,
+    StepStats,
+    Strategy,
+    TaskGradients,
+    TrainConfig,
+    TrainResult,
+    TwoTaskDataset,
+    backward_two_task,
+    forward,
+    init_network,
+    losses,
+    remedy_layer,
+    train,
+)
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def _unit_pairs(aux, dom, bias_separate):
+    """The (aux, dom) GradientVector pairs of one trunk layer's units."""
+    if bias_separate:
+        parts = [(aux.weights, dom.weights), (aux.bias, dom.bias)]
+    else:
+        parts = [tuple(np.concatenate([g.weights.ravel(), g.bias]) for g in (aux, dom))]
+    return [TaskGradients(GradientVector(a.ravel(), a.shape),
+                          GradientVector(d.ravel(), d.shape)) for a, d in parts]
+
+
+def _accuracy(net, batches):
+    correct = sum(int((forward(net, b.noisy).dom_logits.argmax(axis=1) == b.labels).sum())
+                  for b in batches)
+    return correct / sum(len(b) for b in batches)
+
+
+def reference_train(config: TrainConfig, data: TwoTaskDataset, net) -> TrainResult:
+    """train()'s schedule with per-array gradients and optimizer state."""
+    arrays = [a for _, layer in net.named_layers() for a in (layer.weights, layer.bias)]
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
+    eval_set = [data.eval_batch(config.batch_size, j) for j in range(config.eval_batches)]
+    steps, epochs = [], []
+    ratios = []  # every applied rescale ratio, in step and unit order
+    for epoch in range(config.epochs):
+        for b in range(config.batches_per_epoch):
+            step = epoch * config.batches_per_epoch + b
+            lr = config.learning_rate
+            if config.warmup_steps:
+                lr *= min(1.0, (step + 1) / config.warmup_steps)
+            batch = data.train_batch(config.batch_size, step)
+            cache = forward(net, batch.noisy)
+            bundle = losses(cache, batch.clean, batch.labels, config.lam)
+            grads = backward_two_task(net, cache, batch.clean, batch.labels, config.lam)
+
+            outcomes, layer_grads = [], []
+            for aux, dom in zip(grads.trunk_aux, grads.trunk_dom):
+                totals = []
+                for pair in _unit_pairs(aux, dom, config.bias_separate):
+                    outcome = remedy_layer(pair, config.remedy)
+                    outcomes.append(outcome)
+                    totals.append(outcome.g_total.values)
+                total = np.concatenate(totals)
+                layer_grads += [total[:aux.weights.size].reshape(aux.weights.shape),
+                                total[aux.weights.size:]]
+            for g in grads.aux_head + grads.dom_head:
+                layer_grads += [g.weights, g.bias]
+
+            for array, grad, (m, v) in zip(arrays, layer_grads, moments):
+                if config.optimizer is OptimizerKind.SGD:
+                    array -= lr * grad
+                    continue
+                m *= BETA1
+                m += (1.0 - BETA1) * grad
+                v *= BETA2
+                v += (1.0 - BETA2) * grad * grad
+                m_hat = m / (1.0 - BETA1 ** (step + 1))
+                v_hat = v / (1.0 - BETA2 ** (step + 1))
+                array -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+            phis = [o.phi for o in outcomes if o.phi is not None]
+            ratios += [o.r_applied for o in outcomes if o.r_applied is not None]
+            steps.append(StepStats(
+                epoch=epoch,
+                batch=b,
+                layers_total=len(outcomes),
+                conflicting_pre=sum(o.was_conflicting for o in outcomes),
+                conflicting_post=sum(o.conflicting_post for o in outcomes),
+                wrongly_dominant=sum(o.wrongly_dominant_post for o in outcomes),
+                mean_phi_rad=sum(phis) / len(phis) if phis else math.nan,
+                loss_aux=bundle.loss_aux,
+                loss_dom=bundle.loss_dom,
+            ))
+        epochs.append(EpochStats.from_steps(
+            steps[epoch * config.batches_per_epoch:], _accuracy(net, eval_set)))
+    return TrainResult(net, epochs, steps, len(ratios),
+                       sum(ratios) / len(ratios) if ratios else None)
+
+
+def _outcome(trainer, config, data, net):
+    """trainer's result, or the error it raised on a non-finite value (a
+    numpy overflow warning is an error under this suite's settings)."""
+    try:
+        return trainer(config, data, net)
+    except (RuntimeError, ValueError, RuntimeWarning) as err:
+        return err
+
+
+def _rows(records):
+    """Records as tuples, with nan made comparable."""
+    return [tuple("nan" if isinstance(v, float) and math.isnan(v) else v
+                  for v in dataclasses.astuple(r)) for r in records]
+
+
+@st.composite
+def runs(draw):
+    dim = draw(st.integers(2, 6))
+    classes = draw(st.integers(2, 4))
+    widths = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    strategy = draw(st.sampled_from(Strategy))
+    remedy = RemedyConfig(
+        strategy=strategy,
+        fixed_theta=math.radians(draw(st.sampled_from([10.0, 36.0, 90.0]))),
+        dominance_k=draw(st.sampled_from([1.5, 5.0])),
+        ratio_rule=draw(st.sampled_from(RatioRule)),
+        rescale_enabled=draw(st.booleans()),
+    )
+    optimizer = draw(st.sampled_from(OptimizerKind))
+    config = TrainConfig(
+        remedy=remedy,
+        lam=draw(st.sampled_from([0.0, 0.2, 0.7, 1.0])),
+        epochs=draw(st.integers(1, 3)),
+        batches_per_epoch=draw(st.integers(1, 4)),
+        batch_size=draw(st.integers(1, 8)),
+        learning_rate=draw(st.sampled_from([1e-3, 5e-3])),
+        optimizer=optimizer,
+        bias_separate=draw(st.booleans()),
+        warmup_steps=draw(st.integers(0, 5)),
+        eval_batches=draw(st.integers(1, 2)),
+    )
+    data = TwoTaskDataset(
+        seed=draw(st.integers(0, 3)),
+        num_classes=classes,
+        dim=dim,
+        snr_db=draw(st.sampled_from([-5.0, 0.0, 10.0])),
+        jitter_std=draw(st.sampled_from([0.05, 4.0])),
+        template_scale=draw(st.floats(0.5, 30.0)),
+    )
+    net_seed = draw(st.integers(0, 3))
+    return config, data, init_network(net_seed, dim, widths, classes)
+
+
+# an SGD rate no draw reaches, so that one run blows up in both trainers
+DIVERGING = (
+    TrainConfig(optimizer=OptimizerKind.SGD, learning_rate=1e3, epochs=1,
+                batches_per_epoch=6, batch_size=4, eval_batches=1),
+    TwoTaskDataset(seed=0, num_classes=2, dim=3, snr_db=0.0, template_scale=30.0),
+    init_network(0, 3, (4,), 2),
+)
+
+
+def test_train_matches_the_reference_trainer():
+    seen = set()  # the oracle is only as strong as its draws
+
+    @SETTINGS
+    @example(DIVERGING)
+    @given(runs())
+    def check(run):
+        config, data, net = run
+        reference = copy.deepcopy(net)
+        got = _outcome(train, config, data, net)
+        want = _outcome(reference_train, config, data, reference)
+        # a run that goes non-finite must stop in both trainers
+        assert isinstance(got, Exception) == isinstance(want, Exception), (got, want)
+        seen.add("finite" if isinstance(got, TrainResult) else "raised")
+        if not isinstance(got, TrainResult):
+            return
+        assert _rows(got.step_stats) == _rows(want.step_stats)
+        assert _rows(got.epoch_stats) == _rows(want.epoch_stats)
+        assert (got.rescale_events, got.mean_r_applied) == (
+            want.rescale_events, want.mean_r_applied)
+        for (name, a), (_, b) in zip(net.named_layers(), reference.named_layers()):
+            assert np.array_equal(a.weights, b.weights), name
+            assert np.array_equal(a.bias, b.bias), name
+        seen.add(config.remedy.strategy)
+        seen.update(["bias_separate"] * config.bias_separate
+                    + ["rescale"] * (got.rescale_events > 0))
+
+    check()
+    assert seen >= set(Strategy) | {"bias_separate", "rescale", "finite", "raised"}
