@@ -3,10 +3,12 @@
 A shared trunk feeds two heads: a reconstruction head trained with mean
 squared error against the clean signal (the auxiliary task) and a
 classification head trained with softmax cross-entropy (the dominant task).
-`backward_two_task` runs one backward pass per task through the trunk, so
+One pass computes both losses and both loss-weighted head deltas.
+`backward_two_task` walks each head with its own task's delta, then walks
+the trunk once with the two tasks' deltas stacked as (2, batch, width), so
 each trunk layer ends up with two separate, loss-weighted gradients — the
-raw material for gradient surgery. Heads only ever receive their own task's
-gradient.
+raw material for gradient surgery — as the two rows of one array. Heads
+only ever receive their own task's gradient.
 
 Everything is plain float64 numpy; batches are (batch, dim) matrices.
 """
@@ -185,9 +187,10 @@ def _forward_chain(chain: list[Layer], x: np.ndarray, name: str) -> list[np.ndar
             raise ValueError(
                 f"{name}[{i}] expects input dim {layer.in_dim}, got {x.shape[1]}"
             )
-        x = x @ layer.weights.T + layer.bias
+        x = x @ layer.weights.T
+        x += layer.bias
         if layer.activation is Activation.RELU:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
         acts.append(x)
     return acts
 
@@ -223,18 +226,29 @@ class LossBundle:
     loss_total: float
 
 
+def _mean(x: np.ndarray) -> float:
+    """The mean over every entry, with np.mean's bits."""
+    return float(np.add.reduce(x, axis=None) / x.size)
+
+
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean squared error over every element of the batch."""
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred - target
-    return float(np.mean(diff * diff))
+    return _mean(diff * diff)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _exp_and_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """exp of the row-max-shifted logits, its row sums, and the mean
+    cross-entropy of softmax(logits) against the labels."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    z = np.add.reduce(e, axis=1)
+    picked = shifted[np.arange(logits.shape[0]), labels]
+    return e, z, _mean(np.log(z) - picked)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -244,86 +258,18 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError(
             f"batch mismatch: {logits.shape[0]} logits vs {labels.shape[0]} labels"
         )
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(logits.shape[0]), labels]
-    return float(np.mean(log_z - picked))
+    return _exp_and_cross_entropy(logits, labels)[2]
 
 
-def losses(
+def _loss_and_deltas(
     cache: ForwardCache,
     targets_clean: np.ndarray,
     labels: np.ndarray,
     lam: float,
-) -> LossBundle:
-    loss_aux = mse_loss(cache.aux_out, targets_clean)
-    loss_dom = softmax_cross_entropy(cache.dom_logits, labels)
-    return LossBundle(
-        loss_aux=loss_aux,
-        loss_dom=loss_dom,
-        loss_total=(1.0 - lam) * loss_aux + lam * loss_dom,
-    )
-
-
-@dataclass(frozen=True)
-class TwoTaskGradients:
-    """Per-layer gradients: two lists for the shared trunk, one per head.
-
-    trunk_aux[i] is the gradient of (1-lam)*MSE at trunk layer i; trunk_dom[i]
-    the gradient of lam*CE. Head gradients carry only their own task's loss,
-    already weighted the same way.
-    """
-
-    trunk_aux: list[LayerGrads]
-    trunk_dom: list[LayerGrads]
-    aux_head: list[LayerGrads]
-    dom_head: list[LayerGrads]
-
-
-def _backward_chain(
-    chain: list[Layer],
-    acts: list[np.ndarray],
-    delta: np.ndarray,
-    out: list[LayerGrads] | None,
-) -> tuple[list[LayerGrads], np.ndarray]:
-    """Walk one chain backward from d(loss)/d(output), given its forward
-    activations. Returns per-layer grads (written into `out`'s arrays when
-    given) and dz, the gradient at chain[0]'s pre-activation;
-    dz @ chain[0].weights is d(loss)/d(input). A ReLU passes delta where
-    its output is positive, which is exactly where its input was."""
-    if out is None:
-        out = [LayerGrads(np.empty_like(layer.weights), np.empty_like(layer.bias))
-               for layer in chain]
-    for i in range(len(chain) - 1, -1, -1):
-        layer = chain[i]
-        dz = (np.where(acts[i + 1] > 0.0, delta, 0.0)
-              if layer.activation is Activation.RELU else delta)
-        np.matmul(dz.T, acts[i], out=out[i].weights)
-        np.add.reduce(dz, axis=0, out=out[i].bias)
-        if i:
-            delta = dz @ layer.weights
-    return out, dz
-
-
-def backward_two_task(
-    net: Network,
-    cache: ForwardCache,
-    targets_clean: np.ndarray,
-    labels: np.ndarray,
-    lam: float,
-    out: TwoTaskGradients | None = None,
-) -> TwoTaskGradients:
-    """Two separate backward passes, one per task, through the shared trunk.
-
-    The loss weights are folded in here: the auxiliary pass propagates
-    (1-lam)*d(MSE), the dominant pass lam*d(CE). Surgery downstream therefore
-    sees exactly the gradients that would otherwise be summed.
-
-    With `out`, every gradient is written into its arrays (the trainer's
-    buffer views) and `out` is returned; otherwise fresh arrays are made.
-    """
-    if cache.net is not net:
-        raise ValueError("cache was produced by a different network")
+) -> tuple[LossBundle, np.ndarray, np.ndarray]:
+    """Both losses and both loss-weighted head deltas from one pass: the
+    auxiliary delta (1-lam)*d(MSE)/d(aux_out) and the dominant delta
+    lam*d(CE)/d(dom_logits)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
     targets_clean = np.asarray(targets_clean, dtype=np.float64)
@@ -337,31 +283,145 @@ def backward_two_task(
         raise ValueError(
             f"got {labels.shape[0]} labels for a batch of {cache.batch.shape[0]}"
         )
-
-    # auxiliary task: (1-lam) * MSE
-    d_aux = (1.0 - lam) * 2.0 * (cache.aux_out - targets_clean) / cache.aux_out.size
-    aux_head_grads, dz_aux = _backward_chain(
-        net.aux_head, cache.acts["aux_head"], d_aux, out and out.aux_head)
-    trunk_aux, _ = _backward_chain(
-        net.trunk, cache.acts["trunk"], dz_aux @ net.aux_head[0].weights,
-        out and out.trunk_aux)
-
-    # dominant task: lam * cross-entropy
-    p = _softmax(cache.dom_logits)
-    p[np.arange(p.shape[0]), labels] -= 1.0
-    d_dom = lam * p / p.shape[0]
-    dom_head_grads, dz_dom = _backward_chain(
-        net.dom_head, cache.acts["dom_head"], d_dom, out and out.dom_head)
-    trunk_dom, _ = _backward_chain(
-        net.trunk, cache.acts["trunk"], dz_dom @ net.dom_head[0].weights,
-        out and out.trunk_dom)
-
-    return out or TwoTaskGradients(
-        trunk_aux=trunk_aux,
-        trunk_dom=trunk_dom,
-        aux_head=aux_head_grads,
-        dom_head=dom_head_grads,
+    d_aux = cache.aux_out - targets_clean  # the residual, scaled in place below
+    loss_aux = _mean(d_aux * d_aux)
+    d_aux *= (1.0 - lam) * 2.0
+    d_aux /= d_aux.size
+    d_dom, z, loss_dom = _exp_and_cross_entropy(cache.dom_logits, labels)
+    d_dom /= z[:, None]  # the softmax
+    d_dom[np.arange(d_dom.shape[0]), labels] -= 1.0
+    d_dom *= lam
+    d_dom /= d_dom.shape[0]
+    bundle = LossBundle(
+        loss_aux=loss_aux,
+        loss_dom=loss_dom,
+        loss_total=(1.0 - lam) * loss_aux + lam * loss_dom,
     )
+    return bundle, d_aux, d_dom
+
+
+def losses(
+    cache: ForwardCache,
+    targets_clean: np.ndarray,
+    labels: np.ndarray,
+    lam: float,
+) -> LossBundle:
+    """Both task losses and their lam-weighted total."""
+    return _loss_and_deltas(cache, targets_clean, labels, lam)[0]
+
+
+def layer_views(buffer: np.ndarray, chain: list[Layer]) -> list[LayerGrads]:
+    """Each layer's (weights, bias) as views of buffer's last axis, laid out
+    from its start, each layer's row-major weights before its bias; leading
+    axes of buffer lead each view."""
+    lead = buffer.shape[:-1]
+    views, offset = [], 0
+    for layer in chain:
+        mid = offset + layer.weights.size
+        stop = mid + layer.bias.size
+        views.append(LayerGrads(buffer[..., offset:mid].reshape(lead + layer.weights.shape),
+                                buffer[..., mid:stop]))
+        offset = stop
+    return views
+
+
+def chain_size(chain: list[Layer]) -> int:
+    """The number of parameters of a chain."""
+    return sum(layer.weights.size + layer.bias.size for layer in chain)
+
+
+@dataclass(frozen=True)
+class TwoTaskGradients:
+    """Per-layer gradients: both tasks' for the shared trunk, one list per head.
+
+    trunk[i] holds trunk layer i's two gradients as (2, out, in) weights and
+    (2, out) bias: row 0 the gradient of (1-lam)*MSE, row 1 that of lam*CE;
+    trunk_aux and trunk_dom are views of those rows. Head gradients carry
+    only their own task's loss, already weighted the same way.
+    """
+
+    trunk: list[LayerGrads]
+    aux_head: list[LayerGrads]
+    dom_head: list[LayerGrads]
+
+    @property
+    def trunk_aux(self) -> list[LayerGrads]:
+        return [LayerGrads(g.weights[0], g.bias[0]) for g in self.trunk]
+
+    @property
+    def trunk_dom(self) -> list[LayerGrads]:
+        return [LayerGrads(g.weights[1], g.bias[1]) for g in self.trunk]
+
+
+def _backward_chain(
+    chain: list[Layer],
+    acts: list[np.ndarray],
+    delta: np.ndarray,
+    out: list[LayerGrads],
+) -> np.ndarray:
+    """Walk one chain backward from d(loss)/d(output), given its forward
+    activations, writing each layer's gradients into out's arrays. delta is
+    (batch, out_dim), or (tasks, batch, out_dim) with out's arrays stacked
+    the same way. Returns dz, the gradient at chain[0]'s pre-activation;
+    dz @ chain[0].weights is d(loss)/d(input). A ReLU passes delta where
+    its output is positive, which is exactly where its input was."""
+    for i in range(len(chain) - 1, -1, -1):
+        layer = chain[i]
+        dz = (np.where(acts[i + 1] > 0.0, delta, 0.0)
+              if layer.activation is Activation.RELU else delta)
+        np.matmul(dz.swapaxes(-1, -2), acts[i], out=out[i].weights)
+        np.add.reduce(dz, axis=-2, out=out[i].bias)
+        if i:
+            delta = dz @ layer.weights
+    return dz
+
+
+def _backward(
+    net: Network,
+    cache: ForwardCache,
+    d_aux: np.ndarray,
+    d_dom: np.ndarray,
+    out: TwoTaskGradients,
+) -> TwoTaskGradients:
+    """Write the gradients of the two head deltas into out's arrays: each
+    head gets its own task's, and one trunk walk carries both tasks' deltas
+    stacked."""
+    if cache.net is not net:
+        raise ValueError("cache was produced by a different network")
+    trunk_delta = np.empty((2,) + cache.trunk_out.shape)
+    for row, (name, head), d in zip(trunk_delta, net.chains()[1:], (d_aux, d_dom)):
+        dz = _backward_chain(head, cache.acts[name], d, getattr(out, name))
+        np.matmul(dz, head[0].weights, out=row)
+    _backward_chain(net.trunk, cache.acts["trunk"], trunk_delta, out.trunk)
+    return out
+
+
+def backward_two_task(
+    net: Network,
+    cache: ForwardCache,
+    targets_clean: np.ndarray,
+    labels: np.ndarray,
+    lam: float,
+    out: TwoTaskGradients | None = None,
+) -> TwoTaskGradients:
+    """Each task's gradient at every layer, with one trunk walk for both.
+
+    The loss weights are folded in here: the auxiliary task propagates
+    (1-lam)*d(MSE), the dominant task lam*d(CE). Surgery downstream
+    therefore sees exactly the gradients that would otherwise be summed.
+
+    With `out`, every gradient is written into its arrays (the trainer's
+    buffer views) and `out` is returned; otherwise one (2, trunk size)
+    array holds the trunk's and fresh arrays the heads'.
+    """
+    _, d_aux, d_dom = _loss_and_deltas(cache, targets_clean, labels, lam)
+    if out is None:
+        out = TwoTaskGradients(
+            trunk=layer_views(np.empty((2, chain_size(net.trunk))), net.trunk),
+            aux_head=layer_views(np.empty(chain_size(net.aux_head)), net.aux_head),
+            dom_head=layer_views(np.empty(chain_size(net.dom_head)), net.dom_head),
+        )
+    return _backward(net, cache, d_aux, d_dom, out)
 
 
 # --- checkpoint format -------------------------------------------------------
@@ -399,7 +459,9 @@ def save_network(net: Network, path: str) -> None:
 
 
 def load_network(path: str) -> Network:
-    """Inverse of save_network; bit-identical parameters."""
+    """Inverse of save_network; bit-identical parameters. A file that does
+    not follow the format raises ValueError naming the path and, past the
+    first line, the section."""
     with open(path, "r", encoding="ascii") as src:
         lines = src.read().splitlines()
     if not lines or lines[0] != _MAGIC:
@@ -407,25 +469,31 @@ def load_network(path: str) -> Network:
     pos = 1
     chains: dict[str, list[Layer]] = {}
     for expected in (f.name for f in fields(Network)):
-        name, count = lines[pos].split()
-        if name != expected:
-            raise ValueError(f"{path}: expected section {expected!r}, got {name!r}")
-        pos += 1
-        chain = []
-        for _ in range(int(count)):
-            tag, out_dim, in_dim, act = lines[pos].split()
-            if tag != "layer":
-                raise ValueError(f"{path}: malformed layer header {lines[pos]!r}")
-            out_dim, in_dim = int(out_dim), int(in_dim)
-            weights = np.array(lines[pos + 1].split(), dtype=np.float64)
-            bias = np.array(lines[pos + 2].split(), dtype=np.float64)
-            chain.append(
-                Layer(
-                    weights=weights.reshape(out_dim, in_dim),
-                    bias=bias,
-                    activation=Activation(act),
-                )
-            )
-            pos += 3
-        chains[expected] = chain
+        try:
+            chains[expected], pos = _read_chain(lines, pos, expected)
+        except IndexError:
+            raise ValueError(f"{path}: section {expected!r}: the file ends early") from None
+        except ValueError as err:
+            raise ValueError(f"{path}: section {expected!r}: {err}") from err
     return Network(**chains)
+
+
+def _read_chain(lines: list[str], pos: int, expected: str) -> tuple[list[Layer], int]:
+    """The chain whose section starts at lines[pos], and the line after it."""
+    name, count = lines[pos].split()
+    if name != expected:
+        raise ValueError(f"expected section {expected!r}, got {name!r}")
+    pos += 1
+    chain = []
+    for _ in range(int(count)):
+        tag, out_dim, in_dim, act = lines[pos].split()
+        if tag != "layer":
+            raise ValueError(f"malformed layer header {lines[pos]!r}")
+        weights = np.array(lines[pos + 1].split(), dtype=np.float64)
+        chain.append(Layer(
+            weights=weights.reshape(int(out_dim), int(in_dim)),
+            bias=np.array(lines[pos + 2].split(), dtype=np.float64),
+            activation=Activation(act),
+        ))
+        pos += 3
+    return chain, pos

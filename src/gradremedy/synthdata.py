@@ -135,19 +135,15 @@ class TwoTaskDataset:
             np.random.PCG64(np.random.SeedSequence((self.seed, stream, index)))
         )
         labels = rng.integers(0, self.num_classes, size=batch_size)
-        clean = self.templates[labels] + self.jitter_std * rng.standard_normal(
-            (batch_size, self.dim)
-        )
-        raw = rng.standard_normal((batch_size, self.dim))
+        # one draw: the jitter's entries first, then the raw noise's
+        clean, noisy = rng.standard_normal((2, batch_size, self.dim))
+        clean *= self.jitter_std
+        clean += self.templates[labels]
         # scale so the realized batch SNR equals snr_db exactly
-        target_noise_norm = np.linalg.norm(clean) / 10.0 ** (self.snr_db / 20.0)
-        noise = raw * (target_noise_norm / np.linalg.norm(raw))
-        return SampleBatch(
-            noisy=clean + noise,
-            clean=clean,
-            labels=labels,
-            snr_db=self.snr_db,
-        )
+        target_noise_norm = math.sqrt(np.vdot(clean, clean)) / 10.0 ** (self.snr_db / 20.0)
+        noisy *= target_noise_norm / math.sqrt(np.vdot(noisy, noisy))
+        noisy += clean
+        return SampleBatch(noisy=noisy, clean=clean, labels=labels, snr_db=self.snr_db)
 
     def train_batch(self, batch_size: int, index: int) -> SampleBatch:
         """Training batch number `index` (any order, same result)."""

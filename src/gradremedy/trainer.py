@@ -3,16 +3,20 @@
 train() first moves every parameter of the net into one contiguous float64
 buffer, laid out trunk, auxiliary head, dominant head, each layer's weights
 (row-major) before its bias; the layers' weights and bias arrays become views
-of it. Three gradient buffers go with it: `total`, laid out like the
-parameters, and one per task, laid out like the trunk part. Each step runs
-one forward pass and one backward pass per task; backward writes each task's
-trunk gradients into that task's buffer and the head gradients into
-`total`. After one non-finite scan per task buffer, the strategy runs on
-each surgery unit, a (start, stop) segment of the trunk layout: a whole
-trunk layer, or its weights and its bias as two units with bias_separate.
-It writes aux' + dom' into the unit's segment of `total`; one more scan of
-`total` and one optimizer call over the whole buffer end the step. Heads
-are updated with their own task's gradient, untouched by surgery.
+of it. Two gradient buffers go with it: `total`, laid out like the
+parameters, and `tasks`, a (2, trunk size) array whose rows `aux` and `dom`
+are the two tasks' gradients, each laid out like the trunk part. Each step
+runs one forward pass and one pass over the losses, which yields both
+losses and both head deltas; after the loss check, one backward pass walks
+each head and then the trunk once for both tasks, writing the trunk
+gradients into `tasks` and the head gradients into `total`. After one
+non-finite scan of `tasks`, the strategy runs on each surgery unit, a
+(start, stop) segment of the trunk layout: a whole trunk layer, or its
+weights and its bias as two units with bias_separate. It writes aux' + dom'
+into the unit's segment of `total`; one more scan of `total` and one
+optimizer call over the whole buffer end the step. Heads are updated with
+their own task's gradient, untouched by surgery. The parameter buffer is
+scanned once per epoch, before the held-out evaluation.
 
 Each step's StepStats row is built from that step's unit outcomes, in unit
 order (StepStats.from_units):
@@ -38,17 +42,21 @@ from enum import Enum
 import numpy as np
 
 from .net import (
-    Layer,
-    LayerGrads,
     LossBundle,
     Network,
     TwoTaskGradients,
-    backward_two_task,
+    _backward,
+    _loss_and_deltas,
+    chain_size,
     forward,
-    losses,
+    layer_views,
 )
 from .surgery import Remedy, RemedyConfig, bound_errors, raise_if_any, remedy_pair
 from .synthdata import SampleBatch, TwoTaskDataset
+
+
+# what each row of a (2, ...) task-gradient array holds
+_TASK_GRADIENTS = ("auxiliary-task gradient", "dominant-task gradient")
 
 
 class OptimizerKind(Enum):
@@ -210,18 +218,6 @@ def evaluate(net: Network, batches: list[SampleBatch]) -> float:
     return correct / sum(len(b) for b in batches)
 
 
-def _views(buffer: np.ndarray, chain: list[Layer]) -> list[LayerGrads]:
-    """Each layer's (weights, bias) as views of buffer, laid out from its start."""
-    views, offset = [], 0
-    for layer in chain:
-        mid = offset + layer.weights.size
-        stop = mid + layer.bias.size
-        views.append(LayerGrads(buffer[offset:mid].reshape(layer.weights.shape),
-                                buffer[mid:stop]))
-        offset = stop
-    return views
-
-
 class _Arena:
     """A net's parameters and gradients in flat buffers (see the module
     docstring); building one rebinds the net's layer arrays as views.
@@ -229,13 +225,14 @@ class _Arena:
     units holds the (aux, dom, total) views of each surgery unit's segment,
     in trunk order. places names each segment of the total
     layout as (name, gradient, start, stop): the surgery units first, whose
-    segments aux and dom share, then the head layers.
+    segments aux and dom share, then the head layers; gradient names what
+    the total buffer holds there.
     """
 
     def __init__(self, net: Network, bias_separate: bool):
         pieces = []  # (name, gradient, size) along the total layout
         for (chain_name, chain), gradient in zip(
-                net.chains(), ("post-surgery total", "auxiliary-task", "dominant-task")):
+                net.chains(), ("post-surgery total gradient", *_TASK_GRADIENTS)):
             for i, layer in enumerate(chain):
                 name = f"{chain_name}[{i}]"
                 if bias_separate and chain is net.trunk:
@@ -247,37 +244,37 @@ class _Arena:
         self.places = [(name, gradient, end - size, end)
                        for (name, gradient, size), end in zip(pieces, ends)]
 
-        trunk_end = sum(l.weights.size + l.bias.size for l in net.trunk)
+        trunk_end = chain_size(net.trunk)
         self.params = np.empty(ends[-1])
         self.total = np.empty(ends[-1])
-        self.aux = np.empty(trunk_end)
-        self.dom = np.empty(trunk_end)
+        self.tasks = np.empty((2, trunk_end))
+        self.aux, self.dom = self.tasks
         layers = [layer for _, layer in net.named_layers()]
-        for layer, view in zip(layers, _views(self.params, layers)):
+        for layer, view in zip(layers, layer_views(self.params, layers)):
             view.weights[...] = layer.weights
             view.bias[...] = layer.bias
             layer.weights, layer.bias = view
-        heads = _views(self.total, layers)[len(net.trunk):]
+        heads = layer_views(self.total, layers)[len(net.trunk):]
         self.grads = TwoTaskGradients(
-            trunk_aux=_views(self.aux, net.trunk),
-            trunk_dom=_views(self.dom, net.trunk),
+            trunk=layer_views(self.tasks, net.trunk),
             aux_head=heads[:len(net.aux_head)],
             dom_head=heads[len(net.aux_head):],
         )
         self.units = [(self.aux[a:b], self.dom[a:b], self.total[a:b])
                       for _, _, a, b in self.places if b <= trunk_end]
 
-    def check_finite(self, buffer: np.ndarray, task: str | None,
+    def check_finite(self, buffer: np.ndarray, what: str | None,
                      epoch: int, batch: int) -> None:
-        """Raise ValueError naming the gradient, unit, epoch and batch of the
-        first non-finite entry of aux or dom (task names the buffer's task)
-        or of total (task None: the place names it)."""
+        """Raise ValueError naming what is non-finite, the place, the epoch
+        and the batch of the first non-finite entry of buffer: a row of
+        tasks (what names its gradient), params (what is "parameter") or
+        total (what is None: the place names the gradient)."""
         if np.isfinite(buffer).all():
             return
         bad = int(np.flatnonzero(~np.isfinite(buffer))[0])
         name, gradient, start, stop = next(p for p in self.places if p[2] <= bad < p[3])
         raise ValueError(
-            f"non-finite {task or gradient} gradient in {name} at epoch {epoch}, "
+            f"non-finite {what or gradient} in {name} at epoch {epoch}, "
             f"batch {batch} (entry {bad - start} of {stop - start}: {buffer[bad]})"
         )
 
@@ -299,6 +296,7 @@ class TrainResult:
     mean_r_applied: float | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResult:
     """Run the full schedule, mutating `net` in place; its layer arrays end
     up as views of one parameter buffer (see the module docstring).
@@ -307,7 +305,9 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     are addressed by global step index, so there is no hidden RNG state.
     Aborts with a diagnostic naming epoch and batch if a loss goes
     non-finite (RuntimeError), and also the gradient and unit if a gradient
-    entry does (ValueError).
+    entry does, or the layer if a parameter does at the end of an epoch
+    (ValueError). numpy's overflow and invalid-value warnings are silenced
+    meanwhile: these checks turn every non-finite value into such an error.
     """
     arena = _Arena(net, config.bias_separate)
     opt = (SGD if config.optimizer is OptimizerKind.SGD else Adam)(config.learning_rate)
@@ -328,16 +328,17 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                 )
             batch = data.train_batch(config.batch_size, global_step)
             cache = forward(net, batch.noisy)
-            bundle = losses(cache, batch.clean, batch.labels, config.lam)
+            bundle, d_aux, d_dom = _loss_and_deltas(
+                cache, batch.clean, batch.labels, config.lam)
             if not (math.isfinite(bundle.loss_aux) and math.isfinite(bundle.loss_dom)):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}: "
                     f"loss_aux={bundle.loss_aux}, loss_dom={bundle.loss_dom}"
                 )
-            backward_two_task(net, cache, batch.clean, batch.labels, config.lam,
-                              out=arena.grads)
-            arena.check_finite(arena.aux, "auxiliary-task", epoch, batch_idx)
-            arena.check_finite(arena.dom, "dominant-task", epoch, batch_idx)
+            _backward(net, cache, d_aux, d_dom, arena.grads)
+            if not np.isfinite(arena.tasks).all():  # locate only on failure
+                for row, gradient in zip(arena.tasks, _TASK_GRADIENTS):
+                    arena.check_finite(row, gradient, epoch, batch_idx)
 
             outcomes = []
             for g_aux, g_dom, g_total in arena.units:
@@ -350,6 +351,7 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
             step_stats.append(StepStats.from_units(epoch, batch_idx, outcomes, bundle))
             r_applied += [o.r_applied for o in outcomes if o.r_applied is not None]
 
+        arena.check_finite(arena.params, "parameter", epoch, batch_idx)
         epoch_stats.append(EpochStats.from_steps(
             step_stats[epoch * config.batches_per_epoch:], evaluate(net, eval_set)))
     return TrainResult(

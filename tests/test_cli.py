@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import statistics
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -269,6 +270,22 @@ def test_epoch_rows_are_means_of_their_step_rows(tmp_path):
     assert header == ("strategy,seeds,median_accuracy,min_accuracy,max_accuracy,"
                       "mean_pct_conflicting,mean_pct_wrongly_dominant")
     assert row.split(",")[:2] == ["naive", "1 2"]
+
+
+def test_diverging_run_prints_only_its_error_line(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--name", "div", "--out", str(tmp_path),
+                     "--optimizer", "sgd", "--lr", "1000", "--epochs", "1",
+                     "--batches-per-epoch", "6", "--batch-size", "4", "--dim", "3",
+                     "--classes", "2", "--trunk-widths", "4", "--template-scale", "30",
+                     "--seeds", "1"])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: non-finite loss at epoch 0, batch 4: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_flags_override_config_file(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Network forward/backward correctness, including a finite-difference oracle."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -210,4 +211,22 @@ def test_load_network_rejects_other_files(tmp_path):
     path = tmp_path / "bogus.txt"
     path.write_text("something else\n")
     with pytest.raises(ValueError, match="not a"):
+        load_network(str(path))
+
+
+@pytest.mark.parametrize(
+    "break_lines, message",
+    [
+        (lambda lines: lines[:-2], r"section 'dom_head': the file ends early"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(" ", 1)[0]] + lines[4:],
+         r"section 'trunk': cannot reshape array of size 11 into shape \(3,4\)"),
+    ],
+    ids=["truncated", "weights-line-one-short"],
+)
+def test_load_network_names_file_and_section_of_a_broken_checkpoint(
+        tmp_path, break_lines, message):
+    path = tmp_path / "net.txt"
+    save_network(init_network(seed=0, in_dim=4, trunk_widths=(3,), num_classes=2), str(path))
+    path.write_text("\n".join(break_lines(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
         load_network(str(path))

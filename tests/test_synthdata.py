@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradremedy import TwoTaskDataset, generate
 from gradremedy.synthdata import class_templates, nearest_template_labels
@@ -42,6 +44,42 @@ def test_batches_are_addressable_and_order_independent():
     np.testing.assert_array_equal(left.noisy, right.noisy)
     np.testing.assert_array_equal(left.clean, right.clean)
     np.testing.assert_array_equal(left.labels, right.labels)
+
+
+def _reference_batch(data, batch_size, stream, index):
+    """(noisy, clean, labels) drawn the way the generator first drew them:
+    jitter and noise as two draws, norms from np.linalg.norm."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((data.seed, stream, index))))
+    labels = rng.integers(0, data.num_classes, size=batch_size)
+    clean = data.templates[labels] + data.jitter_std * rng.standard_normal(
+        (batch_size, data.dim))
+    raw = rng.standard_normal((batch_size, data.dim))
+    target_noise_norm = np.linalg.norm(clean) / 10.0 ** (data.snr_db / 20.0)
+    noise = raw * (target_noise_norm / np.linalg.norm(raw))
+    return clean + noise, clean, labels
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, 10**6),
+    batch_size=st.integers(1, 64),
+    dim=st.integers(2, 40),
+    snr_db=st.floats(-30.0, 30.0),
+    jitter_std=st.sampled_from([0.0, 0.05, 1.0, 4.0]),
+    template_scale=st.floats(0.01, 100.0),
+)
+def test_batch_stream_is_bit_stable(seed, index, batch_size, dim, snr_db, jitter_std,
+                                    template_scale):
+    data = TwoTaskDataset(seed=seed, num_classes=2, dim=dim, snr_db=snr_db,
+                          jitter_std=jitter_std, template_scale=template_scale)
+    for batch, stream in ((data.train_batch(batch_size, index), 1),
+                          (data.eval_batch(batch_size, index), 2)):
+        noisy, clean, labels = _reference_batch(data, batch_size, stream, index)
+        assert np.array_equal(batch.noisy, noisy)
+        assert np.array_equal(batch.clean, clean)
+        assert np.array_equal(batch.labels, labels)
 
 
 def test_train_and_eval_streams_are_disjoint():

@@ -196,11 +196,19 @@ def test_evaluate_counts_over_all_batches():
     assert accuracy * 3 == pytest.approx(sum(evaluate(net, [b]) for b in batches))
 
 
-@pytest.mark.filterwarnings("ignore:overflow")  # the blow-up is the point
 def test_nonfinite_loss_aborts_with_location():
     config = tiny_config(optimizer=OptimizerKind.SGD, learning_rate=1e8)
     with pytest.raises(RuntimeError, match="non-finite loss at epoch"):
         train(config, make_dataset(), make_net())
+
+
+def test_nonfinite_parameters_after_an_epoch_are_located_before_evaluation():
+    # the run's one update overflows, so no later step's loss check sees it
+    config = tiny_config(optimizer=OptimizerKind.SGD, learning_rate=1e308,
+                         epochs=1, batches_per_epoch=1)
+    with pytest.raises(ValueError, match=r"^non-finite parameter in trunk\[0\] "
+                       r"at epoch 0, batch 0 \(entry 20 of 54: -inf\)$"):
+        train(config, make_dataset(template_scale=30.0), make_net())
 
 
 @pytest.mark.parametrize(
@@ -216,7 +224,7 @@ def test_nonfinite_loss_aborts_with_location():
 def test_nonfinite_gradient_names_task_unit_epoch_and_batch(
     monkeypatch, bias_separate, poison, message
 ):
-    real_backward = trainer_module.backward_two_task
+    real_backward = trainer_module._backward
     calls = []
 
     def poisoned(*args, **kwargs):
@@ -226,7 +234,7 @@ def test_nonfinite_gradient_names_task_unit_epoch_and_batch(
             poison(grads).flat[1] = np.inf
         return grads
 
-    monkeypatch.setattr(trainer_module, "backward_two_task", poisoned)
+    monkeypatch.setattr(trainer_module, "_backward", poisoned)
     with pytest.raises(ValueError, match=message + "at epoch 1, batch 1"):
         train(tiny_config(bias_separate=bias_separate), make_dataset(), make_net())
 

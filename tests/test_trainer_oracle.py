@@ -1,9 +1,11 @@
 """Differential oracle: train() against a plain reference trainer.
 
-The reference trainer is built from public pieces, the way the loop looked
-before parameters moved into one flat buffer:
+The reference trainer is built the way the loop looked before parameters
+moved into one flat buffer and the two tasks shared one trunk backward:
 
-- forward, losses, and backward_two_task returning fresh arrays;
+- its own forward, losses and backward, one task at a time: the MSE delta
+  is (1-lam)*2.0*diff/size, the cross-entropy delta comes from a separate
+  softmax, and each layer's weight gradient is the 2-D dz.T @ act;
 - remedy_layer on each surgery unit's GradientVector pair: a whole trunk
   layer (weights then bias, concatenated), or with bias_separate its
   weights and its bias as two units;
@@ -15,9 +17,11 @@ telemetry and the final parameters must be equal, not merely close: both
 trainers apply the same per-element operations in the same order. A run
 that goes non-finite must raise in both.
 
-The reference shares the surgery math (the planner and the Gram triple)
-with the system, so this checks the plumbing around it; the acceptance
-gates check the math against an independent rotation oracle.
+The reference shares the data stream and the surgery math (the planner
+and the Gram triple) with the system, so for surgery this checks the
+plumbing around it; the acceptance gates check that math against an
+independent rotation oracle. The network arithmetic is the reference's
+own, so the stacked two-task backward is checked bit for bit.
 """
 
 import copy
@@ -29,6 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradremedy import (
+    Activation,
     EpochStats,
     GradientVector,
     OptimizerKind,
@@ -40,10 +45,7 @@ from gradremedy import (
     TrainConfig,
     TrainResult,
     TwoTaskDataset,
-    backward_two_task,
-    forward,
     init_network,
-    losses,
     remedy_layer,
     train,
 )
@@ -53,18 +55,74 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def _unit_pairs(aux, dom, bias_separate):
-    """The (aux, dom) GradientVector pairs of one trunk layer's units."""
+    """The (aux, dom) GradientVector pairs of one trunk layer's units; aux
+    and dom are (weights, bias) gradients."""
     if bias_separate:
-        parts = [(aux.weights, dom.weights), (aux.bias, dom.bias)]
+        parts = [(aux[0], dom[0]), (aux[1], dom[1])]
     else:
-        parts = [tuple(np.concatenate([g.weights.ravel(), g.bias]) for g in (aux, dom))]
+        parts = [tuple(np.concatenate([g[0].ravel(), g[1]]) for g in (aux, dom))]
     return [TaskGradients(GradientVector(a.ravel(), a.shape),
                           GradientVector(d.ravel(), d.shape)) for a, d in parts]
 
 
+def _forward(net, x):
+    """Each chain's activations: its input, then each layer's output."""
+    acts = {}
+    for name, chain in net.chains():
+        acts[name] = [acts["trunk"][-1] if acts else x]
+        for layer in chain:
+            z = acts[name][-1] @ layer.weights.T + layer.bias
+            acts[name].append(np.maximum(z, 0.0)
+                              if layer.activation is Activation.RELU else z)
+    return acts
+
+
+def _softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _losses(acts, clean, labels):
+    """(MSE, cross-entropy) of one batch."""
+    diff = acts["aux_head"][-1] - clean
+    logits = acts["dom_head"][-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(logits.shape[0]), labels]
+    return float(np.mean(diff * diff)), float(np.mean(log_z - picked))
+
+
+def _chain_backward(chain, acts, delta):
+    """Per-layer (weights, bias) gradients of one chain, and d(loss)/d(input)."""
+    grads = [None] * len(chain)
+    for i in range(len(chain) - 1, -1, -1):
+        layer = chain[i]
+        dz = (np.where(acts[i + 1] > 0.0, delta, 0.0)
+              if layer.activation is Activation.RELU else delta)
+        grads[i] = (dz.T @ acts[i], np.add.reduce(dz, axis=0))
+        delta = dz @ layer.weights
+    return grads, delta
+
+
+def _backward(net, acts, clean, labels, lam):
+    """One backward pass per task: ([(aux, dom) per trunk layer], head grads)."""
+    aux_out = acts["aux_head"][-1]
+    d_aux = (1.0 - lam) * 2.0 * (aux_out - clean) / aux_out.size
+    p = _softmax(acts["dom_head"][-1])
+    p[np.arange(p.shape[0]), labels] -= 1.0
+    d_dom = lam * p / p.shape[0]
+    heads, trunks = [], []
+    for head, delta in (("aux_head", d_aux), ("dom_head", d_dom)):
+        head_grads, delta = _chain_backward(getattr(net, head), acts[head], delta)
+        heads += head_grads
+        trunks.append(_chain_backward(net.trunk, acts["trunk"], delta)[0])
+    return list(zip(*trunks)), heads
+
+
 def _accuracy(net, batches):
-    correct = sum(int((forward(net, b.noisy).dom_logits.argmax(axis=1) == b.labels).sum())
-                  for b in batches)
+    correct = sum(int((_forward(net, b.noisy)["dom_head"][-1].argmax(axis=1)
+                       == b.labels).sum()) for b in batches)
     return correct / sum(len(b) for b in batches)
 
 
@@ -82,22 +140,22 @@ def reference_train(config: TrainConfig, data: TwoTaskDataset, net) -> TrainResu
             if config.warmup_steps:
                 lr *= min(1.0, (step + 1) / config.warmup_steps)
             batch = data.train_batch(config.batch_size, step)
-            cache = forward(net, batch.noisy)
-            bundle = losses(cache, batch.clean, batch.labels, config.lam)
-            grads = backward_two_task(net, cache, batch.clean, batch.labels, config.lam)
+            acts = _forward(net, batch.noisy)
+            loss_aux, loss_dom = _losses(acts, batch.clean, batch.labels)
+            trunk, heads = _backward(net, acts, batch.clean, batch.labels, config.lam)
 
             outcomes, layer_grads = [], []
-            for aux, dom in zip(grads.trunk_aux, grads.trunk_dom):
+            for aux, dom in trunk:
                 totals = []
                 for pair in _unit_pairs(aux, dom, config.bias_separate):
                     outcome = remedy_layer(pair, config.remedy)
                     outcomes.append(outcome)
                     totals.append(outcome.g_total.values)
                 total = np.concatenate(totals)
-                layer_grads += [total[:aux.weights.size].reshape(aux.weights.shape),
-                                total[aux.weights.size:]]
-            for g in grads.aux_head + grads.dom_head:
-                layer_grads += [g.weights, g.bias]
+                shape = aux[0].shape
+                layer_grads += [total[:aux[0].size].reshape(shape), total[aux[0].size:]]
+            for weights, bias in heads:
+                layer_grads += [weights, bias]
 
             for array, grad, (m, v) in zip(arrays, layer_grads, moments):
                 if config.optimizer is OptimizerKind.SGD:
@@ -121,8 +179,8 @@ def reference_train(config: TrainConfig, data: TwoTaskDataset, net) -> TrainResu
                 conflicting_post=sum(o.conflicting_post for o in outcomes),
                 wrongly_dominant=sum(o.wrongly_dominant_post for o in outcomes),
                 mean_phi_rad=sum(phis) / len(phis) if phis else math.nan,
-                loss_aux=bundle.loss_aux,
-                loss_dom=bundle.loss_dom,
+                loss_aux=loss_aux,
+                loss_dom=loss_dom,
             ))
         epochs.append(EpochStats.from_steps(
             steps[epoch * config.batches_per_epoch:], _accuracy(net, eval_set)))
