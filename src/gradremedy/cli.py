@@ -15,8 +15,6 @@ GRADREMEDY_OUT env var for the default output root. Angles are degrees on
 the command line and radians everywhere else.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -24,7 +22,6 @@ import os
 import shutil
 import statistics
 import sys
-import typing
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
@@ -135,7 +132,7 @@ _EXPECTED = {bool: "true or false", int: "an integer", float: "a number",
 def _load(raw: dict) -> tuple[ExperimentSpec, list[str]]:
     """The spec of raw's well-typed values, defaults elsewhere, plus an error
     for every unknown key and every value of the wrong type."""
-    kinds = typing.get_type_hints(ExperimentSpec)
+    kinds = {f.name: f.type for f in fields(ExperimentSpec)}
     unknown = sorted(set(raw) - set(kinds))
     errors = [f"unknown config keys: {', '.join(unknown)}"] if unknown else []
     data = {}
@@ -162,9 +159,9 @@ def _read_config(path: str) -> dict:
 
 
 def _write_json(value, path: str) -> None:
+    text = json.dumps(value, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="ascii") as out:
-        json.dump(value, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(text)
 
 
 def _typed(kind, value):
@@ -296,9 +293,11 @@ def parse_strategy_token(token: str) -> tuple[Strategy, float | None]:
 # --- argument parsing --------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    # Defaults are all None so a config file can tell "flag given" from
-    # "flag absent"; real defaults live on ExperimentSpec.
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every command takes, on a parser for parents=[...].
+    Defaults are all None so a config file can tell "flag given" from
+    "flag absent"; real defaults live on ExperimentSpec."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--name", help="experiment name (output subdirectory)")
     p.add_argument(
@@ -335,6 +334,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--template-scale", type=float, dest="template_scale")
     p.add_argument("--seeds", help="comma-separated, e.g. 1,2,3")
     p.add_argument("--out", dest="out_dir", help="output root directory")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,20 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-task gradient-surgery experiments on synthetic data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, blurb in (
-        ("run", "train one strategy across seeds"),
-        ("sweep", "train several strategies and compare"),
-        ("validate", "check a configuration without running it"),
-    ):
-        p = sub.add_parser(command, help=blurb)
-        _add_common_flags(p)
-        if command == "sweep":
-            p.add_argument(
-                "--strategies",
-                required=True,
-                help="comma-separated strategy tokens, "
-                "e.g. naive,pcgrad,fixed-theta:36deg,gradient-remedy",
-            )
+    common = [_common_flags()]
+    sub.add_parser("run", help="train one strategy across seeds", parents=common)
+    sweep = sub.add_parser("sweep", help="train several strategies and compare",
+                           parents=common)
+    sweep.add_argument(
+        "--strategies",
+        required=True,
+        help="comma-separated strategy tokens, "
+        "e.g. naive,pcgrad,fixed-theta:36deg,gradient-remedy",
+    )
+    sub.add_parser("validate", help="check a configuration without running it",
+                   parents=common)
     return parser
 
 

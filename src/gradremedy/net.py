@@ -97,7 +97,7 @@ class Network:
 
     def chains(self) -> list[tuple[str, list[Layer]]]:
         """(name, layers) of the trunk and each head, in field order."""
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, getattr(self, name)) for name in _CHAIN_NAMES]
 
     @property
     def in_dim(self) -> int:
@@ -107,6 +107,10 @@ class Network:
         """All layers with stable names like 'trunk[0]', for tests/optimizers."""
         return [(f"{name}[{i}]", layer)
                 for name, chain in self.chains() for i, layer in enumerate(chain)]
+
+
+# the trunk's and the heads' names, in Network's field order
+_CHAIN_NAMES = tuple(f.name for f in fields(Network))
 
 
 def network_errors(config) -> list[str]:
@@ -240,15 +244,15 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def _exp_and_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
+    logits: np.ndarray, labels: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """exp of the row-max-shifted logits, its row sums, and the mean
-    cross-entropy of softmax(logits) against the labels."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    cross-entropy of softmax(logits) against the labels; rows is
+    np.arange(batch)."""
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
     z = np.add.reduce(e, axis=1)
-    picked = shifted[np.arange(logits.shape[0]), labels]
-    return e, z, _mean(np.log(z) - picked)
+    return e, z, _mean(np.log(z) - shifted[rows, labels])
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -258,7 +262,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError(
             f"batch mismatch: {logits.shape[0]} logits vs {labels.shape[0]} labels"
         )
-    return _exp_and_cross_entropy(logits, labels)[2]
+    return _exp_and_cross_entropy(logits, labels, np.arange(logits.shape[0]))[2]
 
 
 def _loss_and_deltas(
@@ -287,9 +291,10 @@ def _loss_and_deltas(
     loss_aux = _mean(d_aux * d_aux)
     d_aux *= (1.0 - lam) * 2.0
     d_aux /= d_aux.size
-    d_dom, z, loss_dom = _exp_and_cross_entropy(cache.dom_logits, labels)
+    rows = np.arange(labels.shape[0])
+    d_dom, z, loss_dom = _exp_and_cross_entropy(cache.dom_logits, labels, rows)
     d_dom /= z[:, None]  # the softmax
-    d_dom[np.arange(d_dom.shape[0]), labels] -= 1.0
+    d_dom[rows, labels] -= 1.0
     d_dom *= lam
     d_dom /= d_dom.shape[0]
     bundle = LossBundle(
@@ -388,11 +393,14 @@ def _backward(
     stacked."""
     if cache.net is not net:
         raise ValueError("cache was produced by a different network")
+    acts = cache.acts
     trunk_delta = np.empty((2,) + cache.trunk_out.shape)
-    for row, (name, head), d in zip(trunk_delta, net.chains()[1:], (d_aux, d_dom)):
-        dz = _backward_chain(head, cache.acts[name], d, getattr(out, name))
+    for row, head, head_acts, d, grads in (
+            (trunk_delta[0], net.aux_head, acts["aux_head"], d_aux, out.aux_head),
+            (trunk_delta[1], net.dom_head, acts["dom_head"], d_dom, out.dom_head)):
+        dz = _backward_chain(head, head_acts, d, grads)
         np.matmul(dz, head[0].weights, out=row)
-    _backward_chain(net.trunk, cache.acts["trunk"], trunk_delta, out.trunk)
+    _backward_chain(net.trunk, acts["trunk"], trunk_delta, out.trunk)
     return out
 
 
@@ -468,13 +476,17 @@ def load_network(path: str) -> Network:
         raise ValueError(f"{path}: not a {_MAGIC!r} checkpoint")
     pos = 1
     chains: dict[str, list[Layer]] = {}
-    for expected in (f.name for f in fields(Network)):
+    for expected in _CHAIN_NAMES:
         try:
             chains[expected], pos = _read_chain(lines, pos, expected)
         except IndexError:
             raise ValueError(f"{path}: section {expected!r}: the file ends early") from None
         except ValueError as err:
             raise ValueError(f"{path}: section {expected!r}: {err}") from err
+    if pos < len(lines):
+        raise ValueError(
+            f"{path}: content follows the last section {expected!r} at line {pos + 1}"
+        )
     return Network(**chains)
 
 

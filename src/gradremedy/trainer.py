@@ -13,10 +13,11 @@ gradients into `tasks` and the head gradients into `total`. After one
 non-finite scan of `tasks`, the strategy runs on each surgery unit, a
 (start, stop) segment of the trunk layout: a whole trunk layer, or its
 weights and its bias as two units with bias_separate. It writes aux' + dom'
-into the unit's segment of `total`; one more scan of `total` and one
-optimizer call over the whole buffer end the step. Heads are updated with
-their own task's gradient, untouched by surgery. The parameter buffer is
-scanned once per epoch, before the held-out evaluation.
+into the unit's segment of `total`; one more scan of `total` (which under
+Adam also rejects entries above sqrt(float64 max), whose squares overflow)
+and one optimizer call over the whole buffer end the step. Heads are updated
+with their own task's gradient, untouched by surgery. The parameter buffer
+is scanned once per epoch, before the held-out evaluation.
 
 Each step's StepStats row is built from that step's unit outcomes, in unit
 order (StepStats.from_units):
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -57,6 +59,10 @@ from .synthdata import SampleBatch, TwoTaskDataset
 
 # what each row of a (2, ...) task-gradient array holds
 _TASK_GRADIENTS = ("auxiliary-task gradient", "dominant-task gradient")
+
+# the largest gradient entry Adam squares without overflowing to inf, which
+# would freeze that parameter silently
+_ADAM_LIMIT = math.sqrt(np.finfo(np.float64).max)
 
 
 class OptimizerKind(Enum):
@@ -264,18 +270,27 @@ class _Arena:
                       for _, _, a, b in self.places if b <= trunk_end]
 
     def check_finite(self, buffer: np.ndarray, what: str | None,
-                     epoch: int, batch: int) -> None:
+                     epoch: int, batch: int, adam: bool = False) -> None:
         """Raise ValueError naming what is non-finite, the place, the epoch
         and the batch of the first non-finite entry of buffer: a row of
         tasks (what names its gradient), params (what is "parameter") or
-        total (what is None: the place names the gradient)."""
-        if np.isfinite(buffer).all():
-            return
-        bad = int(np.flatnonzero(~np.isfinite(buffer))[0])
+        total (what is None: the place names the gradient). With adam, an
+        entry above _ADAM_LIMIT in magnitude fails the same way."""
+        if adam:
+            if np.maximum.reduce(np.abs(buffer)) <= _ADAM_LIMIT:  # false for nan
+                return
+            bad = int(np.flatnonzero(~(np.abs(buffer) <= _ADAM_LIMIT))[0])
+        else:
+            if np.isfinite(buffer).all():
+                return
+            bad = int(np.flatnonzero(~np.isfinite(buffer))[0])
         name, gradient, start, stop = next(p for p in self.places if p[2] <= bad < p[3])
+        value = buffer[bad]
+        problem = (f"non-finite {what or gradient}" if not math.isfinite(value)
+                   else f"{what or gradient} too large for Adam (above {_ADAM_LIMIT:.6g})")
         raise ValueError(
-            f"non-finite {what or gradient} in {name} at epoch {epoch}, "
-            f"batch {batch} (entry {bad - start} of {stop - start}: {buffer[bad]})"
+            f"{problem} in {name} at epoch {epoch}, "
+            f"batch {batch} (entry {bad - start} of {stop - start}: {value})"
         )
 
 
@@ -305,12 +320,14 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     are addressed by global step index, so there is no hidden RNG state.
     Aborts with a diagnostic naming epoch and batch if a loss goes
     non-finite (RuntimeError), and also the gradient and unit if a gradient
-    entry does, or the layer if a parameter does at the end of an epoch
-    (ValueError). numpy's overflow and invalid-value warnings are silenced
-    meanwhile: these checks turn every non-finite value into such an error.
+    entry does, or exceeds sqrt(float64 max) under Adam, which squares it,
+    or the layer if a parameter does at the end of an epoch (ValueError).
+    numpy's overflow and invalid-value warnings are silenced meanwhile:
+    these checks turn every non-finite value into such an error.
     """
     arena = _Arena(net, config.bias_separate)
-    opt = (SGD if config.optimizer is OptimizerKind.SGD else Adam)(config.learning_rate)
+    adam = config.optimizer is OptimizerKind.ADAM
+    opt = (Adam if adam else SGD)(config.learning_rate)
     remedy_cfg = config.remedy
     step_stats: list[StepStats] = []
     epoch_stats: list[EpochStats] = []
@@ -345,7 +362,7 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                 outcome = remedy_pair(g_aux, g_dom, remedy_cfg)
                 np.add(outcome.aux, outcome.dom, out=g_total)
                 outcomes.append(outcome)
-            arena.check_finite(arena.total, None, epoch, batch_idx)
+            arena.check_finite(arena.total, None, epoch, batch_idx, adam)
             opt.step(arena.params, arena.total)
 
             step_stats.append(StepStats.from_units(epoch, batch_idx, outcomes, bundle))
@@ -367,10 +384,14 @@ def write_csv(rows: list, kind: type, path: str) -> None:
     """One header line of kind's dataclass field names, then one line per
     record: floats as %.12g, everything else with str()."""
     names = [f.name for f in fields(kind)]
+    get = operator.attrgetter(*names)
+    lines = [",".join(names)]
+    if len(names) == 1:  # attrgetter of one name returns the bare value
+        lines += [_cell(get(row)) for row in rows]
+    else:
+        lines += [",".join(map(_cell, get(row))) for row in rows]
     with open(path, "w", encoding="ascii") as out:
-        out.write(",".join(names) + "\n")
-        for row in rows:
-            out.write(",".join(_cell(getattr(row, name)) for name in names) + "\n")
+        out.write("\n".join(lines) + "\n")
 
 
 def _cell(value) -> str:

@@ -1,5 +1,6 @@
 """CLI plumbing: config round-trips, validation, and run/sweep output trees."""
 
+import argparse
 import csv
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from gradremedy import OptimizerKind, RatioRule, RemedyConfig, Strategy, TrainConfig
 from gradremedy.cli import (
     ExperimentSpec,
+    build_parser,
     main,
     parse_strategy_token,
     validate,
@@ -195,6 +197,24 @@ def test_config_type_and_bound_errors_print_one_line_each(tmp_path, capsys):
     assert len(lines) == len(starts), lines
     for start in starts:
         assert sum(line.startswith(start) for line in lines) == 1, start
+
+
+def _flags(parser):
+    """{option string: (dest, default, type, choices)} of every flag parser takes."""
+    return {option: (a.dest, a.default, a.type, a.choices)
+            for a in parser._actions for option in a.option_strings}
+
+
+def test_every_command_takes_the_same_flags_and_sweep_adds_only_strategies():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == ["run", "sweep", "validate"]
+    run, sweep, check = (_flags(commands[c]) for c in ("run", "sweep", "validate"))
+    assert check == run
+    assert {k: v for k, v in sweep.items() if k != "--strategies"} == run
+    assert sweep["--strategies"] == ("strategies", None, None, None)
+    # every flag but --help defaults to None, so a config file can fill it
+    assert {v[1] for k, v in run.items() if k not in ("-h", "--help")} == {None}
 
 
 def test_validate_command_exit_codes(capsys):

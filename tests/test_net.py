@@ -220,8 +220,10 @@ def test_load_network_rejects_other_files(tmp_path):
         (lambda lines: lines[:-2], r"section 'dom_head': the file ends early"),
         (lambda lines: lines[:3] + [lines[3].rsplit(" ", 1)[0]] + lines[4:],
          r"section 'trunk': cannot reshape array of size 11 into shape \(3,4\)"),
+        (lambda lines: lines + ["trunk 1", "garbage"],
+         r"content follows the last section 'dom_head' at line 14"),
     ],
-    ids=["truncated", "weights-line-one-short"],
+    ids=["truncated", "weights-line-one-short", "trailing-content"],
 )
 def test_load_network_names_file_and_section_of_a_broken_checkpoint(
         tmp_path, break_lines, message):

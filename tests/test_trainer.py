@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gradremedy import (
     write_epochs_csv,
     write_steps_csv,
 )
+from gradremedy.trainer import write_csv
 
 DIM, CLASSES = 8, 3
 
@@ -211,6 +213,22 @@ def test_nonfinite_parameters_after_an_epoch_are_located_before_evaluation():
         train(config, make_dataset(template_scale=30.0), make_net())
 
 
+def _poison_epoch_1_batch_1(monkeypatch, poison, value):
+    """Have trainer._backward set entry 1 of poison(grads) to value on the
+    seventh step: epoch 1, batch 1 at five batches per epoch."""
+    real_backward = trainer_module._backward
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 7:
+            poison(grads).flat[1] = value
+        return grads
+
+    monkeypatch.setattr(trainer_module, "_backward", poisoned)
+
+
 @pytest.mark.parametrize(
     "bias_separate, poison, message",
     [
@@ -224,19 +242,29 @@ def test_nonfinite_parameters_after_an_epoch_are_located_before_evaluation():
 def test_nonfinite_gradient_names_task_unit_epoch_and_batch(
     monkeypatch, bias_separate, poison, message
 ):
-    real_backward = trainer_module._backward
-    calls = []
-
-    def poisoned(*args, **kwargs):
-        grads = real_backward(*args, **kwargs)
-        calls.append(None)
-        if len(calls) == 7:  # epoch 1, batch 1 at five batches per epoch
-            poison(grads).flat[1] = np.inf
-        return grads
-
-    monkeypatch.setattr(trainer_module, "_backward", poisoned)
+    _poison_epoch_1_batch_1(monkeypatch, poison, np.inf)
     with pytest.raises(ValueError, match=message + "at epoch 1, batch 1"):
         train(tiny_config(bias_separate=bias_separate), make_dataset(), make_net())
+
+
+@pytest.mark.parametrize(
+    "poison, message",
+    [
+        (lambda g: g.trunk_dom[1].bias, r"post-surgery total gradient too large for Adam "
+                                        r"\(above 1\.34078e\+154\) in trunk\[1\] "),
+        (lambda g: g.aux_head[0].weights, r"auxiliary-task gradient too large for Adam "
+                                          r"\(above 1\.34078e\+154\) in aux_head\[0\] "),
+    ],
+    ids=["trunk", "head"],
+)
+def test_gradient_too_large_for_adam_names_gradient_unit_epoch_and_batch(
+    monkeypatch, poison, message
+):
+    # Adam squares each entry: 1e160 would overflow v to inf and freeze the
+    # parameter while every value stays finite
+    _poison_epoch_1_batch_1(monkeypatch, poison, 1e160)
+    with pytest.raises(ValueError, match=message + r"at epoch 1, batch 1 \(entry "):
+        train(tiny_config(optimizer=OptimizerKind.ADAM), make_dataset(), make_net())
 
 
 def _reference_adam_steps(params, grads_per_step, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -360,3 +388,42 @@ def test_epochs_csv_format(tmp_path):
     )
     assert len(lines) == 1 + 2
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1"]
+
+
+@dataclass(frozen=True)
+class _Cells:
+    not_a_number: float
+    infinite: float
+    negative_zero: float
+    tiny: float
+    long: float
+    count: int
+    flag: bool
+    missing: object
+    label: str
+
+
+def test_write_csv_formats_floats_as_12g_and_everything_else_with_str(tmp_path):
+    path = tmp_path / "cells.csv"
+    rows = [
+        _Cells(math.nan, math.inf, -0.0, 1e-300, 123456789.123456789, 7, True, None, "x y"),
+        _Cells(np.float64(0.1), -math.inf, 0.0, 2.5, 1e22, np.int64(-3), False, (), ""),
+    ]
+    write_csv(rows, _Cells, str(path))
+    assert path.read_text(encoding="ascii") == (
+        "not_a_number,infinite,negative_zero,tiny,long,count,flag,missing,label\n"
+        "nan,inf,-0,1e-300,123456789.123,7,True,None,x y\n"
+        "0.1,-inf,0,2.5,1e+22,-3,False,(),\n"
+    )
+
+
+def test_write_csv_writes_one_column_records_and_empty_record_lists(tmp_path):
+    @dataclass
+    class One:
+        value: float
+
+    path = tmp_path / "one.csv"
+    write_csv([One(1 / 3), One(2.0)], One, str(path))
+    assert path.read_text(encoding="ascii") == "value\n0.333333333333\n2\n"
+    write_csv([], _Cells, str(path))
+    assert path.read_text(encoding="ascii") == ",".join(f.name for f in fields(_Cells)) + "\n"
