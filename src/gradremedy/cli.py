@@ -9,19 +9,22 @@ A run executes the training harness once per seed and leaves on disk:
         seed<k>/metrics.json   final metrics for the seed
         summary.csv            one row per strategy
 
-`sweep` repeats that for several strategies under one root. Configuration
+`sweep` repeats that for several strategies under one root. Both write into
+a fresh sibling, `<out>/.<name>.XXXX`, which replaces `<out>/<name>` whole
+once every file is written and is removed if anything fails. Configuration
 comes from flags, an optional JSON config file (flags win), and the
 GRADREMEDY_OUT env var for the default output root. Angles are degrees on
-the command line and radians everywhere else.
+the command line, given once (`fixed-theta:NNdeg` or --fixed-theta), and
+radians everywhere else.
 """
 
 import argparse
 import json
 import math
 import os
-import shutil
 import statistics
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
@@ -186,6 +189,8 @@ def validate(spec: ExperimentSpec) -> list[str]:
     ),))
     if not spec.seeds:
         errors.append("at least one seed is required")
+    if any(seed < 0 for seed in spec.seeds):
+        errors.append(f"seeds: each seed must be >= 0 (got {list(spec.seeds)})")
     if len(set(spec.seeds)) < len(spec.seeds):
         errors.append(f"seeds: each seed may appear once (got {list(spec.seeds)})")
     errors += remedy_config_errors(spec)
@@ -209,17 +214,8 @@ class SummaryRow:
 
 
 def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
-    os.makedirs(seed_dir, exist_ok=True)
-    try:
-        return _run_one_seed_inner(spec, seed, seed_dir)
-    except Exception:
-        # half-written seed directories are worse than absent ones
-        shutil.rmtree(seed_dir, ignore_errors=True)
-        raise
-
-
-def _run_one_seed_inner(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
     """Train one seed, write its files, and return its metrics.json dict."""
+    os.mkdir(seed_dir)
     net = init_network(
         seed=seed,
         in_dim=spec.dim,
@@ -288,6 +284,14 @@ def parse_strategy_token(token: str) -> tuple[Strategy, float | None]:
     if not angle.endswith("deg"):
         raise ValueError(f"angle suffix must end in 'deg', got {token!r}")
     return strategy, math.radians(float(angle[: -len("deg")]))
+
+
+def _parse_token(token: str, args: argparse.Namespace) -> tuple[Strategy, float | None]:
+    """parse_strategy_token, refusing an angle that --fixed-theta gives too."""
+    strategy, theta = parse_strategy_token(token)
+    if theta is not None and args.fixed_theta_deg is not None:
+        raise ValueError(f"{token!r} and --fixed-theta both give an angle; give one")
+    return strategy, theta
 
 
 # --- argument parsing --------------------------------------------------------
@@ -389,7 +393,7 @@ def _spec_from_args(args: argparse.Namespace) -> tuple[ExperimentSpec, list[str]
         if value is not None and key not in ("strategy", "seeds", "trunk_widths"):
             overrides[key] = value
     if args.strategy is not None:
-        strategy, theta = parse_strategy_token(args.strategy)
+        strategy, theta = _parse_token(args.strategy, args)
         overrides["strategy"] = strategy.value
         if theta is not None:
             overrides["fixed_theta"] = theta
@@ -426,7 +430,7 @@ def _strategy_runs(
         return [], [str(err)]
     for token in tokens:
         try:
-            strategy, theta = parse_strategy_token(token)
+            strategy, theta = _parse_token(token, args)
         except ValueError as err:
             errors.append(str(err))
             continue
@@ -463,22 +467,25 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     exp_dir = os.path.join(spec.out_dir, spec.name)
-    existed = os.path.isdir(exp_dir)
     rows = []
     try:
-        # run_strategy writes each strategy's config.json; a sweep also
-        # keeps its base spec at the root
-        if args.command == "sweep":
-            os.makedirs(exp_dir, exist_ok=True)
-            spec.save_json(os.path.join(exp_dir, "config.json"))
-        for label, child, subdir in runs:
-            print(f"{args.command} {spec.name}: strategy={label}")
-            rows.append(run_strategy(child, os.path.join(exp_dir, subdir), label))
-        write_csv(rows, SummaryRow, os.path.join(exp_dir, "summary.csv"))
+        os.makedirs(spec.out_dir, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=f".{spec.name}.",
+                                         dir=spec.out_dir) as stage:
+            new_dir = os.path.join(stage, "new")
+            # run_strategy writes each strategy's config.json; a sweep also
+            # keeps its base spec at the root
+            if args.command == "sweep":
+                os.mkdir(new_dir)
+                spec.save_json(os.path.join(new_dir, "config.json"))
+            for label, child, subdir in runs:
+                print(f"{args.command} {spec.name}: strategy={label}")
+                rows.append(run_strategy(child, os.path.join(new_dir, subdir), label))
+            write_csv(rows, SummaryRow, os.path.join(new_dir, "summary.csv"))
+            if os.path.isdir(exp_dir):  # the earlier run is removed with the stage
+                os.rename(exp_dir, os.path.join(stage, "old"))
+            os.rename(new_dir, exp_dir)
     except Exception as err:  # noqa: BLE001 - CLI boundary
-        # never leave half-written run directories behind
-        if not existed and os.path.isdir(exp_dir):
-            shutil.rmtree(exp_dir, ignore_errors=True)
         print(f"error: {err}", file=sys.stderr)
         return 1
     print(f"wrote {exp_dir}")

@@ -8,7 +8,9 @@ One pass computes both losses and both loss-weighted head deltas.
 the trunk once with the two tasks' deltas stacked as (2, batch, width), so
 each trunk layer ends up with two separate, loss-weighted gradients — the
 raw material for gradient surgery — as the two rows of one array. Heads
-only ever receive their own task's gradient.
+only ever receive their own task's gradient. `backward_two_task` always
+allocates fresh gradient arrays; the trainer instead writes through
+`_backward` into its own flat buffers.
 
 Everything is plain float64 numpy; batches are (batch, dim) matrices.
 """
@@ -98,10 +100,6 @@ class Network:
     def chains(self) -> list[tuple[str, list[Layer]]]:
         """(name, layers) of the trunk and each head, in field order."""
         return [(name, getattr(self, name)) for name in _CHAIN_NAMES]
-
-    @property
-    def in_dim(self) -> int:
-        return self.trunk[0].in_dim
 
     def named_layers(self) -> list[tuple[str, Layer]]:
         """All layers with stable names like 'trunk[0]', for tests/optimizers."""
@@ -235,36 +233,6 @@ def _mean(x: np.ndarray) -> float:
     return float(np.add.reduce(x, axis=None) / x.size)
 
 
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over every element of the batch."""
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return _mean(diff * diff)
-
-
-def _exp_and_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """exp of the row-max-shifted logits, its row sums, and the mean
-    cross-entropy of softmax(logits) against the labels; rows is
-    np.arange(batch)."""
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    z = np.add.reduce(e, axis=1)
-    return e, z, _mean(np.log(z) - shifted[rows, labels])
-
-
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of softmax(logits) against integer class labels."""
-    labels = np.asarray(labels)
-    if logits.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"batch mismatch: {logits.shape[0]} logits vs {labels.shape[0]} labels"
-        )
-    return _exp_and_cross_entropy(logits, labels, np.arange(logits.shape[0]))[2]
-
-
 def _loss_and_deltas(
     cache: ForwardCache,
     targets_clean: np.ndarray,
@@ -292,7 +260,11 @@ def _loss_and_deltas(
     d_aux *= (1.0 - lam) * 2.0
     d_aux /= d_aux.size
     rows = np.arange(labels.shape[0])
-    d_dom, z, loss_dom = _exp_and_cross_entropy(cache.dom_logits, labels, rows)
+    logits = cache.dom_logits
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    d_dom = np.exp(shifted)  # normalized in place below
+    z = np.add.reduce(d_dom, axis=1)
+    loss_dom = _mean(np.log(z) - shifted[rows, labels])
     d_dom /= z[:, None]  # the softmax
     d_dom[rows, labels] -= 1.0
     d_dom *= lam
@@ -410,26 +382,21 @@ def backward_two_task(
     targets_clean: np.ndarray,
     labels: np.ndarray,
     lam: float,
-    out: TwoTaskGradients | None = None,
 ) -> TwoTaskGradients:
     """Each task's gradient at every layer, with one trunk walk for both.
 
     The loss weights are folded in here: the auxiliary task propagates
     (1-lam)*d(MSE), the dominant task lam*d(CE). Surgery downstream
     therefore sees exactly the gradients that would otherwise be summed.
-
-    With `out`, every gradient is written into its arrays (the trainer's
-    buffer views) and `out` is returned; otherwise one (2, trunk size)
-    array holds the trunk's and fresh arrays the heads'.
+    One fresh (2, trunk size) array holds the trunk's gradients and fresh
+    arrays the heads'.
     """
     _, d_aux, d_dom = _loss_and_deltas(cache, targets_clean, labels, lam)
-    if out is None:
-        out = TwoTaskGradients(
-            trunk=layer_views(np.empty((2, chain_size(net.trunk))), net.trunk),
-            aux_head=layer_views(np.empty(chain_size(net.aux_head)), net.aux_head),
-            dom_head=layer_views(np.empty(chain_size(net.dom_head)), net.dom_head),
-        )
-    return _backward(net, cache, d_aux, d_dom, out)
+    return _backward(net, cache, d_aux, d_dom, TwoTaskGradients(
+        trunk=layer_views(np.empty((2, chain_size(net.trunk))), net.trunk),
+        aux_head=layer_views(np.empty(chain_size(net.aux_head)), net.aux_head),
+        dom_head=layer_views(np.empty(chain_size(net.dom_head)), net.dom_head),
+    ))
 
 
 # --- checkpoint format -------------------------------------------------------

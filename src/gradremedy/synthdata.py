@@ -1,10 +1,11 @@
 """Seeded synthetic two-task data: denoise a vector, classify its source.
 
 Each sample starts from one of a few fixed class templates (random unit
-vectors kept at least a configurable angle apart), gets small intra-class
-jitter, and is then buried in Gaussian noise scaled so the batch hits the
-requested signal-to-noise ratio exactly. The clean vector is the auxiliary
-regression target; the originating class is the dominant-task label.
+vectors kept at least ANGLE_FLOOR_DEG, a fixed 45 degrees, apart), gets
+small intra-class jitter, and is then buried in Gaussian noise scaled so
+the batch hits the requested, finite signal-to-noise ratio exactly. The
+clean vector is the auxiliary regression target; the originating class is
+the dominant-task label.
 
 Reproducibility: every random draw is keyed through numpy SeedSequence
 tuples — (seed, 0) for templates, (seed, 1, i) for training batch i,
@@ -22,7 +23,7 @@ import numpy as np
 
 from .surgery import bound_errors, raise_if_any
 
-DEFAULT_ANGLE_FLOOR_DEG = 45.0
+ANGLE_FLOOR_DEG = 45.0  # the least pairwise angle between class templates
 
 _TEMPLATE_STREAM = 0
 _TRAIN_STREAM = 1
@@ -37,21 +38,17 @@ def dataset_errors(config) -> list[str]:
         ("num_classes", lambda n: n >= 2, "num_classes must be >= 2"),
         ("jitter_std", lambda s: s >= 0.0, "jitter_std must be >= 0"),
         ("template_scale", lambda s: s > 0.0, "template_scale must be positive"),
+        ("snr_db", math.isfinite, "snr_db must be finite"),
     ))
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """One batch of (noisy input, clean target, class label) triples.
-
-    snr_db records the target ratio the noise was scaled to; the realized
-    batch value (see realized_snr_db) matches it to float rounding.
-    """
+    """One batch of (noisy input, clean target, class label) triples."""
 
     noisy: np.ndarray
     clean: np.ndarray
     labels: np.ndarray
-    snr_db: float
 
     def __post_init__(self):
         if self.noisy.shape != self.clean.shape:
@@ -81,10 +78,9 @@ def class_templates(
     seed: int,
     num_classes: int,
     dim: int,
-    angle_floor_deg: float = DEFAULT_ANGLE_FLOOR_DEG,
     max_tries: int = 100_000,
 ) -> np.ndarray:
-    """Random unit vectors with every pairwise angle >= angle_floor_deg.
+    """Random unit vectors with every pairwise angle >= ANGLE_FLOOR_DEG.
 
     Rejection sampling from an isotropic Gaussian; deterministic in seed.
     Raises if the floor cannot be met within max_tries draws (too many
@@ -94,7 +90,7 @@ def class_templates(
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((seed, _TEMPLATE_STREAM)))
     )
-    cos_ceiling = math.cos(math.radians(angle_floor_deg))
+    cos_ceiling = math.cos(math.radians(ANGLE_FLOOR_DEG))
     accepted: list[np.ndarray] = []
     for _ in range(max_tries):
         v = rng.standard_normal(dim)
@@ -105,7 +101,7 @@ def class_templates(
                 return np.array(accepted)
     raise ValueError(
         f"could not place {num_classes} templates in dim {dim} with pairwise "
-        f"angle >= {angle_floor_deg} deg after {max_tries} draws"
+        f"angle >= {ANGLE_FLOOR_DEG} deg after {max_tries} draws"
     )
 
 
@@ -118,14 +114,13 @@ class TwoTaskDataset:
     dim: int
     snr_db: float
     jitter_std: float = 0.05
-    angle_floor_deg: float = DEFAULT_ANGLE_FLOOR_DEG
     template_scale: float = 1.0
     templates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raise_if_any(dataset_errors(self))
         self.templates = self.template_scale * class_templates(
-            self.seed, self.num_classes, self.dim, self.angle_floor_deg
+            self.seed, self.num_classes, self.dim
         )
 
     def _batch(self, batch_size: int, stream: int, index: int) -> SampleBatch:
@@ -143,7 +138,7 @@ class TwoTaskDataset:
         target_noise_norm = math.sqrt(np.vdot(clean, clean)) / 10.0 ** (self.snr_db / 20.0)
         noisy *= target_noise_norm / math.sqrt(np.vdot(noisy, noisy))
         noisy += clean
-        return SampleBatch(noisy=noisy, clean=clean, labels=labels, snr_db=self.snr_db)
+        return SampleBatch(noisy=noisy, clean=clean, labels=labels)
 
     def train_batch(self, batch_size: int, index: int) -> SampleBatch:
         """Training batch number `index` (any order, same result)."""

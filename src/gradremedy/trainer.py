@@ -193,12 +193,12 @@ class SGD:
 class Adam:
     """Standard Adam with bias correction over one parameter buffer."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._t = 0

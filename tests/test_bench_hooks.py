@@ -7,6 +7,8 @@ wraps TwoTaskDataset.train_batch. Losing one of them fails every benchmark
 call, so each must exist and run.
 """
 
+import shutil
+
 import numpy as np
 
 import gradremedy
@@ -31,3 +33,17 @@ def test_backend_dataset_and_cli_hooks_exist_and_run(capsys):
     assert batch.labels.shape == (5,)
     assert gradremedy.cli.main(["validate"]) == 0
     assert capsys.readouterr().out == "ok\n"
+
+
+def test_run_leaves_only_its_named_directory_under_out(tmp_path):
+    # the benchmark reads and then deletes <out>/call after every call
+    small = ["--epochs", "1", "--batches-per-epoch", "2", "--batch-size", "4",
+             "--dim", "3", "--classes", "2", "--trunk-widths", "4", "--seeds", "1",
+             "--out", str(tmp_path)]
+    assert gradremedy.cli.main(["run", "--name", "call", *small]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["call"]
+    shutil.rmtree(tmp_path / "call")
+    diverging = ["--optimizer", "sgd", "--lr", "1000", "--template-scale", "30"]
+    assert gradremedy.cli.main(["run", "--name", "call", *small, *diverging,
+                                "--batches-per-epoch", "6"]) == 1
+    assert list(tmp_path.iterdir()) == []

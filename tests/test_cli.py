@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import statistics
@@ -10,7 +11,9 @@ from dataclasses import fields
 
 import pytest
 
-from gradremedy import OptimizerKind, RatioRule, RemedyConfig, Strategy, TrainConfig
+from gradremedy import (
+    OptimizerKind, RatioRule, RemedyConfig, Strategy, TrainConfig, train,
+)
 from gradremedy.cli import (
     ExperimentSpec,
     build_parser,
@@ -120,6 +123,8 @@ def test_validate_reports_each_broken_bound_once():
         "trunk_widths": (),
         "jitter_std": -0.5,
         "template_scale": 0.0,
+        "snr_db": math.inf,
+        "seeds": (3, -1),
     }
     errors = validate(ExperimentSpec(**broken))
     assert len(errors) == len(broken)
@@ -156,6 +161,13 @@ MALFORMED = {
     "trailing-comma-seed": ["--seeds", "3,"],
     "empty-trunk-width": ["--trunk-widths", "8,,8"],
     "empty-strategy-token": ["--strategies", "naive,,pcgrad"],
+    "negative-seed": ["--seeds", "2,-1"],
+    "snr-nan": ["--snr-db", "nan"],
+    "snr-inf": ["--snr-db", "inf"],
+    "snr-minus-inf": ["--snr-db=-inf"],
+    "angle-twice": ["--strategy", "fixed-theta:20deg", "--fixed-theta", "60"],
+    "token-angle-twice": ["--strategies", "naive,fixed-theta:20deg",
+                          "--fixed-theta", "60"],
 }
 
 
@@ -373,3 +385,46 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
     assert code == 0
     assert (explicit / "where" / "summary.csv").is_file()
     assert not (tmp_path / "ignored").exists()
+
+
+def _hashes(root):
+    """{relative path: sha256} of every file under root."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_failed_rerun_leaves_the_earlier_run_whole(tmp_path, monkeypatch, capsys):
+    argv = ["run", "--name", "x", "--out", str(tmp_path), *FAST, "--seeds", "1,2"]
+    assert main(argv) == 0
+    before = _hashes(tmp_path)
+    assert "x/seed2/steps.csv" in before
+
+    def train_failing_on_seed_2(config, data, net):
+        if data.seed == 2:
+            raise RuntimeError("seed 2 fails")
+        return train(config, data, net)
+
+    monkeypatch.setattr("gradremedy.cli.train", train_failing_on_seed_2)
+    capsys.readouterr()
+    assert main([*argv, "--lr", "0.01"]) == 1
+    assert capsys.readouterr().err == "error: seed 2 fails\n"
+    assert _hashes(tmp_path) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x"]
+
+
+def test_rerun_replaces_the_earlier_run_whole(tmp_path):
+    argv = ["run", "--name", "x", "--out", str(tmp_path), *FAST]
+    assert main([*argv, "--seeds", "1,2"]) == 0
+    assert main([*argv, "--seeds", "2"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["x"]
+    assert sorted(p.name for p in (tmp_path / "x").iterdir()) == [
+        "config.json", "seed2", "summary.csv"]
+
+
+def test_run_onto_a_regular_file_fails_and_keeps_it(tmp_path, capsys):
+    (tmp_path / "x").write_text("mine")
+    assert main(["run", "--name", "x", "--out", str(tmp_path), *FAST]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert [p.name for p in tmp_path.iterdir()] == ["x"]
+    assert (tmp_path / "x").read_text() == "mine"

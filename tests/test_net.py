@@ -19,7 +19,6 @@ from gradremedy import (
     losses,
     save_network,
 )
-from gradremedy.net import mse_loss, softmax_cross_entropy
 
 
 def small_net(seed=0):
@@ -89,19 +88,22 @@ def test_forward_matches_hand_computation():
 
 
 def test_losses_against_plain_formulas():
-    rng = np.random.Generator(np.random.PCG64(5))
-    pred = rng.standard_normal((6, 4))
-    target = rng.standard_normal((6, 4))
-    assert mse_loss(pred, target) == pytest.approx(
-        float(((pred - target) ** 2).mean()), rel=1e-15
+    net = small_net()
+    net.dom_head[0].weights *= 1e4
+    x, clean, labels = small_batch(batch=6)
+    cache = forward(net, x)
+    # exp of the unshifted logits would overflow: the max shift must hold
+    assert cache.dom_logits.max() > math.log(np.finfo(np.float64).max)
+    bundle = losses(cache, clean, labels, 0.7)
+    assert bundle.loss_aux == pytest.approx(
+        float(((cache.aux_out - clean) ** 2).mean()), rel=1e-15
     )
-    logits = 10.0 * rng.standard_normal((6, 5))
-    labels = rng.integers(0, 5, size=6)
+    logits = cache.dom_logits
     # independent reduction via scipy's logsumexp
     expected = float(
         np.mean(logsumexp(logits, axis=1) - logits[np.arange(6), labels])
     )
-    assert softmax_cross_entropy(logits, labels) == pytest.approx(expected, rel=1e-12)
+    assert bundle.loss_dom == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_bundle_weighting():

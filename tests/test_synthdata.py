@@ -12,7 +12,7 @@ from gradremedy.synthdata import class_templates, nearest_template_labels
 
 
 def test_templates_are_unit_norm_with_angle_floor():
-    t = class_templates(seed=0, num_classes=5, dim=16, angle_floor_deg=45.0)
+    t = class_templates(seed=0, num_classes=5, dim=16)
     assert t.shape == (5, 16)
     np.testing.assert_allclose(np.linalg.norm(t, axis=1), 1.0, rtol=1e-12)
     ceiling = math.cos(math.radians(45.0))
@@ -146,6 +146,9 @@ def test_dataset_validates_arguments():
         TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=0.0, jitter_std=-0.1)
     with pytest.raises(ValueError, match="template_scale"):
         TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=0.0, template_scale=0.0)
+    for snr_db in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=snr_db)
     data = TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=0.0)
     with pytest.raises(ValueError, match="batch_size"):
         data.train_batch(0, 0)
