@@ -43,7 +43,6 @@ from .trainer import (
     TrainResult,
     evaluate,
     train,
-    write_epochs_csv,
     write_steps_csv,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "TrainResult",
     "evaluate",
     "train",
-    "write_epochs_csv",
     "write_steps_csv",
     "__version__",
 ]

@@ -15,7 +15,9 @@ once every file is written and is removed if anything fails. Configuration
 comes from flags, an optional JSON config file (flags win), and the
 GRADREMEDY_OUT env var for the default output root. Angles are degrees on
 the command line, given once (`fixed-theta:NNdeg` or --fixed-theta), and
-radians everywhere else.
+radians everywhere else. A config file's fixed_theta is the base angle, not
+a second one: a token's angle overrides it in the token's subdirectory, so
+a sweep reruns from its root config.json.
 """
 
 import argparse
@@ -121,8 +123,8 @@ class ExperimentSpec:
     def remedy_config(self) -> RemedyConfig:
         return self._build(RemedyConfig)
 
-    def train_config(self, seed: int) -> TrainConfig:
-        return self._build(TrainConfig, remedy=self.remedy_config(), seed=seed)
+    def train_config(self) -> TrainConfig:
+        return self._build(TrainConfig, remedy=self.remedy_config())
 
     def dataset(self, seed: int) -> TwoTaskDataset:
         return self._build(TwoTaskDataset, seed=seed)
@@ -222,7 +224,7 @@ def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
         trunk_widths=spec.trunk_widths,
         num_classes=spec.num_classes,
     )
-    result = train(spec.train_config(seed), spec.dataset(seed), net)
+    result = train(spec.train_config(), spec.dataset(seed), net)
     write_csv(result.step_stats, StepStats, os.path.join(seed_dir, "steps.csv"))
     write_csv(result.epoch_stats, EpochStats, os.path.join(seed_dir, "epochs.csv"))
     final = result.epoch_stats[-1]

@@ -66,13 +66,6 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.noisy.shape[0]
 
-    def realized_snr_db(self) -> float:
-        """Empirical 10*log10(||clean||^2 / ||noise||^2) over the batch."""
-        noise = self.noisy - self.clean
-        signal_power = float(np.sum(self.clean * self.clean))
-        noise_power = float(np.sum(noise * noise))
-        return 10.0 * math.log10(signal_power / noise_power)
-
 
 def class_templates(
     seed: int,
@@ -155,13 +148,4 @@ def generate(
     """One-shot convenience: first training batch of a fresh dataset."""
     data = TwoTaskDataset(seed=seed, num_classes=num_classes, dim=dim, snr_db=snr_db)
     return data.train_batch(batch, 0)
-
-
-def nearest_template_labels(
-    vectors: np.ndarray, templates: np.ndarray
-) -> np.ndarray:
-    """Classify rows by Euclidean distance to the nearest template."""
-    # (n, 1, d) - (1, c, d) is fine at desk scale
-    d2 = ((vectors[:, None, :] - templates[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
 

@@ -60,9 +60,12 @@ from .synthdata import SampleBatch, TwoTaskDataset
 # what each row of a (2, ...) task-gradient array holds
 _TASK_GRADIENTS = ("auxiliary-task gradient", "dominant-task gradient")
 
+# the largest finite magnitude: above it, only nan and +-inf
+_FLOAT64_MAX = np.finfo(np.float64).max
+
 # the largest gradient entry Adam squares without overflowing to inf, which
 # would freeze that parameter silently
-_ADAM_LIMIT = math.sqrt(np.finfo(np.float64).max)
+_ADAM_LIMIT = math.sqrt(_FLOAT64_MAX)
 
 
 class OptimizerKind(Enum):
@@ -100,7 +103,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     optimizer: OptimizerKind = OptimizerKind.ADAM
-    seed: int = 0
     bias_separate: bool = False
     warmup_steps: int = 0
     eval_batches: int = 4
@@ -270,24 +272,20 @@ class _Arena:
                       for _, _, a, b in self.places if b <= trunk_end]
 
     def check_finite(self, buffer: np.ndarray, what: str | None,
-                     epoch: int, batch: int, adam: bool = False) -> None:
-        """Raise ValueError naming what is non-finite, the place, the epoch
-        and the batch of the first non-finite entry of buffer: a row of
-        tasks (what names its gradient), params (what is "parameter") or
-        total (what is None: the place names the gradient). With adam, an
-        entry above _ADAM_LIMIT in magnitude fails the same way."""
-        if adam:
-            if np.maximum.reduce(np.abs(buffer)) <= _ADAM_LIMIT:  # false for nan
-                return
-            bad = int(np.flatnonzero(~(np.abs(buffer) <= _ADAM_LIMIT))[0])
-        else:
-            if np.isfinite(buffer).all():
-                return
-            bad = int(np.flatnonzero(~np.isfinite(buffer))[0])
+                     epoch: int, batch: int, limit: float = _FLOAT64_MAX) -> None:
+        """Raise ValueError naming what is wrong, the place, the epoch and
+        the batch of the first entry of buffer that is not at most limit in
+        magnitude: a row of tasks (what names its gradient), params (what is
+        "parameter") or total (what is None: the place names the gradient).
+        At the default limit that is exactly the nan and +-inf entries;
+        under Adam, train() passes _ADAM_LIMIT."""
+        if np.maximum.reduce(np.abs(buffer)) <= limit:  # false for nan
+            return
+        bad = int(np.flatnonzero(~(np.abs(buffer) <= limit))[0])
         name, gradient, start, stop = next(p for p in self.places if p[2] <= bad < p[3])
         value = buffer[bad]
         problem = (f"non-finite {what or gradient}" if not math.isfinite(value)
-                   else f"{what or gradient} too large for Adam (above {_ADAM_LIMIT:.6g})")
+                   else f"{what or gradient} too large for Adam (above {limit:.6g})")
         raise ValueError(
             f"{problem} in {name} at epoch {epoch}, "
             f"batch {batch} (entry {bad - start} of {stop - start}: {value})"
@@ -311,10 +309,27 @@ class TrainResult:
     mean_r_applied: float | None = None
 
 
+def _fit_errors(net: Network, data: TwoTaskDataset) -> list[str]:
+    """An error for each outer width of the net that the dataset does not
+    match: the trunk's input and the aux head's output against dim, the dom
+    head's output against num_classes."""
+    widths = (
+        ("trunk[0] takes inputs of width", net.trunk[0].in_dim, "dim", data.dim),
+        (f"aux_head[{len(net.aux_head) - 1}] emits", net.aux_head[-1].out_dim,
+         "dim", data.dim),
+        (f"dom_head[{len(net.dom_head) - 1}] emits", net.dom_head[-1].out_dim,
+         "num_classes", data.num_classes),
+    )
+    return [f"{layer} {width}, but the dataset has {name} {want}"
+            for layer, width, name, want in widths if width != want]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResult:
     """Run the full schedule, mutating `net` in place; its layer arrays end
-    up as views of one parameter buffer (see the module docstring).
+    up as views of one parameter buffer (see the module docstring). A net
+    whose input or output widths do not fit the dataset is refused first
+    (ValueError naming each such layer), with its arrays untouched.
 
     Deterministic given (config, dataset seed, initial parameters): batches
     are addressed by global step index, so there is no hidden RNG state.
@@ -325,9 +340,11 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     numpy's overflow and invalid-value warnings are silenced meanwhile:
     these checks turn every non-finite value into such an error.
     """
+    raise_if_any(_fit_errors(net, data))
     arena = _Arena(net, config.bias_separate)
     adam = config.optimizer is OptimizerKind.ADAM
     opt = (Adam if adam else SGD)(config.learning_rate)
+    limit = _ADAM_LIMIT if adam else _FLOAT64_MAX
     remedy_cfg = config.remedy
     step_stats: list[StepStats] = []
     epoch_stats: list[EpochStats] = []
@@ -362,7 +379,7 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                 outcome = remedy_pair(g_aux, g_dom, remedy_cfg)
                 np.add(outcome.aux, outcome.dom, out=g_total)
                 outcomes.append(outcome)
-            arena.check_finite(arena.total, None, epoch, batch_idx, adam)
+            arena.check_finite(arena.total, None, epoch, batch_idx, limit)
             opt.step(arena.params, arena.total)
 
             step_stats.append(StepStats.from_units(epoch, batch_idx, outcomes, bundle))
@@ -400,7 +417,3 @@ def _cell(value) -> str:
 
 def write_steps_csv(steps: list[StepStats], path: str) -> None:
     write_csv(steps, StepStats, path)
-
-
-def write_epochs_csv(epochs: list[EpochStats], path: str) -> None:
-    write_csv(epochs, EpochStats, path)

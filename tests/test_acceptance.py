@@ -318,7 +318,7 @@ def _run(spec: ExperimentSpec, seed: int):
         trunk_widths=spec.trunk_widths,
         num_classes=spec.num_classes,
     )
-    return train(spec.train_config(seed), spec.dataset(seed), net)
+    return train(spec.train_config(), spec.dataset(seed), net)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import json
 import math
 import statistics
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -58,10 +58,10 @@ def test_spec_json_round_trip(tmp_path):
 def test_spec_states_every_config_field_with_its_default():
     spec_fields = {f.name for f in fields(ExperimentSpec)}
     for cls in (RemedyConfig, TrainConfig):
-        missing = {f.name for f in fields(cls)} - {"remedy", "seed"} - spec_fields
+        missing = {f.name for f in fields(cls)} - {"remedy"} - spec_fields
         assert not missing, (cls.__name__, missing)
     assert ExperimentSpec().remedy_config() == RemedyConfig()
-    assert ExperimentSpec().train_config(7) == TrainConfig(seed=7)
+    assert ExperimentSpec().train_config() == TrainConfig()
 
 
 def test_config_reader_names_the_file_it_cannot_use(tmp_path, capsys):
@@ -374,6 +374,28 @@ def test_sweep_rejects_bad_strategy_token(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert not (tmp_path / "bad").exists()
     assert "repeats the subdirectory 'naive'" in capsys.readouterr().err
+
+
+def test_sweep_rerun_from_its_saved_config_reproduces_the_run(tmp_path):
+    # the root config.json is the sweep's base spec: its fixed_theta stays
+    # the default while the token's angle holds only in its subdirectory,
+    # so feeding it back with the same tokens is not an angle conflict
+    tokens = ["--strategies", "naive,fixed-theta:20deg"]
+    assert main(["sweep", "--name", "a", "--out", str(tmp_path), *tokens, *FAST]) == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    base = ExperimentSpec.load_json(str(a / "config.json"))
+    assert base.fixed_theta == RemedyConfig.fixed_theta
+    token = ExperimentSpec.load_json(str(a / "fixed-theta-20deg" / "config.json"))
+    assert token.fixed_theta == math.radians(20.0)
+    assert main(["sweep", "--name", "b", "--config", str(a / "config.json"),
+                 *tokens]) == 0
+    runs = [{path: digest for path, digest in _hashes(root).items()
+             if not path.endswith("config.json")} for root in (a, b)]
+    assert len(runs[0]) == 2 * 3 + 1
+    assert runs[0] == runs[1]
+    for path in ("config.json", "naive/config.json", "fixed-theta-20deg/config.json"):
+        assert (ExperimentSpec.load_json(str(b / path))
+                == replace(ExperimentSpec.load_json(str(a / path)), name="b"))
 
 
 def test_out_flag_beats_env_var(tmp_path, monkeypatch):

@@ -4,8 +4,9 @@
   predicates of the pair it emits, also for near-anti-parallel pairs whose
   projection leaves only cancellation residue
 - no entry point mutates its input arrays
-- power-of-two scaling commutes with the surgery bit for bit over the whole
-  float64 range, past the point where a.d overflows
+- scaling by 2^k, k in [0, 1000], commutes with the surgery bit for bit,
+  past the point where a.d overflows (downward it holds only until a norm
+  falls below DEFAULT_TOL_NORM, where the pair turns degenerate)
 """
 
 import math

@@ -1,6 +1,7 @@
 """Training loop: exact optimizer steps, surgery wiring, stats, CSV output."""
 
 import copy
+import inspect
 import math
 from dataclasses import dataclass, fields
 
@@ -10,6 +11,9 @@ import pytest
 import gradremedy
 import gradremedy.trainer as trainer_module
 from gradremedy import (
+    EpochStats,
+    Layer,
+    Network,
     OptimizerKind,
     RemedyConfig,
     Strategy,
@@ -22,7 +26,6 @@ from gradremedy import (
     load_network,
     save_network,
     train,
-    write_epochs_csv,
     write_steps_csv,
 )
 from gradremedy.trainer import write_csv
@@ -213,6 +216,57 @@ def test_nonfinite_parameters_after_an_epoch_are_located_before_evaluation():
         train(config, make_dataset(template_scale=30.0), make_net())
 
 
+def _layer(out_dim, in_dim):
+    return Layer(np.zeros((out_dim, in_dim)), np.zeros(out_dim))
+
+
+@pytest.mark.parametrize(
+    "swap, message",
+    [
+        (lambda n: Network([_layer(6, 7), *n.trunk[1:]], n.aux_head, n.dom_head),
+         "trunk[0] takes inputs of width 7, but the dataset has dim 8"),
+        (lambda n: Network(n.trunk, [_layer(9, 5)], n.dom_head),
+         "aux_head[0] emits 9, but the dataset has dim 8"),
+        (lambda n: Network(n.trunk, n.aux_head, [_layer(4, 5)]),
+         "dom_head[0] emits 4, but the dataset has num_classes 3"),
+        (lambda n: init_network(seed=1, in_dim=5, trunk_widths=(4,), num_classes=2),
+         "trunk[0] takes inputs of width 5, but the dataset has dim 8; "
+         "aux_head[0] emits 5, but the dataset has dim 8; "
+         "dom_head[0] emits 2, but the dataset has num_classes 3"),
+    ],
+    ids=["trunk-input", "aux-output", "dom-output", "all-three"],
+)
+def test_a_net_that_does_not_fit_the_dataset_is_refused_before_training(swap, message):
+    net = swap(make_net())
+    arrays = [(layer.weights, layer.bias) for _, layer in net.named_layers()]
+    with pytest.raises(ValueError) as caught:
+        train(tiny_config(), make_dataset(), net)
+    assert str(caught.value) == message
+    assert all(layer.weights is w and layer.bias is b
+               for (_, layer), (w, b) in zip(net.named_layers(), arrays))
+
+
+def test_one_scan_predicate_serves_both_limits():
+    arena = trainer_module._Arena(make_net(), bias_separate=False)
+    adam = trainer_module._ADAM_LIMIT
+    arena.total[...] = 0.0
+    arena.total[7] = 1e300
+    arena.check_finite(arena.total, None, 2, 3)  # finite entries pass under SGD
+    with pytest.raises(ValueError) as caught:
+        arena.check_finite(arena.total, None, 2, 3, adam)
+    assert str(caught.value) == (
+        "post-surgery total gradient too large for Adam (above 1.34078e+154) "
+        "in trunk[0] at epoch 2, batch 3 (entry 7 of 54: 1e+300)")
+    for value in (np.nan, np.inf, -np.inf):
+        arena.total[7] = value
+        for limit in (trainer_module._FLOAT64_MAX, adam):
+            with pytest.raises(ValueError) as caught:
+                arena.check_finite(arena.total, None, 2, 3, limit)
+            assert str(caught.value) == (
+                "non-finite post-surgery total gradient in trunk[0] at epoch 2, "
+                f"batch 3 (entry 7 of 54: {value})")
+
+
 def _poison_epoch_1_batch_1(monkeypatch, poison, value):
     """Have trainer._backward set entry 1 of poison(grads) to value on the
     seventh step: epoch 1, batch 1 at five batches per epoch."""
@@ -349,6 +403,9 @@ def test_every_package_export_resolves_once():
     names = gradremedy.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(gradremedy, n)] == []
+    public = {n for n, value in vars(gradremedy).items()
+              if not n.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(public - set(names)) == []
 
 
 def test_train_config_validation():
@@ -380,7 +437,7 @@ def test_steps_csv_format(tmp_path):
 def test_epochs_csv_format(tmp_path):
     result = train(tiny_config(), make_dataset(), make_net())
     path = tmp_path / "epochs.csv"
-    write_epochs_csv(result.epoch_stats, str(path))
+    write_csv(result.epoch_stats, EpochStats, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == (
         "epoch,pct_conflicting,pct_wrongly_dominant,loss_aux,loss_dom,"
