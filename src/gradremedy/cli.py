@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import os
-import statistics
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
@@ -39,7 +38,7 @@ from .surgery import (
     raise_if_any,
     remedy_config_errors,
 )
-from .synthdata import TwoTaskDataset, dataset_errors
+from .synthdata import TwoTaskDataset, dataset_errors, template_errors
 from .trainer import (
     EpochStats,
     OptimizerKind,
@@ -197,7 +196,7 @@ def validate(spec: ExperimentSpec) -> list[str]:
         errors.append(f"seeds: each seed may appear once (got {list(spec.seeds)})")
     errors += remedy_config_errors(spec)
     errors += train_config_errors(spec)
-    errors += dataset_errors(spec)
+    errors += dataset_errors(spec) or template_errors(spec)
     errors += network_errors(spec)
     return errors
 
@@ -213,6 +212,21 @@ class SummaryRow:
     max_accuracy: float
     mean_pct_conflicting: float
     mean_pct_wrongly_dominant: float
+
+
+def _fmean(values) -> float:
+    """statistics.fmean's value: the fsum over the count. The CLI does
+    without statistics, whose decimal and fractions imports add about
+    0.5 MB to every process."""
+    values = list(values)
+    return math.fsum(values) / len(values)
+
+
+def _median(values: list[float]) -> float:
+    """statistics.median's value: the middle entry, or the mean of the two."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
@@ -233,10 +247,10 @@ def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
         "final_eval_accuracy": final.eval_accuracy,
         "final_loss_aux": final.loss_aux,
         "final_loss_dom": final.loss_dom,
-        "mean_pct_conflicting": statistics.fmean(
+        "mean_pct_conflicting": _fmean(
             e.pct_conflicting for e in result.epoch_stats
         ),
-        "mean_pct_wrongly_dominant": statistics.fmean(
+        "mean_pct_wrongly_dominant": _fmean(
             e.pct_wrongly_dominant for e in result.epoch_stats
         ),
         "rescale_events": result.rescale_events,
@@ -263,13 +277,13 @@ def run_strategy(spec: ExperimentSpec, strategy_dir: str, label: str) -> Summary
     return SummaryRow(
         strategy=label,
         seeds=" ".join(str(s) for s in spec.seeds),
-        median_accuracy=statistics.median(finals),
+        median_accuracy=_median(finals),
         min_accuracy=min(finals),
         max_accuracy=max(finals),
-        mean_pct_conflicting=statistics.fmean(
+        mean_pct_conflicting=_fmean(
             m["mean_pct_conflicting"] for m in per_seed
         ),
-        mean_pct_wrongly_dominant=statistics.fmean(
+        mean_pct_wrongly_dominant=_fmean(
             m["mean_pct_wrongly_dominant"] for m in per_seed
         ),
     )
@@ -458,7 +472,8 @@ def main(argv: list[str] | None = None) -> int:
         errors, runs = [str(err)], []
     else:
         runs, token_errors = _strategy_runs(args, spec)
-        checked = [e for _, child, _ in runs for e in validate(child)]
+        # a child spec differs from spec only in its remedy fields
+        checked = [e for _, child, _ in runs for e in remedy_config_errors(child)]
         errors = list(dict.fromkeys(errors + validate(spec) + token_errors + checked))
     if errors:
         for e in errors:

@@ -8,9 +8,19 @@ One pass computes both losses and both loss-weighted head deltas.
 the trunk once with the two tasks' deltas stacked as (2, batch, width), so
 each trunk layer ends up with two separate, loss-weighted gradients — the
 raw material for gradient surgery — as the two rows of one array. Heads
-only ever receive their own task's gradient. `backward_two_task` always
-allocates fresh gradient arrays; the trainer instead writes through
-`_backward` into its own flat buffers.
+only ever receive their own task's gradient.
+
+The arithmetic lives in three cores that check nothing: `_forward`,
+`_loss_and_deltas` and `_backward`. They run on a `_StepPlan`, which binds
+once, for one net and batch size, each layer's (weights, bias, ReLU flag,
+weight-gradient view, bias-gradient view), the (2, batch, width) buffer of
+the trunk's two deltas and np.arange(batch). The public `forward`, `losses`
+and `backward_two_task` check their inputs (the batch's rank and each
+layer's input width; lam and the shapes of targets and labels; that the
+cache came from this net) and then call the same cores.
+`backward_two_task` binds a plan over fresh gradient arrays on each call;
+the trainer binds one per run over its flat buffers and does its checks
+once, before the first step.
 
 Everything is plain float64 numpy; batches are (batch, dim) matrices.
 """
@@ -182,19 +192,69 @@ class ForwardCache:
         return self.acts["dom_head"][-1]
 
 
-def _forward_chain(chain: list[Layer], x: np.ndarray, name: str) -> list[np.ndarray]:
+class LayerGrads(NamedTuple):
+    """Gradient arrays mirroring Layer.weights / Layer.bias."""
+
+    weights: np.ndarray
+    bias: np.ndarray
+
+
+class _Bound(NamedTuple):
+    """One layer as a step runs it: its parameter arrays, whether a ReLU
+    follows, and the arrays its gradients are written to (None when
+    nothing is)."""
+
+    weights: np.ndarray
+    bias: np.ndarray
+    relu: bool
+    grad_weights: np.ndarray | None
+    grad_bias: np.ndarray | None
+
+
+def _bind(net: Network, grads: TwoTaskGradients | None = None) -> tuple[list[_Bound], ...]:
+    """Each chain's layers as _Bound, in field order, with the views of
+    grads' same-named list as their gradient arrays."""
+    bound = []
+    for name, chain in net.chains():
+        views = getattr(grads, name) if grads else [(None, None)] * len(chain)
+        bound.append([_Bound(layer.weights, layer.bias,
+                             layer.activation is Activation.RELU, *view)
+                      for layer, view in zip(chain, views)])
+    return tuple(bound)
+
+
+def _check_widths(net: Network, width: int) -> None:
+    """Raise forward's ValueError for the first layer, in walk order, whose
+    input width differs from the width that reaches it from inputs this
+    wide."""
+    for name, chain in net.chains():
+        if chain is not net.trunk:
+            width = net.trunk[-1].out_dim
+        for i, layer in enumerate(chain):
+            if width != layer.in_dim:
+                raise ValueError(
+                    f"{name}[{i}] expects input dim {layer.in_dim}, got {width}")
+            width = layer.out_dim
+
+
+def _forward_chain(layers: list[_Bound], x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
-    for i, layer in enumerate(chain):
-        if x.shape[1] != layer.in_dim:
-            raise ValueError(
-                f"{name}[{i}] expects input dim {layer.in_dim}, got {x.shape[1]}"
-            )
-        x = x @ layer.weights.T
-        x += layer.bias
-        if layer.activation is Activation.RELU:
+    for weights, bias, relu, _, _ in layers:
+        x = x @ weights.T
+        x += bias
+        if relu:
             np.maximum(x, 0.0, out=x)
         acts.append(x)
     return acts
+
+
+def _forward(chains: tuple[list[_Bound], ...],
+             x: np.ndarray) -> tuple[list[np.ndarray], ...]:
+    """Each chain's activations, in field order: the trunk's feed each head.
+    Expects widths that fit (forward and train() check them)."""
+    trunk, aux_head, dom_head = chains
+    acts = _forward_chain(trunk, x)
+    return acts, _forward_chain(aux_head, acts[-1]), _forward_chain(dom_head, acts[-1])
 
 
 def forward(net: Network, batch_inputs: np.ndarray) -> ForwardCache:
@@ -202,17 +262,8 @@ def forward(net: Network, batch_inputs: np.ndarray) -> ForwardCache:
     x = np.ascontiguousarray(batch_inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"batch_inputs must be 2-D (batch, dim), got ndim {x.ndim}")
-    acts: dict[str, list[np.ndarray]] = {}
-    for name, chain in net.chains():  # the trunk comes first and feeds each head
-        acts[name] = _forward_chain(chain, acts["trunk"][-1] if acts else x, name)
-    return ForwardCache(net=net, acts=acts)
-
-
-class LayerGrads(NamedTuple):
-    """Gradient arrays mirroring Layer.weights / Layer.bias."""
-
-    weights: np.ndarray
-    bias: np.ndarray
+    _check_widths(net, x.shape[1])
+    return ForwardCache(net=net, acts=dict(zip(_CHAIN_NAMES, _forward(_bind(net), x))))
 
 
 @dataclass(frozen=True)
@@ -234,14 +285,40 @@ def _mean(x: np.ndarray) -> float:
 
 
 def _loss_and_deltas(
+    aux_out: np.ndarray,
+    dom_logits: np.ndarray,
+    targets_clean: np.ndarray,
+    labels: np.ndarray,
+    rows: np.ndarray,
+    lam: float,
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Both losses and both loss-weighted head deltas from one pass: the
+    auxiliary delta (1-lam)*d(MSE)/d(aux_out) and the dominant delta
+    lam*d(CE)/d(dom_logits). rows is np.arange(batch); the inputs are
+    expected to fit (losses checks them)."""
+    d_aux = aux_out - targets_clean  # the residual, scaled in place below
+    loss_aux = _mean(d_aux * d_aux)
+    d_aux *= (1.0 - lam) * 2.0
+    d_aux /= d_aux.size
+    shifted = dom_logits - np.maximum.reduce(dom_logits, axis=1, keepdims=True)
+    d_dom = np.exp(shifted)  # normalized in place below
+    z = np.add.reduce(d_dom, axis=1)
+    loss_dom = _mean(np.log(z) - shifted[rows, labels])
+    d_dom /= z[:, None]  # the softmax
+    d_dom[rows, labels] -= 1.0
+    d_dom *= lam
+    d_dom /= d_dom.shape[0]
+    return loss_aux, loss_dom, d_aux, d_dom
+
+
+def _checked_targets(
     cache: ForwardCache,
     targets_clean: np.ndarray,
     labels: np.ndarray,
     lam: float,
-) -> tuple[LossBundle, np.ndarray, np.ndarray]:
-    """Both losses and both loss-weighted head deltas from one pass: the
-    auxiliary delta (1-lam)*d(MSE)/d(aux_out) and the dominant delta
-    lam*d(CE)/d(dom_logits)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """targets_clean and labels as arrays, once lam and their shapes are
+    checked against the cache."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
     targets_clean = np.asarray(targets_clean, dtype=np.float64)
@@ -255,26 +332,7 @@ def _loss_and_deltas(
         raise ValueError(
             f"got {labels.shape[0]} labels for a batch of {cache.batch.shape[0]}"
         )
-    d_aux = cache.aux_out - targets_clean  # the residual, scaled in place below
-    loss_aux = _mean(d_aux * d_aux)
-    d_aux *= (1.0 - lam) * 2.0
-    d_aux /= d_aux.size
-    rows = np.arange(labels.shape[0])
-    logits = cache.dom_logits
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    d_dom = np.exp(shifted)  # normalized in place below
-    z = np.add.reduce(d_dom, axis=1)
-    loss_dom = _mean(np.log(z) - shifted[rows, labels])
-    d_dom /= z[:, None]  # the softmax
-    d_dom[rows, labels] -= 1.0
-    d_dom *= lam
-    d_dom /= d_dom.shape[0]
-    bundle = LossBundle(
-        loss_aux=loss_aux,
-        loss_dom=loss_dom,
-        loss_total=(1.0 - lam) * loss_aux + lam * loss_dom,
-    )
-    return bundle, d_aux, d_dom
+    return targets_clean, labels
 
 
 def losses(
@@ -284,7 +342,11 @@ def losses(
     lam: float,
 ) -> LossBundle:
     """Both task losses and their lam-weighted total."""
-    return _loss_and_deltas(cache, targets_clean, labels, lam)[0]
+    targets_clean, labels = _checked_targets(cache, targets_clean, labels, lam)
+    loss_aux, loss_dom, _, _ = _loss_and_deltas(
+        cache.aux_out, cache.dom_logits, targets_clean, labels,
+        np.arange(labels.shape[0]), lam)
+    return LossBundle(loss_aux, loss_dom, (1.0 - lam) * loss_aux + lam * loss_dom)
 
 
 def layer_views(buffer: np.ndarray, chain: list[Layer]) -> list[LayerGrads]:
@@ -330,50 +392,56 @@ class TwoTaskGradients:
         return [LayerGrads(g.weights[1], g.bias[1]) for g in self.trunk]
 
 
-def _backward_chain(
-    chain: list[Layer],
-    acts: list[np.ndarray],
-    delta: np.ndarray,
-    out: list[LayerGrads],
-) -> np.ndarray:
+class _StepPlan:
+    """What a two-task step of one net at one batch size reads besides its
+    batch, bound once: chains holds each chain's _Bound layers, whose
+    gradients go to grads' arrays; trunk_delta is the (2, batch, trunk
+    width) buffer of the two tasks' deltas at the trunk's output, and
+    delta_rows its two rows; rows is np.arange(batch), the label indices."""
+
+    def __init__(self, net: Network, grads: TwoTaskGradients, batch_size: int):
+        self.grads = grads
+        self.chains = _bind(net, grads)
+        self.trunk_delta = np.empty((2, batch_size, net.trunk[-1].out_dim))
+        self.delta_rows = tuple(self.trunk_delta)
+        self.rows = np.arange(batch_size)
+
+
+def _backward_chain(layers: list[_Bound], acts: list[np.ndarray],
+                    delta: np.ndarray) -> np.ndarray:
     """Walk one chain backward from d(loss)/d(output), given its forward
-    activations, writing each layer's gradients into out's arrays. delta is
-    (batch, out_dim), or (tasks, batch, out_dim) with out's arrays stacked
-    the same way. Returns dz, the gradient at chain[0]'s pre-activation;
-    dz @ chain[0].weights is d(loss)/d(input). A ReLU passes delta where
-    its output is positive, which is exactly where its input was."""
-    for i in range(len(chain) - 1, -1, -1):
-        layer = chain[i]
-        dz = (np.where(acts[i + 1] > 0.0, delta, 0.0)
-              if layer.activation is Activation.RELU else delta)
-        np.matmul(dz.swapaxes(-1, -2), acts[i], out=out[i].weights)
-        np.add.reduce(dz, axis=-2, out=out[i].bias)
+    activations, writing each layer's gradients into its bound arrays. delta
+    is (batch, out_dim), or (tasks, batch, out_dim) with the gradient arrays
+    stacked the same way. Returns dz, the gradient at layers[0]'s
+    pre-activation; dz @ layers[0].weights is d(loss)/d(input). A ReLU
+    passes delta where its output is positive, which is exactly where its
+    input was."""
+    for i in range(len(layers) - 1, -1, -1):
+        weights, _, relu, grad_weights, grad_bias = layers[i]
+        dz = np.where(acts[i + 1] > 0.0, delta, 0.0) if relu else delta
+        np.matmul(dz.swapaxes(-1, -2), acts[i], out=grad_weights)
+        np.add.reduce(dz, axis=-2, out=grad_bias)
         if i:
-            delta = dz @ layer.weights
+            delta = dz @ weights
     return dz
 
 
 def _backward(
-    net: Network,
-    cache: ForwardCache,
+    plan: _StepPlan,
+    acts: tuple[list[np.ndarray], ...],
     d_aux: np.ndarray,
     d_dom: np.ndarray,
-    out: TwoTaskGradients,
 ) -> TwoTaskGradients:
-    """Write the gradients of the two head deltas into out's arrays: each
-    head gets its own task's, and one trunk walk carries both tasks' deltas
-    stacked."""
-    if cache.net is not net:
-        raise ValueError("cache was produced by a different network")
-    acts = cache.acts
-    trunk_delta = np.empty((2,) + cache.trunk_out.shape)
-    for row, head, head_acts, d, grads in (
-            (trunk_delta[0], net.aux_head, acts["aux_head"], d_aux, out.aux_head),
-            (trunk_delta[1], net.dom_head, acts["dom_head"], d_dom, out.dom_head)):
-        dz = _backward_chain(head, head_acts, d, grads)
-        np.matmul(dz, head[0].weights, out=row)
-    _backward_chain(net.trunk, acts["trunk"], trunk_delta, out.trunk)
-    return out
+    """Write the gradients of the two head deltas into plan.grads' arrays,
+    given each chain's activations in field order: each head gets its own
+    task's, and one trunk walk carries both tasks' deltas stacked."""
+    trunk, aux_head, dom_head = plan.chains
+    trunk_acts, aux_acts, dom_acts = acts
+    to_aux, to_dom = plan.delta_rows
+    np.matmul(_backward_chain(aux_head, aux_acts, d_aux), aux_head[0].weights, out=to_aux)
+    np.matmul(_backward_chain(dom_head, dom_acts, d_dom), dom_head[0].weights, out=to_dom)
+    _backward_chain(trunk, trunk_acts, plan.trunk_delta)
+    return plan.grads
 
 
 def backward_two_task(
@@ -391,12 +459,17 @@ def backward_two_task(
     One fresh (2, trunk size) array holds the trunk's gradients and fresh
     arrays the heads'.
     """
-    _, d_aux, d_dom = _loss_and_deltas(cache, targets_clean, labels, lam)
-    return _backward(net, cache, d_aux, d_dom, TwoTaskGradients(
+    targets_clean, labels = _checked_targets(cache, targets_clean, labels, lam)
+    if cache.net is not net:
+        raise ValueError("cache was produced by a different network")
+    plan = _StepPlan(net, TwoTaskGradients(
         trunk=layer_views(np.empty((2, chain_size(net.trunk))), net.trunk),
         aux_head=layer_views(np.empty(chain_size(net.aux_head)), net.aux_head),
         dom_head=layer_views(np.empty(chain_size(net.dom_head)), net.dom_head),
-    ))
+    ), labels.shape[0])
+    _, _, d_aux, d_dom = _loss_and_deltas(
+        cache.aux_out, cache.dom_logits, targets_clean, labels, plan.rows, lam)
+    return _backward(plan, tuple(cache.acts[name] for name in _CHAIN_NAMES), d_aux, d_dom)
 
 
 # --- checkpoint format -------------------------------------------------------

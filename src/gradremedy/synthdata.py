@@ -3,9 +3,10 @@
 Each sample starts from one of a few fixed class templates (random unit
 vectors kept at least ANGLE_FLOOR_DEG, a fixed 45 degrees, apart), gets
 small intra-class jitter, and is then buried in Gaussian noise scaled so
-the batch hits the requested, finite signal-to-noise ratio exactly. The
-clean vector is the auxiliary regression target; the originating class is
-the dominant-task label.
+the batch hits the requested signal-to-noise ratio exactly; snr_db must
+keep that scale's gain 10**(snr_db/20) a normal float. The clean vector is
+the auxiliary regression target; the originating class is the
+dominant-task label.
 
 Reproducibility: every random draw is keyed through numpy SeedSequence
 tuples — (seed, 0) for templates, (seed, 1, i) for training batch i,
@@ -16,6 +17,7 @@ regardless of generation order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -30,6 +32,21 @@ _TRAIN_STREAM = 1
 _EVAL_STREAM = 2
 
 
+# the snr_db range whose batch gain 10**(snr_db/20) is a normal float64
+_SNR_DB_RANGE = (20.0 * math.log10(sys.float_info.min),
+                 20.0 * math.log10(sys.float_info.max))
+
+
+def _gain_is_normal(snr_db: float) -> bool:
+    """Whether _batch's gain 10**(snr_db/20) is a normal float64: false for
+    nan, +-inf and outside _SNR_DB_RANGE, where it overflows or
+    underflows."""
+    try:
+        return sys.float_info.min <= 10.0 ** (snr_db / 20.0) <= sys.float_info.max
+    except OverflowError:
+        return False
+
+
 def dataset_errors(config) -> list[str]:
     """Every bound a TwoTaskDataset, or anything with its field names (the
     CLI passes its ExperimentSpec), breaks."""
@@ -38,7 +55,9 @@ def dataset_errors(config) -> list[str]:
         ("num_classes", lambda n: n >= 2, "num_classes must be >= 2"),
         ("jitter_std", lambda s: s >= 0.0, "jitter_std must be >= 0"),
         ("template_scale", lambda s: s > 0.0, "template_scale must be positive"),
-        ("snr_db", math.isfinite, "snr_db must be finite"),
+        ("snr_db", _gain_is_normal,
+         "snr_db must be finite, with 10**(snr_db/20) a normal float "
+         f"(about {_SNR_DB_RANGE[0]:.0f} to {_SNR_DB_RANGE[1]:.0f} dB)"),
     ))
 
 
@@ -96,6 +115,18 @@ def class_templates(
         f"could not place {num_classes} templates in dim {dim} with pairwise "
         f"angle >= {ANGLE_FLOOR_DEG} deg after {max_tries} draws"
     )
+
+
+def template_errors(config) -> list[str]:
+    """An error for the first of config's seeds whose templates cannot be
+    placed, which its dataset would raise (the CLI passes its
+    ExperimentSpec, with valid dataset fields)."""
+    for seed in (s for s in config.seeds if s >= 0):  # the CLI refuses the rest
+        try:
+            class_templates(seed, config.num_classes, config.dim)
+        except ValueError as err:
+            return [f"num_classes: {err} (seed {seed})"]
+    return []
 
 
 @dataclass

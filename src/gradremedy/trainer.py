@@ -1,15 +1,20 @@
 """Two-task training loop with per-layer gradient surgery on the trunk.
 
-train() first moves every parameter of the net into one contiguous float64
+train() first checks that the net fits the dataset: its outer widths
+against dim and num_classes, and each layer's input width against what
+reaches it (forward's check; TrainConfig has already bounded lam and the
+sizes). It then moves every parameter of the net into one contiguous float64
 buffer, laid out trunk, auxiliary head, dominant head, each layer's weights
 (row-major) before its bias; the layers' weights and bias arrays become views
 of it. Two gradient buffers go with it: `total`, laid out like the
 parameters, and `tasks`, a (2, trunk size) array whose rows `aux` and `dom`
-are the two tasks' gradients, each laid out like the trunk part. Each step
-runs one forward pass and one pass over the losses, which yields both
-losses and both head deltas; after the loss check, one backward pass walks
-each head and then the trunk once for both tasks, writing the trunk
-gradients into `tasks` and the head gradients into `total`. After one
+are the two tasks' gradients, each laid out like the trunk part. The arena
+binds one step plan (net._StepPlan) to these views, so a step checks no
+shape, lam or cache and builds no per-layer list. Each step runs one forward
+pass and one pass over the losses, which yields both losses and both head
+deltas; after the loss check, one backward pass walks each head and then the
+trunk once for both tasks, writing the trunk gradients into `tasks` and the
+head gradients into `total`. After one
 non-finite scan of `tasks`, the strategy runs on each surgery unit, a
 (start, stop) segment of the trunk layout: a whole trunk layer, or its
 weights and its bias as two units with bias_separate. It writes aux' + dom'
@@ -19,8 +24,8 @@ and one optimizer call over the whole buffer end the step. Heads are updated
 with their own task's gradient, untouched by surgery. The parameter buffer
 is scanned once per epoch, before the held-out evaluation.
 
-Each step's StepStats row is built from that step's unit outcomes, in unit
-order (StepStats.from_units):
+The pass over the units that runs surgery also tallies the step's StepStats
+row and the run's rescale ratios, in unit order:
 
 - conflicting_pre: units arriving with a negative inner product
 - conflicting_post / wrongly_dominant: the same predicates evaluated on the
@@ -28,8 +33,10 @@ order (StepStats.from_units):
   surgery.remedy_pair measures them and the row only counts
 
 Each epoch's EpochStats averages the percentages and losses of that epoch's
-StepStats and adds a held-out dominant-task accuracy. write_csv writes any
-such record list with its field names as the header and %.12g floats, so
+StepStats and adds a held-out dominant-task accuracy, for which only the
+trunk and the dominant head run. write_csv writes any such record list with
+its field names as the header; one %-template built from the field types
+formats every line, %.12g for float fields and str() for the rest, so
 identical runs produce byte-identical files.
 """
 
@@ -37,23 +44,26 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 from .net import (
-    LossBundle,
     Network,
     TwoTaskGradients,
     _backward,
+    _bind,
+    _check_widths,
+    _forward,
+    _forward_chain,
     _loss_and_deltas,
+    _StepPlan,
     chain_size,
-    forward,
+    forward,  # noqa: F401 - perfbench's span tests wrap it under this name
     layer_views,
 )
-from .surgery import Remedy, RemedyConfig, bound_errors, raise_if_any, remedy_pair
+from .surgery import RemedyConfig, bound_errors, raise_if_any, remedy_pair
 from .synthdata import SampleBatch, TwoTaskDataset
 
 
@@ -115,11 +125,13 @@ class TrainConfig:
 class StepStats:
     """Interference counts and losses for one optimizer step.
 
-    wrongly_dominant applies ||g_aux|| > K*||g_dom|| to the pair the strategy
-    emitted (post-rescale); the pre-rescale flag stays available on each
-    surgery.Remedy (was_wrongly_dominant) for callers that want it.
-    mean_phi_rad averages the pre-remedy angle over non-degenerate units
-    (nan if none).
+    Each count sums one flag of the step's surgery units' outcomes, so it
+    lies in [0, layers_total]. wrongly_dominant applies ||g_aux|| >
+    K*||g_dom|| to the pair the strategy emitted (post-rescale); the
+    pre-rescale flag stays available on each surgery.Remedy
+    (was_wrongly_dominant) for callers that want it. mean_phi_rad averages
+    the pre-remedy angle over non-degenerate units, in unit order (nan if
+    none).
     """
 
     epoch: int
@@ -131,25 +143,6 @@ class StepStats:
     mean_phi_rad: float
     loss_aux: float
     loss_dom: float
-
-    @classmethod
-    def from_units(cls, epoch: int, batch: int, units: list[Remedy],
-                   bundle: LossBundle) -> "StepStats":
-        """The row of one step from its surgery units' outcomes, in unit
-        order, and its losses. Each count sums one flag over the units, so
-        it lies in [0, layers_total]."""
-        phis = [u.phi for u in units if u.phi is not None]
-        return cls(
-            epoch=epoch,
-            batch=batch,
-            layers_total=len(units),
-            conflicting_pre=sum(u.was_conflicting for u in units),
-            conflicting_post=sum(u.conflicting_post for u in units),
-            wrongly_dominant=sum(u.wrongly_dominant_post for u in units),
-            mean_phi_rad=sum(phis) / len(phis) if phis else float("nan"),
-            loss_aux=bundle.loss_aux,
-            loss_dom=bundle.loss_dom,
-        )
 
 
 @dataclass(frozen=True)
@@ -220,9 +213,14 @@ class Adam:
 
 
 def evaluate(net: Network, batches: list[SampleBatch]) -> float:
-    """Held-out dominant-task accuracy over the batches."""
-    correct = sum(int((forward(net, b.noisy).dom_logits.argmax(axis=1) == b.labels).sum())
-                  for b in batches)
+    """Held-out dominant-task accuracy over the batches; only the trunk and
+    the dominant head run."""
+    trunk, _, dom_head = _bind(net)
+    correct = 0
+    for b in batches:
+        _check_widths(net, b.noisy.shape[1])
+        logits = _forward_chain(dom_head, _forward_chain(trunk, b.noisy)[-1])[-1]
+        correct += int((logits.argmax(axis=1) == b.labels).sum())
     return correct / sum(len(b) for b in batches)
 
 
@@ -234,10 +232,12 @@ class _Arena:
     in trunk order. places names each segment of the total
     layout as (name, gradient, start, stop): the surgery units first, whose
     segments aux and dom share, then the head layers; gradient names what
-    the total buffer holds there.
+    the total buffer holds there. plan is the step plan for batches of
+    batch_size, whose gradient views are the trunk layers' two rows of tasks
+    and the head layers' segments of total.
     """
 
-    def __init__(self, net: Network, bias_separate: bool):
+    def __init__(self, net: Network, bias_separate: bool, batch_size: int):
         pieces = []  # (name, gradient, size) along the total layout
         for (chain_name, chain), gradient in zip(
                 net.chains(), ("post-surgery total gradient", *_TASK_GRADIENTS)):
@@ -263,11 +263,11 @@ class _Arena:
             view.bias[...] = layer.bias
             layer.weights, layer.bias = view
         heads = layer_views(self.total, layers)[len(net.trunk):]
-        self.grads = TwoTaskGradients(
+        self.plan = _StepPlan(net, TwoTaskGradients(
             trunk=layer_views(self.tasks, net.trunk),
             aux_head=heads[:len(net.aux_head)],
             dom_head=heads[len(net.aux_head):],
-        )
+        ), batch_size)
         self.units = [(self.aux[a:b], self.dom[a:b], self.total[a:b])
                       for _, _, a, b in self.places if b <= trunk_end]
 
@@ -329,7 +329,8 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     """Run the full schedule, mutating `net` in place; its layer arrays end
     up as views of one parameter buffer (see the module docstring). A net
     whose input or output widths do not fit the dataset is refused first
-    (ValueError naming each such layer), with its arrays untouched.
+    (ValueError naming each such layer), and then one whose layers no
+    longer chain (forward's ValueError), with its arrays untouched.
 
     Deterministic given (config, dataset seed, initial parameters): batches
     are addressed by global step index, so there is no hidden RNG state.
@@ -341,11 +342,13 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     these checks turn every non-finite value into such an error.
     """
     raise_if_any(_fit_errors(net, data))
-    arena = _Arena(net, config.bias_separate)
+    _check_widths(net, data.dim)
+    arena = _Arena(net, config.bias_separate, config.batch_size)
+    plan, units, total = arena.plan, arena.units, arena.total
     adam = config.optimizer is OptimizerKind.ADAM
     opt = (Adam if adam else SGD)(config.learning_rate)
     limit = _ADAM_LIMIT if adam else _FLOAT64_MAX
-    remedy_cfg = config.remedy
+    remedy_cfg, lam = config.remedy, config.lam
     step_stats: list[StepStats] = []
     epoch_stats: list[EpochStats] = []
     r_applied: list[float] = []  # every rescale's ratio, in step and unit order
@@ -361,29 +364,38 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                     1.0, (global_step + 1) / config.warmup_steps
                 )
             batch = data.train_batch(config.batch_size, global_step)
-            cache = forward(net, batch.noisy)
-            bundle, d_aux, d_dom = _loss_and_deltas(
-                cache, batch.clean, batch.labels, config.lam)
-            if not (math.isfinite(bundle.loss_aux) and math.isfinite(bundle.loss_dom)):
+            acts = _forward(plan.chains, batch.noisy)
+            loss_aux, loss_dom, d_aux, d_dom = _loss_and_deltas(
+                acts[1][-1], acts[2][-1], batch.clean, batch.labels, plan.rows, lam)
+            if not (math.isfinite(loss_aux) and math.isfinite(loss_dom)):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}: "
-                    f"loss_aux={bundle.loss_aux}, loss_dom={bundle.loss_dom}"
+                    f"loss_aux={loss_aux}, loss_dom={loss_dom}"
                 )
-            _backward(net, cache, d_aux, d_dom, arena.grads)
+            _backward(plan, acts, d_aux, d_dom)
             if not np.isfinite(arena.tasks).all():  # locate only on failure
                 for row, gradient in zip(arena.tasks, _TASK_GRADIENTS):
                     arena.check_finite(row, gradient, epoch, batch_idx)
 
-            outcomes = []
-            for g_aux, g_dom, g_total in arena.units:
-                outcome = remedy_pair(g_aux, g_dom, remedy_cfg)
-                np.add(outcome.aux, outcome.dom, out=g_total)
-                outcomes.append(outcome)
-            arena.check_finite(arena.total, None, epoch, batch_idx, limit)
-            opt.step(arena.params, arena.total)
+            # one pass over the units runs surgery and tallies the step's row
+            pre = post = dominant = 0
+            phis = []
+            for g_aux, g_dom, g_total in units:
+                unit = remedy_pair(g_aux, g_dom, remedy_cfg)
+                np.add(unit.aux, unit.dom, out=g_total)
+                pre += unit.was_conflicting
+                post += unit.conflicting_post
+                dominant += unit.wrongly_dominant_post
+                if unit.phi is not None:
+                    phis.append(unit.phi)
+                if unit.r_applied is not None:
+                    r_applied.append(unit.r_applied)
+            arena.check_finite(total, None, epoch, batch_idx, limit)
+            opt.step(arena.params, total)
 
-            step_stats.append(StepStats.from_units(epoch, batch_idx, outcomes, bundle))
-            r_applied += [o.r_applied for o in outcomes if o.r_applied is not None]
+            step_stats.append(StepStats(
+                epoch, batch_idx, len(units), pre, post, dominant,
+                sum(phis) / len(phis) if phis else math.nan, loss_aux, loss_dom))
 
         arena.check_finite(arena.params, "parameter", epoch, batch_idx)
         epoch_stats.append(EpochStats.from_steps(
@@ -399,20 +411,14 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
 
 def write_csv(rows: list, kind: type, path: str) -> None:
     """One header line of kind's dataclass field names, then one line per
-    record: floats as %.12g, everything else with str()."""
+    record: fields declared float as %.12g, every other field with str()."""
     names = [f.name for f in fields(kind)]
-    get = operator.attrgetter(*names)
+    template = ",".join(f"%({f.name}).12g" if f.type in (float, "float")
+                        else f"%({f.name})s" for f in fields(kind))
     lines = [",".join(names)]
-    if len(names) == 1:  # attrgetter of one name returns the bare value
-        lines += [_cell(get(row)) for row in rows]
-    else:
-        lines += [",".join(map(_cell, get(row))) for row in rows]
+    lines += [template % vars(row) for row in rows]
     with open(path, "w", encoding="ascii") as out:
         out.write("\n".join(lines) + "\n")
-
-
-def _cell(value) -> str:
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def write_steps_csv(steps: list[StepStats], path: str) -> None:

@@ -5,17 +5,25 @@ import csv
 import hashlib
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gradremedy
 from gradremedy import (
     OptimizerKind, RatioRule, RemedyConfig, Strategy, TrainConfig, train,
 )
 from gradremedy.cli import (
     ExperimentSpec,
+    _fmean,
+    _median,
     build_parser,
     main,
     parse_strategy_token,
@@ -165,6 +173,8 @@ MALFORMED = {
     "snr-nan": ["--snr-db", "nan"],
     "snr-inf": ["--snr-db", "inf"],
     "snr-minus-inf": ["--snr-db=-inf"],
+    "snr-overflows": ["--snr-db", "7000"],
+    "snr-underflows": ["--snr-db=-7000"],
     "angle-twice": ["--strategy", "fixed-theta:20deg", "--fixed-theta", "60"],
     "token-angle-twice": ["--strategies", "naive,fixed-theta:20deg",
                           "--fixed-theta", "60"],
@@ -195,6 +205,21 @@ def test_malformed_input_exits_2_with_error_lines(command, case, tmp_path,
     assert not (tmp_path / "out").exists()
     # nor anywhere else, such as next to the output root
     assert {p.name for p in tmp_path.iterdir()} <= {"bad.json"}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unplaceable_templates_exit_2_before_any_directory(command, tmp_path, capsys):
+    # 40 templates 45 degrees apart do not fit in 3 dimensions: the first
+    # seed is refused before training, as an input error
+    out = tmp_path / "out"
+    assert main([command, "--classes", "40", "--dim", "3", "--seeds", "5,6",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: num_classes: could not place 40 templates in dim 3 with pairwise "
+        "angle >= 45.0 deg after 100000 draws (seed 5)\n")
+    assert not out.exists()
 
 
 def test_config_type_and_bound_errors_print_one_line_each(tmp_path, capsys):
@@ -450,3 +475,21 @@ def test_run_onto_a_regular_file_fails_and_keeps_it(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert [p.name for p in tmp_path.iterdir()] == ["x"]
     assert (tmp_path / "x").read_text() == "mine"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=9))
+def test_mean_and_median_match_the_statistics_module_bit_for_bit(values):
+    assert _fmean(iter(values)) == statistics.fmean(values)
+    assert math.copysign(1.0, _fmean(values)) == math.copysign(1.0, statistics.fmean(values))
+    assert _median(values) == statistics.median(values)
+
+
+def test_importing_the_cli_loads_no_decimal_or_fractions():
+    # statistics would import both, about 0.5 MB in every fresh process
+    src = os.path.dirname(os.path.dirname(gradremedy.__file__))
+    code = ("import sys, gradremedy.cli; "
+            "print(sorted({'decimal', 'fractions', 'statistics'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"

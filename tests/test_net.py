@@ -186,6 +186,27 @@ def test_backward_rejects_foreign_cache_and_bad_shapes():
         backward_two_task(net, cache, clean, labels[:-1], 0.5)
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda clean, labels: (clean, labels, 1.5), r"^lam must lie in \[0, 1\], got 1\.5$"),
+    (lambda clean, labels: (clean, labels, -0.1), r"^lam must lie in \[0, 1\], got -0\.1$"),
+    (lambda clean, labels: (clean[:, :3], labels, 0.5),
+     r"^targets_clean shape \(4, 3\) does not match reconstruction shape \(4, 6\)$"),
+    (lambda clean, labels: (clean[:-1], labels, 0.5),
+     r"^targets_clean shape \(3, 6\) does not match reconstruction shape \(4, 6\)$"),
+    (lambda clean, labels: (clean, labels[:-1], 0.5), r"^got 3 labels for a batch of 4$"),
+], ids=["lam-above-1", "lam-below-0", "targets-too-narrow", "targets-too-few",
+        "labels-too-few"])
+def test_losses_rejects_what_backward_rejects_with_the_same_message(change, message):
+    net = small_net(1)
+    x, clean, labels = small_batch(1)
+    cache = forward(net, x)
+    targets, labels, lam = change(clean, labels)
+    with pytest.raises(ValueError, match=message):
+        losses(cache, targets, labels, lam)
+    with pytest.raises(ValueError, match=message):
+        backward_two_task(net, cache, targets, labels, lam)
+
+
 def test_forward_rejects_wrong_input_dim():
     net = small_net()
     with pytest.raises(ValueError, match="expects input dim"):

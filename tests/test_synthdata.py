@@ -1,6 +1,7 @@
 """Synthetic benchmark generator: determinism, SNR, and separability."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -166,3 +167,19 @@ def test_dataset_validates_arguments():
     data = TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=0.0)
     with pytest.raises(ValueError, match="batch_size"):
         data.train_batch(0, 0)
+
+
+@pytest.mark.parametrize("snr_db", [7000.0, -7000.0, 6166.0, -6154.0, 1e308, -1e308])
+def test_snr_whose_gain_is_not_a_normal_float_is_refused(snr_db):
+    # 10**(snr_db/20) overflows, or underflows to a subnormal or zero, so a
+    # batch could not be scaled to it
+    with pytest.raises(ValueError, match=r"snr_db must be finite, with 10\*\*\(snr_db/20\) "
+                                         r"a normal float \(about -6153 to 6165 dB\)"):
+        TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [6165.0, -6153.0])
+def test_snr_at_the_edge_of_the_normal_range_is_accepted(snr_db):
+    gain = 10.0 ** (snr_db / 20.0)
+    assert sys.float_info.min <= gain <= sys.float_info.max
+    assert TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=snr_db).snr_db == snr_db

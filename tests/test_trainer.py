@@ -3,10 +3,13 @@
 import copy
 import inspect
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradremedy
 import gradremedy.trainer as trainer_module
@@ -199,6 +202,10 @@ def test_evaluate_counts_over_all_batches():
     assert 0.0 <= accuracy <= 1.0
     # equal batch sizes: the pooled accuracy is the mean of the per-batch ones
     assert accuracy * 3 == pytest.approx(sum(evaluate(net, [b]) for b in batches))
+    # running only the trunk and the dominant head gives the full forward's logits
+    correct = sum(int((forward(net, b.noisy).dom_logits.argmax(axis=1) == b.labels).sum())
+                  for b in batches)
+    assert accuracy == correct / 48
 
 
 def test_nonfinite_loss_aborts_with_location():
@@ -246,8 +253,29 @@ def test_a_net_that_does_not_fit_the_dataset_is_refused_before_training(swap, me
                for (_, layer), (w, b) in zip(net.named_layers(), arrays))
 
 
+@pytest.mark.parametrize("chain, index, layer, message", [
+    ("trunk", 1, _layer(5, 4), "trunk[1] expects input dim 4, got 6"),
+    ("dom_head", 0, _layer(3, 4), "dom_head[0] expects input dim 4, got 5"),
+], ids=["trunk", "head"])
+def test_a_net_whose_layers_stopped_chaining_is_refused_before_training(
+        chain, index, layer, message):
+    # Network checks its chains when built; a layer swapped in afterwards
+    # gets forward's message from train() and evaluate()
+    net = make_net()
+    getattr(net, chain)[index] = layer
+    arrays = [(layer.weights, layer.bias) for _, layer in net.named_layers()]
+    for run in (lambda: train(tiny_config(), make_dataset(), net),
+                lambda: evaluate(net, [make_dataset().eval_batch(4)]),
+                lambda: forward(net, make_dataset().eval_batch(4).noisy)):
+        with pytest.raises(ValueError) as caught:
+            run()
+        assert str(caught.value) == message
+    assert all(layer.weights is w and layer.bias is b
+               for (_, layer), (w, b) in zip(net.named_layers(), arrays))
+
+
 def test_one_scan_predicate_serves_both_limits():
-    arena = trainer_module._Arena(make_net(), bias_separate=False)
+    arena = trainer_module._Arena(make_net(), bias_separate=False, batch_size=4)
     adam = trainer_module._ADAM_LIMIT
     arena.total[...] = 0.0
     arena.total[7] = 1e300
@@ -484,3 +512,44 @@ def test_write_csv_writes_one_column_records_and_empty_record_lists(tmp_path):
     assert path.read_text(encoding="ascii") == "value\n0.333333333333\n2\n"
     write_csv([], _Cells, str(path))
     assert path.read_text(encoding="ascii") == ",".join(f.name for f in fields(_Cells)) + "\n"
+
+
+_FLOAT_EDGES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                sys.float_info.min / 3, 1e308, -1e308, sys.float_info.max)
+_CELL_VALUES = {
+    int: st.integers(min_value=-(2**70), max_value=2**70),
+    float: st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats()),
+    str: st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8),
+}
+
+
+@st.composite
+def _records(draw):
+    """A record class of one to five int, float and str fields, declared
+    with classes or, as under postponed annotations, with their names, and
+    a few records of it."""
+    kinds = draw(st.lists(st.sampled_from(list(_CELL_VALUES)), min_size=1, max_size=5))
+    as_names = draw(st.booleans())
+    kind = make_dataclass("Record", [(f"f{i}", k.__name__ if as_names else k)
+                                     for i, k in enumerate(kinds)])
+    rows = draw(st.lists(st.tuples(*(_CELL_VALUES[k] for k in kinds)), max_size=4))
+    return kind, [kind(*values) for values in rows]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_records())
+def test_write_csv_bytes_match_per_cell_formatting(tmp_path_factory, record):
+    # each line is what formatting cell by cell gives: %.12g for a float,
+    # str() for anything else
+    kind, rows = record
+    names = [f.name for f in fields(kind)]
+
+    def cell(value):
+        return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+    path = tmp_path_factory.getbasetemp() / "write_csv_property.csv"
+    write_csv(rows, kind, str(path))
+    assert path.read_bytes() == "".join(
+        ",".join(line) + "\n"
+        for line in [names] + [[cell(getattr(row, n)) for n in names] for row in rows]
+    ).encode("ascii")
