@@ -4,12 +4,6 @@ conflicting gradients plus adaptive magnitude rescale, with baselines
 two-head MLP, a synthetic two-task benchmark, and a CSV-emitting trainer.
 """
 
-from .gradvec import (
-    DEFAULT_TOL_NORM,
-    AngleReport,
-    GradientVector,
-    angle_between,
-)
 from .net import (
     Activation,
     Layer,
@@ -23,12 +17,16 @@ from .net import (
     save_network,
 )
 from .surgery import (
+    DEFAULT_TOL_NORM,
+    AngleReport,
+    GradientVector,
     RatioRule,
     RemedyConfig,
     RemedyOutcome,
     RescaleResult,
     Strategy,
     TaskGradients,
+    angle_between,
     dynamic_theta,
     project,
     remedy_layer,

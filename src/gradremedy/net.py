@@ -11,16 +11,14 @@ raw material for gradient surgery — as the two rows of one array. Heads
 only ever receive their own task's gradient.
 
 The arithmetic lives in three cores that check nothing: `_forward`,
-`_loss_and_deltas` and `_backward`. They run on a `_StepPlan`, which binds
-once, for one net and batch size, each layer's (weights, bias, ReLU flag,
-weight-gradient view, bias-gradient view), the (2, batch, width) buffer of
-the trunk's two deltas and np.arange(batch). The public `forward`, `losses`
-and `backward_two_task` check their inputs (the batch's rank and each
-layer's input width; lam and the shapes of targets and labels; that the
-cache came from this net) and then call the same cores.
-`backward_two_task` binds a plan over fresh gradient arrays on each call;
-the trainer binds one per run over its flat buffers and does its checks
-once, before the first step.
+`_loss_and_deltas` and `_backward`. They read each Layer and the
+LayerGrads its gradients go to directly. The public `forward`, `losses` and
+`backward_two_task` check their inputs (the batch's rank and each layer's
+input width; lam and the shapes of targets and labels; that the cache came
+from this net) and then call the same cores; the trainer makes its checks
+once per run, before the first step. `_check_widths` is the one statement
+of the chaining rule: Network runs it when built, forward and train() on
+their inputs' width.
 
 Everything is plain float64 numpy; batches are (batch, dim) matrices.
 """
@@ -42,6 +40,11 @@ from .synthdata import dataset_errors
 class Activation(Enum):
     RELU = "relu"
     IDENTITY = "identity"
+
+
+# the step's cores test each layer against this name, not Activation.RELU,
+# whose class attribute lookup costs about 150 ns
+_RELU = Activation.RELU
 
 
 @dataclass
@@ -94,18 +97,7 @@ class Network:
         for name, chain in self.chains():
             if not chain:
                 raise ValueError(f"{name} must contain at least one layer")
-            for i in range(1, len(chain)):
-                if chain[i].in_dim != chain[i - 1].out_dim:
-                    raise ValueError(
-                        f"{name}[{i}] expects input dim {chain[i].in_dim}, "
-                        f"but {name}[{i - 1}] emits {chain[i - 1].out_dim}"
-                    )
-            trunk_out = self.trunk[-1].out_dim
-            if chain is not self.trunk and chain[0].in_dim != trunk_out:
-                raise ValueError(
-                    f"{name}[0] expects input dim {chain[0].in_dim}, "
-                    f"but the trunk emits {trunk_out}"
-                )
+        _check_widths(self, self.trunk[0].in_dim)
 
     def chains(self) -> list[tuple[str, list[Layer]]]:
         """(name, layers) of the trunk and each head, in field order."""
@@ -168,28 +160,28 @@ def init_network(
 @dataclass
 class ForwardCache:
     """Every activation backward_two_task needs, tied to the net that
-    produced them. acts maps each chain's name to its activations: the
-    chain's input first, then each layer's output (a head's input is the
-    trunk's output array itself)."""
+    produced them. acts is _forward's tuple: each chain's activations in
+    field order, the chain's input first, then each layer's output (a
+    head's input is the trunk's output array itself)."""
 
     net: Network = field(repr=False)
-    acts: dict[str, list[np.ndarray]] = field(repr=False)
+    acts: tuple[list[np.ndarray], ...] = field(repr=False)
 
     @property
     def batch(self) -> np.ndarray:
-        return self.acts["trunk"][0]
+        return self.acts[0][0]
 
     @property
     def trunk_out(self) -> np.ndarray:
-        return self.acts["trunk"][-1]
+        return self.acts[0][-1]
 
     @property
     def aux_out(self) -> np.ndarray:
-        return self.acts["aux_head"][-1]
+        return self.acts[1][-1]
 
     @property
     def dom_logits(self) -> np.ndarray:
-        return self.acts["dom_head"][-1]
+        return self.acts[2][-1]
 
 
 class LayerGrads(NamedTuple):
@@ -199,34 +191,10 @@ class LayerGrads(NamedTuple):
     bias: np.ndarray
 
 
-class _Bound(NamedTuple):
-    """One layer as a step runs it: its parameter arrays, whether a ReLU
-    follows, and the arrays its gradients are written to (None when
-    nothing is)."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-    relu: bool
-    grad_weights: np.ndarray | None
-    grad_bias: np.ndarray | None
-
-
-def _bind(net: Network, grads: TwoTaskGradients | None = None) -> tuple[list[_Bound], ...]:
-    """Each chain's layers as _Bound, in field order, with the views of
-    grads' same-named list as their gradient arrays."""
-    bound = []
-    for name, chain in net.chains():
-        views = getattr(grads, name) if grads else [(None, None)] * len(chain)
-        bound.append([_Bound(layer.weights, layer.bias,
-                             layer.activation is Activation.RELU, *view)
-                      for layer, view in zip(chain, views)])
-    return tuple(bound)
-
-
 def _check_widths(net: Network, width: int) -> None:
-    """Raise forward's ValueError for the first layer, in walk order, whose
-    input width differs from the width that reaches it from inputs this
-    wide."""
+    """The chaining rule: raise ValueError for the first layer, in walk
+    order, whose input width differs from the width that reaches it from
+    inputs this wide (each head's input is the trunk's output)."""
     for name, chain in net.chains():
         if chain is not net.trunk:
             width = net.trunk[-1].out_dim
@@ -237,24 +205,22 @@ def _check_widths(net: Network, width: int) -> None:
             width = layer.out_dim
 
 
-def _forward_chain(layers: list[_Bound], x: np.ndarray) -> list[np.ndarray]:
+def _forward_chain(chain: list[Layer], x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
-    for weights, bias, relu, _, _ in layers:
-        x = x @ weights.T
-        x += bias
-        if relu:
+    for layer in chain:
+        x = x @ layer.weights.T
+        x += layer.bias
+        if layer.activation is _RELU:
             np.maximum(x, 0.0, out=x)
         acts.append(x)
     return acts
 
 
-def _forward(chains: tuple[list[_Bound], ...],
-             x: np.ndarray) -> tuple[list[np.ndarray], ...]:
+def _forward(net: Network, x: np.ndarray) -> tuple[list[np.ndarray], ...]:
     """Each chain's activations, in field order: the trunk's feed each head.
     Expects widths that fit (forward and train() check them)."""
-    trunk, aux_head, dom_head = chains
-    acts = _forward_chain(trunk, x)
-    return acts, _forward_chain(aux_head, acts[-1]), _forward_chain(dom_head, acts[-1])
+    acts = _forward_chain(net.trunk, x)
+    return acts, _forward_chain(net.aux_head, acts[-1]), _forward_chain(net.dom_head, acts[-1])
 
 
 def forward(net: Network, batch_inputs: np.ndarray) -> ForwardCache:
@@ -263,7 +229,7 @@ def forward(net: Network, batch_inputs: np.ndarray) -> ForwardCache:
     if x.ndim != 2:
         raise ValueError(f"batch_inputs must be 2-D (batch, dim), got ndim {x.ndim}")
     _check_widths(net, x.shape[1])
-    return ForwardCache(net=net, acts=dict(zip(_CHAIN_NAMES, _forward(_bind(net), x))))
+    return ForwardCache(net=net, acts=_forward(net, x))
 
 
 @dataclass(frozen=True)
@@ -392,56 +358,44 @@ class TwoTaskGradients:
         return [LayerGrads(g.weights[1], g.bias[1]) for g in self.trunk]
 
 
-class _StepPlan:
-    """What a two-task step of one net at one batch size reads besides its
-    batch, bound once: chains holds each chain's _Bound layers, whose
-    gradients go to grads' arrays; trunk_delta is the (2, batch, trunk
-    width) buffer of the two tasks' deltas at the trunk's output, and
-    delta_rows its two rows; rows is np.arange(batch), the label indices."""
-
-    def __init__(self, net: Network, grads: TwoTaskGradients, batch_size: int):
-        self.grads = grads
-        self.chains = _bind(net, grads)
-        self.trunk_delta = np.empty((2, batch_size, net.trunk[-1].out_dim))
-        self.delta_rows = tuple(self.trunk_delta)
-        self.rows = np.arange(batch_size)
-
-
-def _backward_chain(layers: list[_Bound], acts: list[np.ndarray],
-                    delta: np.ndarray) -> np.ndarray:
+def _backward_chain(chain: list[Layer], grads: list[LayerGrads],
+                    acts: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
     """Walk one chain backward from d(loss)/d(output), given its forward
-    activations, writing each layer's gradients into its bound arrays. delta
-    is (batch, out_dim), or (tasks, batch, out_dim) with the gradient arrays
-    stacked the same way. Returns dz, the gradient at layers[0]'s
-    pre-activation; dz @ layers[0].weights is d(loss)/d(input). A ReLU
+    activations, writing each layer's gradients into grads' arrays. delta
+    is (batch, out_dim), or (tasks, batch, out_dim) with grads' arrays
+    stacked the same way. Returns dz, the gradient at chain[0]'s
+    pre-activation; dz @ chain[0].weights is d(loss)/d(input). A ReLU
     passes delta where its output is positive, which is exactly where its
     input was."""
-    for i in range(len(layers) - 1, -1, -1):
-        weights, _, relu, grad_weights, grad_bias = layers[i]
-        dz = np.where(acts[i + 1] > 0.0, delta, 0.0) if relu else delta
-        np.matmul(dz.swapaxes(-1, -2), acts[i], out=grad_weights)
-        np.add.reduce(dz, axis=-2, out=grad_bias)
+    for i in range(len(chain) - 1, -1, -1):
+        layer = chain[i]
+        dz = np.where(acts[i + 1] > 0.0, delta, 0.0) if layer.activation is _RELU else delta
+        np.matmul(dz.swapaxes(-1, -2), acts[i], out=grads[i].weights)
+        np.add.reduce(dz, axis=-2, out=grads[i].bias)
         if i:
-            delta = dz @ weights
+            delta = dz @ layer.weights
     return dz
 
 
 def _backward(
-    plan: _StepPlan,
+    net: Network,
+    grads: TwoTaskGradients,
     acts: tuple[list[np.ndarray], ...],
     d_aux: np.ndarray,
     d_dom: np.ndarray,
+    trunk_delta: np.ndarray,
 ) -> TwoTaskGradients:
-    """Write the gradients of the two head deltas into plan.grads' arrays,
-    given each chain's activations in field order: each head gets its own
-    task's, and one trunk walk carries both tasks' deltas stacked."""
-    trunk, aux_head, dom_head = plan.chains
+    """Write the gradients of the two head deltas into grads' arrays, given
+    each chain's activations in field order: each head gets its own task's,
+    and one trunk walk carries both tasks' deltas, stacked in trunk_delta,
+    a (2, batch, trunk width) buffer."""
     trunk_acts, aux_acts, dom_acts = acts
-    to_aux, to_dom = plan.delta_rows
-    np.matmul(_backward_chain(aux_head, aux_acts, d_aux), aux_head[0].weights, out=to_aux)
-    np.matmul(_backward_chain(dom_head, dom_acts, d_dom), dom_head[0].weights, out=to_dom)
-    _backward_chain(trunk, trunk_acts, plan.trunk_delta)
-    return plan.grads
+    np.matmul(_backward_chain(net.aux_head, grads.aux_head, aux_acts, d_aux),
+              net.aux_head[0].weights, out=trunk_delta[0])
+    np.matmul(_backward_chain(net.dom_head, grads.dom_head, dom_acts, d_dom),
+              net.dom_head[0].weights, out=trunk_delta[1])
+    _backward_chain(net.trunk, grads.trunk, trunk_acts, trunk_delta)
+    return grads
 
 
 def backward_two_task(
@@ -462,14 +416,16 @@ def backward_two_task(
     targets_clean, labels = _checked_targets(cache, targets_clean, labels, lam)
     if cache.net is not net:
         raise ValueError("cache was produced by a different network")
-    plan = _StepPlan(net, TwoTaskGradients(
+    grads = TwoTaskGradients(
         trunk=layer_views(np.empty((2, chain_size(net.trunk))), net.trunk),
         aux_head=layer_views(np.empty(chain_size(net.aux_head)), net.aux_head),
         dom_head=layer_views(np.empty(chain_size(net.dom_head)), net.dom_head),
-    ), labels.shape[0])
+    )
     _, _, d_aux, d_dom = _loss_and_deltas(
-        cache.aux_out, cache.dom_logits, targets_clean, labels, plan.rows, lam)
-    return _backward(plan, tuple(cache.acts[name] for name in _CHAIN_NAMES), d_aux, d_dom)
+        cache.aux_out, cache.dom_logits, targets_clean, labels,
+        np.arange(labels.shape[0]), lam)
+    return _backward(net, grads, cache.acts, d_aux, d_dom,
+                     np.empty((2,) + cache.trunk_out.shape))
 
 
 # --- checkpoint format -------------------------------------------------------

@@ -3,10 +3,9 @@
 Each sample starts from one of a few fixed class templates (random unit
 vectors kept at least ANGLE_FLOOR_DEG, a fixed 45 degrees, apart), gets
 small intra-class jitter, and is then buried in Gaussian noise scaled so
-the batch hits the requested signal-to-noise ratio exactly; snr_db must
-keep that scale's gain 10**(snr_db/20) a normal float. The clean vector is
-the auxiliary regression target; the originating class is the
-dominant-task label.
+the batch hits the requested signal-to-noise ratio exactly, for |snr_db|
+up to _SNR_DB_LIMIT (about 319.1 dB). The clean vector is the auxiliary
+regression target; the originating class is the dominant-task label.
 
 Reproducibility: every random draw is keyed through numpy SeedSequence
 tuples — (seed, 0) for templates, (seed, 1, i) for training batch i,
@@ -17,7 +16,6 @@ regardless of generation order.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -32,19 +30,9 @@ _TRAIN_STREAM = 1
 _EVAL_STREAM = 2
 
 
-# the snr_db range whose batch gain 10**(snr_db/20) is a normal float64
-_SNR_DB_RANGE = (20.0 * math.log10(sys.float_info.min),
-                 20.0 * math.log10(sys.float_info.max))
-
-
-def _gain_is_normal(snr_db: float) -> bool:
-    """Whether _batch's gain 10**(snr_db/20) is a normal float64: false for
-    nan, +-inf and outside _SNR_DB_RANGE, where it overflows or
-    underflows."""
-    try:
-        return sys.float_info.min <= 10.0 ** (snr_db / 20.0) <= sys.float_info.max
-    except OverflowError:
-        return False
+# the largest |snr_db| at which float64 holds both parts of a noisy sample:
+# a norm ratio of 2**53 puts the smaller part below the larger one's rounding
+_SNR_DB_LIMIT = 20.0 * math.log10(2.0 ** 53)
 
 
 def dataset_errors(config) -> list[str]:
@@ -55,9 +43,9 @@ def dataset_errors(config) -> list[str]:
         ("num_classes", lambda n: n >= 2, "num_classes must be >= 2"),
         ("jitter_std", lambda s: s >= 0.0, "jitter_std must be >= 0"),
         ("template_scale", lambda s: s > 0.0, "template_scale must be positive"),
-        ("snr_db", _gain_is_normal,
-         "snr_db must be finite, with 10**(snr_db/20) a normal float "
-         f"(about {_SNR_DB_RANGE[0]:.0f} to {_SNR_DB_RANGE[1]:.0f} dB)"),
+        ("snr_db", lambda snr_db: abs(snr_db) <= _SNR_DB_LIMIT,  # false for nan
+         f"snr_db must be finite and within +-{_SNR_DB_LIMIT:.1f} dB, past which "
+         "float64 cannot hold both the signal and the noise"),
     ))
 
 
@@ -95,10 +83,16 @@ def class_templates(
     """Random unit vectors with every pairwise angle >= ANGLE_FLOOR_DEG.
 
     Rejection sampling from an isotropic Gaussian; deterministic in seed.
-    Raises if the floor cannot be met within max_tries draws (too many
-    classes for the dimension / floor combination).
+    Raises, without drawing, if the caps of half the floor around that
+    many templates would cover more than the sphere, and otherwise if the
+    floor cannot be met within max_tries draws.
     """
     raise_if_any(dataset_errors(SimpleNamespace(num_classes=num_classes, dim=dim)))
+    failure = (f"could not place {num_classes} templates in dim {dim} with pairwise "
+               f"angle >= {ANGLE_FLOOR_DEG} deg")
+    share = _cap_share(dim)
+    if num_classes * share > 1.0:
+        raise ValueError(f"{failure}: at most {math.floor(1.0 / share)} fit")
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((seed, _TEMPLATE_STREAM)))
     )
@@ -111,10 +105,29 @@ def class_templates(
             accepted.append(v)
             if len(accepted) == num_classes:
                 return np.array(accepted)
-    raise ValueError(
-        f"could not place {num_classes} templates in dim {dim} with pairwise "
-        f"angle >= {ANGLE_FLOOR_DEG} deg after {max_tries} draws"
-    )
+    raise ValueError(f"{failure} after {max_tries} draws")
+
+
+def _cap_share(dim: int) -> float:
+    """A lower bound on the share of the unit sphere in dim dimensions that
+    lies within ANGLE_FLOOR_DEG / 2 of a point. Such caps around templates
+    the floor apart are disjoint, so at most 1 / share templates fit.
+
+    The share is I_x((dim-1)/2, 1/2) / 2 with x = sin^2(floor / 2), the
+    regularized incomplete beta function, summed as its hypergeometric
+    series: every term is positive, so no digits cancel at any dim.
+    Truncating the sum only lowers it, and the final 1e-9 trim outweighs
+    the rounding of the logs and gammas.
+    """
+    a, x = (dim - 1) / 2.0, math.sin(math.radians(ANGLE_FLOOR_DEG / 2.0)) ** 2
+    term = total = 1.0
+    for n in range(40):  # the terms shrink by more than x ~ 0.15 each
+        term *= (a + 0.5 + n) / (a + 1.0 + n) * x
+        total += term
+    log_share = (a * math.log(x) + 0.5 * math.log1p(-x) - math.log(2.0 * a)
+                 + math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5)
+                 + math.log(total))
+    return math.exp(log_share) * (1.0 - 1e-9)
 
 
 def template_errors(config) -> list[str]:

@@ -2,27 +2,28 @@
 
 train() first checks that the net fits the dataset: its outer widths
 against dim and num_classes, and each layer's input width against what
-reaches it (forward's check; TrainConfig has already bounded lam and the
+reaches it (net._check_widths; TrainConfig has already bounded lam and the
 sizes). It then moves every parameter of the net into one contiguous float64
 buffer, laid out trunk, auxiliary head, dominant head, each layer's weights
 (row-major) before its bias; the layers' weights and bias arrays become views
 of it. Two gradient buffers go with it: `total`, laid out like the
 parameters, and `tasks`, a (2, trunk size) array whose rows `aux` and `dom`
-are the two tasks' gradients, each laid out like the trunk part. The arena
-binds one step plan (net._StepPlan) to these views, so a step checks no
-shape, lam or cache and builds no per-layer list. Each step runs one forward
-pass and one pass over the losses, which yields both losses and both head
-deltas; after the loss check, one backward pass walks each head and then the
-trunk once for both tasks, writing the trunk gradients into `tasks` and the
-head gradients into `total`. After one
-non-finite scan of `tasks`, the strategy runs on each surgery unit, a
-(start, stop) segment of the trunk layout: a whole trunk layer, or its
-weights and its bias as two units with bias_separate. It writes aux' + dom'
-into the unit's segment of `total`; one more scan of `total` (which under
-Adam also rejects entries above sqrt(float64 max), whose squares overflow)
-and one optimizer call over the whole buffer end the step. Heads are updated
-with their own task's gradient, untouched by surgery. The parameter buffer
-is scanned once per epoch, before the held-out evaluation.
+are the two tasks' gradients, each laid out like the trunk part; the arena's
+`grads` holds each layer's views of them. The (2, batch, trunk width) delta
+buffer and the label row indices are allocated once per run, and a step
+checks no shape, lam or cache. Each step runs net's cores: one forward pass
+and one pass over the losses, which yields both losses and both head
+deltas; after the loss check, one backward pass walks each head and then
+the trunk once for both tasks, writing the trunk gradients into `tasks` and
+the head gradients into `total`. After one non-finite scan of `tasks`, the
+strategy runs on each surgery unit, a (start, stop) segment of the trunk
+layout: a whole trunk layer, or its weights and its bias as two units with
+bias_separate. It writes aux' + dom' into the unit's segment of `total`;
+one more scan of `total` (which under Adam also rejects entries above
+sqrt(float64 max), whose squares overflow) and one optimizer call over the
+whole buffer end the step. Heads are updated with their own task's
+gradient, untouched by surgery. The parameter buffer is scanned once per
+epoch, before the held-out evaluation.
 
 The pass over the units that runs surgery also tallies the step's StepStats
 row and the run's rescale ratios, in unit order:
@@ -53,12 +54,10 @@ from .net import (
     Network,
     TwoTaskGradients,
     _backward,
-    _bind,
     _check_widths,
     _forward,
     _forward_chain,
     _loss_and_deltas,
-    _StepPlan,
     chain_size,
     forward,  # noqa: F401 - perfbench's span tests wrap it under this name
     layer_views,
@@ -215,11 +214,10 @@ class Adam:
 def evaluate(net: Network, batches: list[SampleBatch]) -> float:
     """Held-out dominant-task accuracy over the batches; only the trunk and
     the dominant head run."""
-    trunk, _, dom_head = _bind(net)
     correct = 0
     for b in batches:
         _check_widths(net, b.noisy.shape[1])
-        logits = _forward_chain(dom_head, _forward_chain(trunk, b.noisy)[-1])[-1]
+        logits = _forward_chain(net.dom_head, _forward_chain(net.trunk, b.noisy)[-1])[-1]
         correct += int((logits.argmax(axis=1) == b.labels).sum())
     return correct / sum(len(b) for b in batches)
 
@@ -232,12 +230,12 @@ class _Arena:
     in trunk order. places names each segment of the total
     layout as (name, gradient, start, stop): the surgery units first, whose
     segments aux and dom share, then the head layers; gradient names what
-    the total buffer holds there. plan is the step plan for batches of
-    batch_size, whose gradient views are the trunk layers' two rows of tasks
-    and the head layers' segments of total.
+    the total buffer holds there. grads holds each layer's gradient views:
+    the trunk layers' two rows of tasks and the head layers' segments of
+    total.
     """
 
-    def __init__(self, net: Network, bias_separate: bool, batch_size: int):
+    def __init__(self, net: Network, bias_separate: bool):
         pieces = []  # (name, gradient, size) along the total layout
         for (chain_name, chain), gradient in zip(
                 net.chains(), ("post-surgery total gradient", *_TASK_GRADIENTS)):
@@ -263,11 +261,11 @@ class _Arena:
             view.bias[...] = layer.bias
             layer.weights, layer.bias = view
         heads = layer_views(self.total, layers)[len(net.trunk):]
-        self.plan = _StepPlan(net, TwoTaskGradients(
+        self.grads = TwoTaskGradients(
             trunk=layer_views(self.tasks, net.trunk),
             aux_head=heads[:len(net.aux_head)],
             dom_head=heads[len(net.aux_head):],
-        ), batch_size)
+        )
         self.units = [(self.aux[a:b], self.dom[a:b], self.total[a:b])
                       for _, _, a, b in self.places if b <= trunk_end]
 
@@ -330,7 +328,7 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     up as views of one parameter buffer (see the module docstring). A net
     whose input or output widths do not fit the dataset is refused first
     (ValueError naming each such layer), and then one whose layers no
-    longer chain (forward's ValueError), with its arrays untouched.
+    longer chain (net._check_widths's ValueError), with its arrays untouched.
 
     Deterministic given (config, dataset seed, initial parameters): batches
     are addressed by global step index, so there is no hidden RNG state.
@@ -343,8 +341,10 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     """
     raise_if_any(_fit_errors(net, data))
     _check_widths(net, data.dim)
-    arena = _Arena(net, config.bias_separate, config.batch_size)
-    plan, units, total = arena.plan, arena.units, arena.total
+    arena = _Arena(net, config.bias_separate)
+    grads, units, total = arena.grads, arena.units, arena.total
+    trunk_delta = np.empty((2, config.batch_size, net.trunk[-1].out_dim))
+    rows = np.arange(config.batch_size)
     adam = config.optimizer is OptimizerKind.ADAM
     opt = (Adam if adam else SGD)(config.learning_rate)
     limit = _ADAM_LIMIT if adam else _FLOAT64_MAX
@@ -364,15 +364,15 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                     1.0, (global_step + 1) / config.warmup_steps
                 )
             batch = data.train_batch(config.batch_size, global_step)
-            acts = _forward(plan.chains, batch.noisy)
+            acts = _forward(net, batch.noisy)
             loss_aux, loss_dom, d_aux, d_dom = _loss_and_deltas(
-                acts[1][-1], acts[2][-1], batch.clean, batch.labels, plan.rows, lam)
+                acts[1][-1], acts[2][-1], batch.clean, batch.labels, rows, lam)
             if not (math.isfinite(loss_aux) and math.isfinite(loss_dom)):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}: "
                     f"loss_aux={loss_aux}, loss_dom={loss_dom}"
                 )
-            _backward(plan, acts, d_aux, d_dom)
+            _backward(net, grads, acts, d_aux, d_dom, trunk_delta)
             if not np.isfinite(arena.tasks).all():  # locate only on failure
                 for row, gradient in zip(arena.tasks, _TASK_GRADIENTS):
                     arena.check_finite(row, gradient, epoch, batch_idx)

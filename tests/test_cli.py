@@ -175,6 +175,8 @@ MALFORMED = {
     "snr-minus-inf": ["--snr-db=-inf"],
     "snr-overflows": ["--snr-db", "7000"],
     "snr-underflows": ["--snr-db=-7000"],
+    "snr-buries-the-signal": ["--snr-db=-2900"],
+    "snr-loses-the-noise": ["--snr-db", "400"],
     "angle-twice": ["--strategy", "fixed-theta:20deg", "--fixed-theta", "60"],
     "token-angle-twice": ["--strategies", "naive,fixed-theta:20deg",
                           "--fixed-theta", "60"],
@@ -210,7 +212,7 @@ def test_malformed_input_exits_2_with_error_lines(command, case, tmp_path,
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_unplaceable_templates_exit_2_before_any_directory(command, tmp_path, capsys):
     # 40 templates 45 degrees apart do not fit in 3 dimensions: the first
-    # seed is refused before training, as an input error
+    # seed is refused before training, as an input error, without a draw
     out = tmp_path / "out"
     assert main([command, "--classes", "40", "--dim", "3", "--seeds", "5,6",
                  "--out", str(out)]) == 2
@@ -218,7 +220,7 @@ def test_unplaceable_templates_exit_2_before_any_directory(command, tmp_path, ca
     assert captured.out == ""
     assert captured.err == (
         "error: num_classes: could not place 40 templates in dim 3 with pairwise "
-        "angle >= 45.0 deg after 100000 draws (seed 5)\n")
+        "angle >= 45.0 deg: at most 26 fit (seed 5)\n")
     assert not out.exists()
 
 

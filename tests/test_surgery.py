@@ -5,6 +5,8 @@ arithmetic so they can be re-derived without a tool.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,3 +400,15 @@ def test_remedy_layer_non_conflicting_dominant_pair_still_rescales():
     assert outcome.was_wrongly_dominant
     assert outcome.r_applied == pytest.approx(0.8, rel=1e-12)
     np.testing.assert_allclose(outcome.g_aux_out.values, [6.4, 4.8], rtol=1e-15)
+
+
+def test_readme_library_use_block_runs_as_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(code, namespace)
+    outcome = namespace["outcome"]
+    assert outcome.was_conflicting is True
+    assert outcome.theta_prime == pytest.approx(math.atan(math.sqrt(2.0)), rel=1e-12)
+    np.testing.assert_allclose(outcome.g_total.values, [1.70710678, 1.0], rtol=0, atol=5e-9)

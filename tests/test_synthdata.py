@@ -1,15 +1,15 @@
 """Synthetic benchmark generator: determinism, SNR, and separability."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from gradremedy import TwoTaskDataset, generate
-from gradremedy.synthdata import SampleBatch, class_templates
+from gradremedy.synthdata import SampleBatch, _cap_share, class_templates
 
 
 def realized_snr_db(batch: SampleBatch) -> float:
@@ -47,6 +47,20 @@ def test_templates_impossible_floor_raises():
     # 2-D fits at most a handful of directions 45 degrees apart
     with pytest.raises(ValueError, match="could not place"):
         class_templates(seed=0, num_classes=50, dim=2, max_tries=2000)
+
+
+def test_cap_bound_refuses_without_drawing_and_never_overstates():
+    # caps of 22.5 degrees around templates 45 degrees apart are disjoint
+    for dim, most in ((2, 8), (3, 26)):
+        with pytest.raises(ValueError, match=rf"in dim {dim} .*: at most {most} fit$"):
+            class_templates(0, most + 1, dim, max_tries=0)
+    # at the bound the draws decide: 8 in 2-D would need a regular octagon
+    with pytest.raises(ValueError, match="after 2000 draws$"):
+        class_templates(seed=0, num_classes=8, dim=2, max_tries=2000)
+    x = math.sin(math.radians(22.5)) ** 2
+    for dim in (*range(2, 60), 100, 400, 700, 2000):
+        exact = betainc((dim - 1) / 2, 0.5, x) / 2
+        assert exact * (1 - 1e-8) <= _cap_share(dim) <= exact, dim
 
 
 def test_batches_are_addressable_and_order_independent():
@@ -169,17 +183,20 @@ def test_dataset_validates_arguments():
         data.train_batch(0, 0)
 
 
-@pytest.mark.parametrize("snr_db", [7000.0, -7000.0, 6166.0, -6154.0, 1e308, -1e308])
+@pytest.mark.parametrize("snr_db", [7000.0, -7000.0, 6166.0, -6154.0, 1e308, -1e308,
+                                    400.0, -2900.0, 319.1, -319.1])
 def test_snr_whose_gain_is_not_a_normal_float_is_refused(snr_db):
-    # 10**(snr_db/20) overflows, or underflows to a subnormal or zero, so a
-    # batch could not be scaled to it
-    with pytest.raises(ValueError, match=r"snr_db must be finite, with 10\*\*\(snr_db/20\) "
-                                         r"a normal float \(about -6153 to 6165 dB\)"):
+    # past +-319.1 dB one part of noisy = clean + noise falls below the
+    # other's float64 rounding (-2900 dB trained into gradients near 1e284);
+    # further out 10**(snr_db/20) overflows, or underflows to a subnormal
+    with pytest.raises(ValueError, match=r"snr_db must be finite and within \+-319\.1 dB, "
+                                         r"past which float64 cannot hold both the signal "
+                                         r"and the noise"):
         TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=snr_db)
 
 
-@pytest.mark.parametrize("snr_db", [6165.0, -6153.0])
-def test_snr_at_the_edge_of_the_normal_range_is_accepted(snr_db):
-    gain = 10.0 ** (snr_db / 20.0)
-    assert sys.float_info.min <= gain <= sys.float_info.max
-    assert TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=snr_db).snr_db == snr_db
+@pytest.mark.parametrize("snr_db", [319.0, -319.0])
+def test_snr_at_the_edge_of_the_carried_range_is_accepted(snr_db):
+    data = TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=snr_db)
+    assert data.snr_db == snr_db
+    assert np.isfinite(data.train_batch(4, 0).noisy).all()

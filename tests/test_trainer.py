@@ -79,8 +79,8 @@ def test_single_sgd_step_matches_manual_update():
 
     train(config, data, net)
     for (_, got), (_, want) in zip(net.named_layers(), expected.named_layers()):
-        np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.bias, want.bias, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got.weights, want.weights)
+        np.testing.assert_array_equal(got.bias, want.bias)
 
 
 def test_warmup_scales_the_first_update():
@@ -259,14 +259,15 @@ def test_a_net_that_does_not_fit_the_dataset_is_refused_before_training(swap, me
 ], ids=["trunk", "head"])
 def test_a_net_whose_layers_stopped_chaining_is_refused_before_training(
         chain, index, layer, message):
-    # Network checks its chains when built; a layer swapped in afterwards
-    # gets forward's message from train() and evaluate()
+    # one chaining rule: a layer swapped in after construction gets the
+    # message building a net with it gets, from train(), evaluate() and forward
     net = make_net()
     getattr(net, chain)[index] = layer
     arrays = [(layer.weights, layer.bias) for _, layer in net.named_layers()]
     for run in (lambda: train(tiny_config(), make_dataset(), net),
                 lambda: evaluate(net, [make_dataset().eval_batch(4)]),
-                lambda: forward(net, make_dataset().eval_batch(4).noisy)):
+                lambda: forward(net, make_dataset().eval_batch(4).noisy),
+                lambda: Network(net.trunk, net.aux_head, net.dom_head)):
         with pytest.raises(ValueError) as caught:
             run()
         assert str(caught.value) == message
@@ -275,7 +276,7 @@ def test_a_net_whose_layers_stopped_chaining_is_refused_before_training(
 
 
 def test_one_scan_predicate_serves_both_limits():
-    arena = trainer_module._Arena(make_net(), bias_separate=False, batch_size=4)
+    arena = trainer_module._Arena(make_net(), bias_separate=False)
     adam = trainer_module._ADAM_LIMIT
     arena.total[...] = 0.0
     arena.total[7] = 1e300
