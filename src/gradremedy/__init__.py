@@ -12,9 +12,7 @@ from .net import (
     backward_two_task,
     forward,
     init_network,
-    load_network,
     losses,
-    save_network,
 )
 from .surgery import (
     DEFAULT_TOL_NORM,
@@ -65,9 +63,7 @@ __all__ = [
     "backward_two_task",
     "forward",
     "init_network",
-    "load_network",
     "losses",
-    "save_network",
     "RatioRule",
     "RemedyConfig",
     "RemedyOutcome",

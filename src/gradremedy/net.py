@@ -25,7 +25,6 @@ Everything is plain float64 numpy; batches are (batch, dim) matrices.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import SimpleNamespace
@@ -86,7 +85,7 @@ class Network:
     """Trunk shared by both tasks plus one private head per task.
 
     The field order is the layout order of everything that walks the net:
-    named_layers, the checkpoint format and the trainer's parameter buffer.
+    named_layers and the trainer's parameter buffer.
     """
 
     trunk: list[Layer]
@@ -137,7 +136,7 @@ def init_network(
     """
     shape = SimpleNamespace(trunk_widths=trunk_widths, num_classes=num_classes)
     raise_if_any(network_errors(shape) + dataset_errors(shape))
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
 
     def dense(fan_in: int, fan_out: int, activation: Activation) -> Layer:
         bound = 1.0 / np.sqrt(fan_in)
@@ -426,82 +425,3 @@ def backward_two_task(
         np.arange(labels.shape[0]), lam)
     return _backward(net, grads, cache.acts, d_aux, d_dom,
                      np.empty((2,) + cache.trunk_out.shape))
-
-
-# --- checkpoint format -------------------------------------------------------
-#
-# Plain text, one section per chain:
-#
-#   gradremedy-net v1
-#   <chain-name> <layer-count>
-#   layer <out_dim> <in_dim> <activation>
-#   <out_dim*in_dim weights, row-major, space-separated, %.17g>
-#   <out_dim biases, space-separated, %.17g>
-#
-# %.17g round-trips float64 exactly, so save -> load is bit-identical.
-
-_MAGIC = "gradremedy-net v1"
-
-
-def _write_array(out: io.TextIOBase, values: np.ndarray) -> None:
-    out.write(" ".join(f"{v:.17g}" for v in values.ravel(order="C")))
-    out.write("\n")
-
-
-def save_network(net: Network, path: str) -> None:
-    """Write the checkpoint text format described above."""
-    with open(path, "w", encoding="ascii") as out:
-        out.write(_MAGIC + "\n")
-        for name, chain in net.chains():
-            out.write(f"{name} {len(chain)}\n")
-            for layer in chain:
-                out.write(
-                    f"layer {layer.out_dim} {layer.in_dim} {layer.activation.value}\n"
-                )
-                _write_array(out, layer.weights)
-                _write_array(out, layer.bias)
-
-
-def load_network(path: str) -> Network:
-    """Inverse of save_network; bit-identical parameters. A file that does
-    not follow the format raises ValueError naming the path and, past the
-    first line, the section."""
-    with open(path, "r", encoding="ascii") as src:
-        lines = src.read().splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path}: not a {_MAGIC!r} checkpoint")
-    pos = 1
-    chains: dict[str, list[Layer]] = {}
-    for expected in _CHAIN_NAMES:
-        try:
-            chains[expected], pos = _read_chain(lines, pos, expected)
-        except IndexError:
-            raise ValueError(f"{path}: section {expected!r}: the file ends early") from None
-        except ValueError as err:
-            raise ValueError(f"{path}: section {expected!r}: {err}") from err
-    if pos < len(lines):
-        raise ValueError(
-            f"{path}: content follows the last section {expected!r} at line {pos + 1}"
-        )
-    return Network(**chains)
-
-
-def _read_chain(lines: list[str], pos: int, expected: str) -> tuple[list[Layer], int]:
-    """The chain whose section starts at lines[pos], and the line after it."""
-    name, count = lines[pos].split()
-    if name != expected:
-        raise ValueError(f"expected section {expected!r}, got {name!r}")
-    pos += 1
-    chain = []
-    for _ in range(int(count)):
-        tag, out_dim, in_dim, act = lines[pos].split()
-        if tag != "layer":
-            raise ValueError(f"malformed layer header {lines[pos]!r}")
-        weights = np.array(lines[pos + 1].split(), dtype=np.float64)
-        chain.append(Layer(
-            weights=weights.reshape(int(out_dim), int(in_dim)),
-            bias=np.array(lines[pos + 2].split(), dtype=np.float64),
-            activation=Activation(act),
-        ))
-        pos += 3
-    return chain, pos

@@ -41,8 +41,9 @@ def dataset_errors(config) -> list[str]:
     return bound_errors(config, (
         ("dim", lambda d: d >= 2, "dim must be >= 2"),
         ("num_classes", lambda n: n >= 2, "num_classes must be >= 2"),
-        ("jitter_std", lambda s: s >= 0.0, "jitter_std must be >= 0"),
-        ("template_scale", lambda s: s > 0.0, "template_scale must be positive"),
+        ("jitter_std", lambda s: 0.0 <= s < math.inf, "jitter_std must be finite and >= 0"),
+        ("template_scale", lambda s: 0.0 < s < math.inf,
+         "template_scale must be positive and finite"),
         ("snr_db", lambda snr_db: abs(snr_db) <= _SNR_DB_LIMIT,  # false for nan
          f"snr_db must be finite and within +-{_SNR_DB_LIMIT:.1f} dB, past which "
          "float64 cannot hold both the signal and the noise"),
@@ -93,18 +94,18 @@ def class_templates(
     share = _cap_share(dim)
     if num_classes * share > 1.0:
         raise ValueError(f"{failure}: at most {math.floor(1.0 / share)} fit")
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((seed, _TEMPLATE_STREAM)))
-    )
+    rng = np.random.default_rng((seed, _TEMPLATE_STREAM))
     cos_ceiling = math.cos(math.radians(ANGLE_FLOOR_DEG))
-    accepted: list[np.ndarray] = []
+    accepted = np.empty((num_classes, dim))
+    count = 0
     for _ in range(max_tries):
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
-        if all(float(v @ u) <= cos_ceiling for u in accepted):
-            accepted.append(v)
-            if len(accepted) == num_classes:
-                return np.array(accepted)
+        if count == 0 or (accepted[:count] @ v).max() <= cos_ceiling:
+            accepted[count] = v
+            count += 1
+            if count == num_classes:
+                return accepted
     raise ValueError(f"{failure} after {max_tries} draws")
 
 
@@ -163,9 +164,7 @@ class TwoTaskDataset:
     def _batch(self, batch_size: int, stream: int, index: int) -> SampleBatch:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((self.seed, stream, index)))
-        )
+        rng = np.random.default_rng((self.seed, stream, index))
         labels = rng.integers(0, self.num_classes, size=batch_size)
         # one draw: the jitter's entries first, then the raw noise's
         clean, noisy = rng.standard_normal((2, batch_size, self.dim))

@@ -86,7 +86,8 @@ def train_config_errors(config) -> list[str]:
     """Every bound a TrainConfig, or anything with its field names (the
     CLI passes its ExperimentSpec), breaks."""
     return bound_errors(config, (
-        ("learning_rate", lambda lr: lr > 0.0, "learning rate must be positive"),
+        ("learning_rate", lambda lr: 0.0 < lr < math.inf,
+         "learning rate must be positive and finite"),
         ("lam", lambda lam: 0.0 <= lam <= 1.0, "lambda must lie in [0, 1]"),
         *((name, lambda n: n >= 1, f"{name} must be >= 1")
           for name in ("epochs", "batches_per_epoch", "batch_size", "eval_batches")),

@@ -177,6 +177,10 @@ MALFORMED = {
     "snr-underflows": ["--snr-db=-7000"],
     "snr-buries-the-signal": ["--snr-db=-2900"],
     "snr-loses-the-noise": ["--snr-db", "400"],
+    "lr-inf": ["--lr", "inf"],
+    "jitter-inf": ["--jitter-std", "inf"],
+    "template-scale-inf": ["--template-scale", "inf"],
+    "template-scale-inf-in-config": {"template_scale": float("inf")},
     "angle-twice": ["--strategy", "fixed-theta:20deg", "--fixed-theta", "60"],
     "token-angle-twice": ["--strategies", "naive,fixed-theta:20deg",
                           "--fixed-theta", "60"],

@@ -3,10 +3,10 @@
 Twelve runs of the small test_trainer.py network (trunk 6x5, dim 8, three
 classes): the four strategies, each plain, with bias_separate, and on the
 jitter_std=4, template_scale=30 SGD data that makes gradient-remedy rescale.
-tests/data/golden/ holds each run's final checkpoint and the integer columns
-of its steps.csv. A change to the training step must keep every parameter
-array within 1e-12 relative (in the 2-norm) of the checkpoint and every
-count exact. Regenerate the files with
+tests/data/golden/ holds each run's final parameters (a .net file, see
+write_net) and the integer columns of its steps.csv. A change to the
+training step must keep every parameter array within 1e-12 relative (in the
+2-norm) of the file's and every count exact. Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -25,8 +25,6 @@ from gradremedy import (
     TrainConfig,
     TwoTaskDataset,
     init_network,
-    load_network,
-    save_network,
     train,
 )
 
@@ -43,6 +41,7 @@ CASES = {
 }
 COUNT_COLUMNS = "epoch,batch,layers_total,conflicting_pre,conflicting_post,wrongly_dominant"
 REL_TOL = 1e-12
+MAGIC = "gradremedy-net v1"
 
 
 def run_case(case, strategy):
@@ -66,6 +65,39 @@ def counts_csv(result) -> str:
     return "\n".join(rows) + "\n"
 
 
+def write_net(net, path):
+    """A magic line, then per chain a '<name> <layer count>' line and per
+    layer a 'layer <out_dim> <in_dim> <activation>' line, its row-major
+    weights and its bias, each value as %.17g, which round-trips float64."""
+    lines = [MAGIC]
+    for name, chain in net.chains():
+        lines.append(f"{name} {len(chain)}")
+        for layer in chain:
+            lines.append(f"layer {layer.out_dim} {layer.in_dim} {layer.activation.value}")
+            lines += [" ".join(f"{v:.17g}" for v in array.ravel())
+                      for array in (layer.weights, layer.bias)]
+    with open(path, "w", encoding="ascii") as out:
+        out.write("\n".join(lines) + "\n")
+
+
+def read_net(path):
+    """[(layer name as in named_layers, weights, bias)] of a write_net file."""
+    with open(path, encoding="ascii") as src:
+        lines = src.read().splitlines()
+    assert lines[0] == MAGIC, path
+    layers, pos = [], 1
+    while pos < len(lines):
+        name, count = lines[pos].split()
+        pos += 1
+        for i in range(int(count)):
+            _, out_dim, in_dim, _ = lines[pos].split()
+            weights = np.array(lines[pos + 1].split(), dtype=np.float64)
+            layers.append((f"{name}[{i}]", weights.reshape(int(out_dim), int(in_dim)),
+                           np.array(lines[pos + 2].split(), dtype=np.float64)))
+            pos += 3
+    return layers
+
+
 def _stem(case, strategy):
     return os.path.join(DATA, f"{case}.{strategy}")
 
@@ -76,10 +108,12 @@ def test_run_matches_golden_trace(case, strategy):
     result = run_case(case, strategy)
     with open(_stem(case, strategy) + ".counts.csv", encoding="ascii") as src:
         assert counts_csv(result) == src.read()
-    want = load_network(_stem(case, strategy) + ".net")
-    for (name, got), (_, ref) in zip(result.net.named_layers(), want.named_layers()):
-        for attr in ("weights", "bias"):
-            g, r = getattr(got, attr), getattr(ref, attr)
+    want = read_net(_stem(case, strategy) + ".net")
+    got = result.net.named_layers()
+    assert [name for name, _ in got] == [name for name, _, _ in want]
+    for (name, layer), (_, weights, bias) in zip(got, want):
+        for attr, r in (("weights", weights), ("bias", bias)):
+            g = getattr(layer, attr)
             assert g.shape == r.shape, f"{name}.{attr}"
             assert np.linalg.norm(g - r) <= REL_TOL * np.linalg.norm(r), f"{name}.{attr}"
 
@@ -93,7 +127,7 @@ if __name__ == "__main__":
     for case in CASES:
         for strategy in STRATEGIES:
             result = run_case(case, strategy)
-            save_network(result.net, _stem(case, strategy) + ".net")
+            write_net(result.net, _stem(case, strategy) + ".net")
             with open(_stem(case, strategy) + ".counts.csv", "w", encoding="ascii") as out:
                 out.write(counts_csv(result))
     print(f"wrote {len(CASES) * len(STRATEGIES)} cases to {DATA}")

@@ -1,8 +1,6 @@
 """Network forward/backward correctness, including a finite-difference oracle."""
 
 import math
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +13,7 @@ from gradremedy import (
     backward_two_task,
     forward,
     init_network,
-    load_network,
     losses,
-    save_network,
 )
 
 
@@ -213,45 +209,3 @@ def test_forward_rejects_wrong_input_dim():
         forward(net, np.zeros((2, 9)))
     with pytest.raises(ValueError, match="2-D"):
         forward(net, np.zeros(6))
-
-
-def test_checkpoint_round_trip_is_bit_identical(tmp_path):
-    net = init_network(seed=9, in_dim=7, trunk_widths=(6, 5), num_classes=4)
-    path = str(tmp_path / "net.txt")
-    save_network(net, path)
-    loaded = load_network(path)
-    for (name_a, la), (_, lb) in zip(net.named_layers(), loaded.named_layers()):
-        np.testing.assert_array_equal(la.weights, lb.weights)
-        np.testing.assert_array_equal(la.bias, lb.bias)
-        assert la.activation is lb.activation
-    # and the round trip survives a second generation unchanged
-    path2 = str(tmp_path / "net2.txt")
-    save_network(loaded, path2)
-    assert Path(path).read_text() == Path(path2).read_text()
-
-
-def test_load_network_rejects_other_files(tmp_path):
-    path = tmp_path / "bogus.txt"
-    path.write_text("something else\n")
-    with pytest.raises(ValueError, match="not a"):
-        load_network(str(path))
-
-
-@pytest.mark.parametrize(
-    "break_lines, message",
-    [
-        (lambda lines: lines[:-2], r"section 'dom_head': the file ends early"),
-        (lambda lines: lines[:3] + [lines[3].rsplit(" ", 1)[0]] + lines[4:],
-         r"section 'trunk': cannot reshape array of size 11 into shape \(3,4\)"),
-        (lambda lines: lines + ["trunk 1", "garbage"],
-         r"content follows the last section 'dom_head' at line 14"),
-    ],
-    ids=["truncated", "weights-line-one-short", "trailing-content"],
-)
-def test_load_network_names_file_and_section_of_a_broken_checkpoint(
-        tmp_path, break_lines, message):
-    path = tmp_path / "net.txt"
-    save_network(init_network(seed=0, in_dim=4, trunk_widths=(3,), num_classes=2), str(path))
-    path.write_text("\n".join(break_lines(path.read_text().splitlines())) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
-        load_network(str(path))

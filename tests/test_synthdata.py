@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
@@ -27,13 +27,48 @@ def nearest_template_labels(vectors: np.ndarray, templates: np.ndarray) -> np.nd
 
 
 def test_templates_are_unit_norm_with_angle_floor():
-    t = class_templates(seed=0, num_classes=5, dim=16)
-    assert t.shape == (5, 16)
-    np.testing.assert_allclose(np.linalg.norm(t, axis=1), 1.0, rtol=1e-12)
     ceiling = math.cos(math.radians(45.0))
-    for i in range(5):
-        for j in range(i + 1, 5):
-            assert float(t[i] @ t[j]) <= ceiling + 1e-12
+    for num_classes, dim in ((5, 16), (300, 64)):
+        t = class_templates(seed=0, num_classes=num_classes, dim=dim)
+        assert t.shape == (num_classes, dim)
+        np.testing.assert_allclose(np.linalg.norm(t, axis=1), 1.0, rtol=1e-12)
+        cosines = (t @ t.T)[np.triu_indices(num_classes, 1)]
+        assert cosines.max() <= ceiling + 1e-12
+
+
+def _reference_templates(seed, num_classes, dim, max_tries):
+    """The templates drawn the way the sampler first drew them, each draw
+    tested against every accepted template in turn; None if they do not
+    fit within max_tries draws."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
+    ceiling = math.cos(math.radians(45.0))
+    accepted = []
+    for _ in range(max_tries):
+        v = rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        if all(float(v @ u) <= ceiling for u in accepted):
+            accepted.append(v)
+            if len(accepted) == num_classes:
+                return np.array(accepted)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_classes=st.integers(2, 12),
+    dim=st.integers(2, 64),
+)
+# crowded spheres, where most draws are rejected near the floor
+@example(seed=0, num_classes=12, dim=3)
+@example(seed=1, num_classes=7, dim=2)
+def test_template_stream_is_bit_stable(seed, num_classes, dim):
+    want = _reference_templates(seed, num_classes, dim, max_tries=2000)
+    if want is None:
+        with pytest.raises(ValueError, match="could not place"):
+            class_templates(seed, num_classes, dim, max_tries=2000)
+    else:
+        assert np.array_equal(class_templates(seed, num_classes, dim, max_tries=2000), want)
 
 
 def test_templates_deterministic_in_seed():
