@@ -13,11 +13,10 @@ A run executes the training harness once per seed and leaves on disk:
 a fresh sibling, `<out>/.<name>.XXXX`, which replaces `<out>/<name>` whole
 once every file is written and is removed if anything fails. Configuration
 comes from flags, an optional JSON config file (flags win), and the
-GRADREMEDY_OUT env var for the default output root. Angles are degrees on
-the command line, given once (`fixed-theta:NNdeg` or --fixed-theta), and
-radians everywhere else. A config file's fixed_theta is the base angle, not
-a second one: a token's angle overrides it in the token's subdirectory, so
-a sweep reruns from its root config.json.
+GRADREMEDY_OUT env var for the default output root. A fixed-theta angle
+comes from a `fixed-theta:NNdeg` token, in degrees, or a config file's
+fixed_theta, in radians; a token's angle overrides the file's in the
+token's subdirectory only, so a sweep reruns from its root config.json.
 """
 
 import argparse
@@ -290,24 +289,20 @@ def run_strategy(spec: ExperimentSpec, strategy_dir: str, label: str) -> Summary
 
 
 def parse_strategy_token(token: str) -> tuple[Strategy, float | None]:
-    """'fixed-theta:36deg' -> (FIXED_THETA, 0.628...); plain tokens -> (S, None)."""
-    base, _, angle = token.partition(":")
+    """'fixed-theta:36deg' -> (FIXED_THETA, 0.628...); plain tokens -> (S, None).
+    A colon always starts an angle suffix, which only fixed-theta takes."""
+    base, colon, angle = token.partition(":")
     strategy = Strategy(base)
-    if not angle:
+    if not colon:
         return strategy, None
     if strategy is not Strategy.FIXED_THETA:
         raise ValueError(f"only fixed-theta takes an angle suffix, got {token!r}")
-    if not angle.endswith("deg"):
-        raise ValueError(f"angle suffix must end in 'deg', got {token!r}")
-    return strategy, math.radians(float(angle[: -len("deg")]))
-
-
-def _parse_token(token: str, args: argparse.Namespace) -> tuple[Strategy, float | None]:
-    """parse_strategy_token, refusing an angle that --fixed-theta gives too."""
-    strategy, theta = parse_strategy_token(token)
-    if theta is not None and args.fixed_theta_deg is not None:
-        raise ValueError(f"{token!r} and --fixed-theta both give an angle; give one")
-    return strategy, theta
+    if angle.endswith("deg"):
+        try:
+            return strategy, math.radians(float(angle[: -len("deg")]))
+        except ValueError:
+            pass
+    raise ValueError(f"angle suffix must be a number followed by 'deg', got {token!r}")
 
 
 # --- argument parsing --------------------------------------------------------
@@ -324,8 +319,6 @@ def _common_flags() -> argparse.ArgumentParser:
         "--strategy",
         help="naive | pcgrad | fixed-theta[:NNdeg] | gradient-remedy",
     )
-    p.add_argument("--fixed-theta", type=float, dest="fixed_theta_deg",
-                   metavar="DEG", help="projection angle for fixed-theta, degrees")
     p.add_argument("--k", type=float, dest="dominance_k",
                    help="dominance threshold K (> 1)")
     p.add_argument("--lambda", type=float, dest="lam",
@@ -403,18 +396,16 @@ def _spec_from_args(args: argparse.Namespace) -> tuple[ExperimentSpec, list[str]
     raw = _read_config(args.config) if args.config else {}
 
     overrides: dict = {}
-    # strategy, seeds and trunk_widths need parsing; fixed_theta comes in degrees
+    # strategy, seeds and trunk_widths need parsing
     for key in (f.name for f in fields(ExperimentSpec)):
         value = getattr(args, key, None)
         if value is not None and key not in ("strategy", "seeds", "trunk_widths"):
             overrides[key] = value
     if args.strategy is not None:
-        strategy, theta = _parse_token(args.strategy, args)
+        strategy, theta = parse_strategy_token(args.strategy)
         overrides["strategy"] = strategy.value
         if theta is not None:
             overrides["fixed_theta"] = theta
-    if args.fixed_theta_deg is not None:
-        overrides["fixed_theta"] = math.radians(args.fixed_theta_deg)
     if args.seeds is not None:
         overrides["seeds"] = _int_list("--seeds", args.seeds)
     if args.trunk_widths is not None:
@@ -446,7 +437,7 @@ def _strategy_runs(
         return [], [str(err)]
     for token in tokens:
         try:
-            strategy, theta = _parse_token(token, args)
+            strategy, theta = parse_strategy_token(token)
         except ValueError as err:
             errors.append(str(err))
             continue

@@ -247,31 +247,38 @@ class TaskGradients:
                              f"({self.g_aux.shape} vs {self.g_dom.shape})")
 
 
-@dataclass(frozen=True)
-class RemedyOutcome:
-    """Result of remedying one layer.
+class Remedy(NamedTuple):
+    """One unit's surgery outcome, as remedy_pair returns it; RemedyOutcome
+    takes every field after aux and dom from here.
 
+    aux, dom are the emitted pair (the input arrays when unchanged).
     was_wrongly_dominant applies the dominance predicate to the auxiliary
     gradient after projection but before any rescale; phi is the pre-remedy
     angle (None when either input is degenerate); theta_prime is the angle
     between the post-projection auxiliary gradient and the dominant gradient
     (None when degenerate or when projection collapsed the auxiliary
     gradient to zero). conflicting_post (with POST_CONFLICT_TOL slack) and
-    wrongly_dominant_post are measured on the emitted g_aux_out, g_dom_out.
-    r_applied/r_clamped record the rescale event.
+    wrongly_dominant_post are measured on the emitted pair. r_applied and
+    r_clamped record the rescale event.
     """
 
-    g_aux_out: GradientVector
-    g_dom_out: GradientVector
-    g_total: GradientVector
+    aux: np.ndarray
+    dom: np.ndarray
     was_conflicting: bool
     was_wrongly_dominant: bool
     theta_prime: float | None
     phi: float | None
     conflicting_post: bool
     wrongly_dominant_post: bool
-    r_applied: float | None = None
-    r_clamped: bool = False
+    r_applied: float | None
+    r_clamped: bool
+
+
+# remedy_layer's result: the emitted pair and its sum, then Remedy's outcome fields
+RemedyOutcome = NamedTuple("RemedyOutcome", [
+    ("g_aux_out", GradientVector), ("g_dom_out", GradientVector),
+    ("g_total", GradientVector),
+    *[(name, Remedy.__annotations__[name]) for name in Remedy._fields[2:]]])
 
 
 class RescaleResult(NamedTuple):
@@ -410,22 +417,6 @@ def rescale(
     aux_out = g_aux_projected.with_values(r * g_aux_projected.values)
     dom_out = g_dom.with_values((1.0 / r) * g_dom.values)
     return RescaleResult(aux_out, dom_out, True, r, clamped)
-
-
-class Remedy(NamedTuple):
-    """remedy_pair's result: the emitted pair (the input arrays themselves
-    when unchanged) plus RemedyOutcome's flags and angles, in its order."""
-
-    aux: np.ndarray
-    dom: np.ndarray
-    was_conflicting: bool
-    was_wrongly_dominant: bool
-    theta_prime: float | None
-    phi: float | None
-    conflicting_post: bool
-    wrongly_dominant_post: bool
-    r_applied: float | None
-    r_clamped: bool
 
 
 def remedy_pair(aux: np.ndarray, dom: np.ndarray, config: RemedyConfig) -> Remedy:

@@ -170,8 +170,15 @@ class TwoTaskDataset:
         clean, noisy = rng.standard_normal((2, batch_size, self.dim))
         clean *= self.jitter_std
         clean += self.templates[labels]
+        squared_norm = np.vdot(clean, clean)
+        if not math.isfinite(squared_norm):
+            kind = "training" if stream == _TRAIN_STREAM else "held-out"
+            raise ValueError(
+                f"{kind} batch {index}: the clean samples' squared norm overflows "
+                f"float64 (template_scale {self.template_scale:g}, "
+                f"jitter_std {self.jitter_std:g})")
         # scale so the realized batch SNR equals snr_db exactly
-        target_noise_norm = math.sqrt(np.vdot(clean, clean)) / 10.0 ** (self.snr_db / 20.0)
+        target_noise_norm = math.sqrt(squared_norm) / 10.0 ** (self.snr_db / 20.0)
         noisy *= target_noise_norm / math.sqrt(np.vdot(noisy, noisy))
         noisy += clean
         return SampleBatch(noisy=noisy, clean=clean, labels=labels)

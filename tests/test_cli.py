@@ -6,11 +6,13 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import statistics
 import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,10 @@ def test_parse_strategy_token():
         parse_strategy_token("pcgrad:10deg")
     with pytest.raises(ValueError, match="deg"):
         parse_strategy_token("fixed-theta:0.6rad")
+    with pytest.raises(ValueError) as err:
+        parse_strategy_token("fixed-theta:abcdeg")
+    assert str(err.value) == ("angle suffix must be a number followed by 'deg', "
+                              "got 'fixed-theta:abcdeg'")
     with pytest.raises(ValueError):
         parse_strategy_token("bogus")
 
@@ -181,9 +187,8 @@ MALFORMED = {
     "jitter-inf": ["--jitter-std", "inf"],
     "template-scale-inf": ["--template-scale", "inf"],
     "template-scale-inf-in-config": {"template_scale": float("inf")},
-    "angle-twice": ["--strategy", "fixed-theta:20deg", "--fixed-theta", "60"],
-    "token-angle-twice": ["--strategies", "naive,fixed-theta:20deg",
-                          "--fixed-theta", "60"],
+    "empty-angle-suffix": ["--strategy", "fixed-theta:"],
+    "suffix-on-pcgrad": ["--strategy", "pcgrad:"],
 }
 
 
@@ -240,6 +245,15 @@ def test_config_type_and_bound_errors_print_one_line_each(tmp_path, capsys):
     assert len(lines) == len(starts), lines
     for start in starts:
         assert sum(line.startswith(start) for line in lines) == 1, start
+
+
+def test_every_readme_command_line_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("gradremedy ")]
+    assert len(commands) >= 4
+    for argv in commands:
+        build_parser().parse_args(argv)  # argparse exits 2 on an unknown flag
 
 
 def _flags(parser):
@@ -348,6 +362,18 @@ def test_diverging_run_prints_only_its_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: non-finite loss at epoch 0, batch 4: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale", ["--template-scale", "--jitter-std"])
+def test_overflowing_batch_prints_only_its_error_line(scale, tmp_path, capsys):
+    code = main(["run", "--name", "huge", "--out", str(tmp_path), scale, "1e160",
+                 "--epochs", "1", "--batches-per-epoch", "2", "--seeds", "1"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: held-out batch 0: the clean samples' squared "
+                             "norm overflows float64 (template_scale ")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,8 +1,11 @@
-"""Every name a source or test file imports is read in that file.
+"""Every name a source or test file imports is read in that file, and every
+private top-level name of a source module is read somewhere in `src/`.
 
 A stand-in for a linter's unused-import rule (F401): an import bound to a
 name that no expression in the file reads, and that `__all__` does not
 list, fails. An import kept on purpose carries `# noqa: F401` on its line.
+A private function, class or constant that nothing in `src/` reads is dead
+code that the other tests cannot see.
 """
 
 import ast
@@ -38,3 +41,33 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path) == []
+
+
+SOURCES = sorted((ROOT / "src" / "gradremedy").glob("*.py"))
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The private functions, classes and constants a module defines at its
+    top level (dunder names such as __all__ excluded)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_read_somewhere_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{name}: {private}" for name, tree in trees.items()
+              for private in private_definitions(tree) if private not in read]
+    assert unread == []

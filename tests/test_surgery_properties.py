@@ -2,7 +2,8 @@
 
 - the post-surgery flags on RemedyOutcome are the conflict and dominance
   predicates of the pair it emits, also for near-anti-parallel pairs whose
-  projection leaves only cancellation residue
+  projection leaves only cancellation residue, and remedy_layer agrees with
+  remedy_pair on the same arrays in every field
 - no entry point mutates its input arrays
 - scaling by 2^k, k in [0, 1000], commutes with the surgery bit for bit,
   past the point where a.d overflows (downward it holds only until a norm
@@ -30,7 +31,7 @@ from gradremedy import (
     remedy_layer,
     rescale,
 )
-from gradremedy.surgery import POST_CONFLICT_TOL
+from gradremedy.surgery import POST_CONFLICT_TOL, Remedy, remedy_pair
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -82,6 +83,11 @@ def test_post_flags_are_the_predicates_of_the_emitted_pair(pair, config):
     assert outcome.conflicting_post == conflicting
     assert outcome.wrongly_dominant_post == dominant
     np.testing.assert_array_equal(outcome.g_total.values, a + d)
+    unit = remedy_pair(pair[0].values, pair[1].values, config)
+    np.testing.assert_array_equal(a, unit.aux)
+    np.testing.assert_array_equal(d, unit.dom)
+    for name in Remedy._fields[2:]:
+        assert getattr(outcome, name) == getattr(unit, name), name
 
 
 @SETTINGS

@@ -218,6 +218,21 @@ def test_dataset_validates_arguments():
         data.train_batch(0, 0)
 
 
+@pytest.mark.parametrize("scale, values", [
+    ({"template_scale": 1e160}, "template_scale 1e+160, jitter_std 0.05"),
+    ({"jitter_std": 1e160}, "template_scale 1, jitter_std 1e+160"),
+], ids=["template_scale", "jitter_std"])
+def test_a_batch_whose_squared_norm_overflows_is_refused(scale, values):
+    # the scales are finite, but the clean batch's squared norm is not: the
+    # noise scale taken from it would make the noisy inputs inf or nan
+    data = TwoTaskDataset(seed=1, num_classes=4, dim=32, snr_db=0.0, **scale)
+    for kind, batch in (("training", data.train_batch), ("held-out", data.eval_batch)):
+        with pytest.raises(ValueError) as err:
+            batch(64, 3)
+        assert str(err.value) == (f"{kind} batch 3: the clean samples' squared norm "
+                                  f"overflows float64 ({values})")
+
+
 @pytest.mark.parametrize("snr_db", [7000.0, -7000.0, 6166.0, -6154.0, 1e308, -1e308,
                                     400.0, -2900.0, 319.1, -319.1])
 def test_snr_whose_gain_is_not_a_normal_float_is_refused(snr_db):
