@@ -17,12 +17,18 @@ GRADREMEDY_OUT env var for the default output root. A fixed-theta angle
 comes from a `fixed-theta:NNdeg` token, in degrees, or a config file's
 fixed_theta, in radians; a token's angle overrides the file's in the
 token's subdirectory only, so a sweep reruns from its root config.json.
+An angle suffix is digits with an optional decimal fraction, then `deg`,
+and a sweep refuses a token that trains the strategy and angle of an
+earlier one. main parses with one parser, built on its first call in each
+process, so a process that calls it many times builds the parser once.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
@@ -288,6 +294,10 @@ def run_strategy(spec: ExperimentSpec, strategy_dir: str, label: str) -> Summary
     )
 
 
+# [0-9], not \d, which also matches non-ASCII digits that float() reads
+_ANGLE_SUFFIX = re.compile(r"([0-9]+(?:\.[0-9]+)?)deg")
+
+
 def parse_strategy_token(token: str) -> tuple[Strategy, float | None]:
     """'fixed-theta:36deg' -> (FIXED_THETA, 0.628...); plain tokens -> (S, None).
     A colon always starts an angle suffix, which only fixed-theta takes."""
@@ -297,12 +307,11 @@ def parse_strategy_token(token: str) -> tuple[Strategy, float | None]:
         return strategy, None
     if strategy is not Strategy.FIXED_THETA:
         raise ValueError(f"only fixed-theta takes an angle suffix, got {token!r}")
-    if angle.endswith("deg"):
-        try:
-            return strategy, math.radians(float(angle[: -len("deg")]))
-        except ValueError:
-            pass
-    raise ValueError(f"angle suffix must be a number followed by 'deg', got {token!r}")
+    number = _ANGLE_SUFFIX.fullmatch(angle)
+    if number is None:
+        raise ValueError(
+            f"angle suffix must be a number followed by 'deg', got {token!r}")
+    return strategy, math.radians(float(number[1]))
 
 
 # --- argument parsing --------------------------------------------------------
@@ -371,6 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built on first use in each process: building
+    one costs about a millisecond, and parse_args keeps nothing between
+    calls (each returns a fresh Namespace filled from the defaults)."""
+    return build_parser()
+
+
 def _split(flag: str, text: str) -> list[str]:
     """text's comma-separated entries; ValueError if one is empty."""
     entries = text.split(",")
@@ -424,8 +441,8 @@ def _strategy_runs(
     args: argparse.Namespace, spec: ExperimentSpec
 ) -> tuple[list[tuple[str, ExperimentSpec, str]], list[str]]:
     """(label, spec, subdirectory) of each strategy the command trains, plus
-    an error per token that names none or repeats another's subdirectory
-    (or one error if a token is empty).
+    an error per token that names none or trains the (strategy, angle) of
+    an earlier token (or one error if a token is empty).
     `run` trains the spec itself straight into the experiment directory;
     `sweep` each --strategies token into a subdirectory of its own."""
     if args.command != "sweep":
@@ -441,13 +458,18 @@ def _strategy_runs(
         except ValueError as err:
             errors.append(str(err))
             continue
-        subdir = token.replace(":", "-")
-        if any(subdir == taken for _, _, taken in runs):
-            errors.append(f"strategy token {token!r} repeats the subdirectory {subdir!r}")
-            continue
         child = replace(spec, strategy=strategy,
                         fixed_theta=spec.fixed_theta if theta is None else theta)
-        runs.append((token, child, subdir))
+        # only equal tokens share a subdirectory, so this also keeps each
+        # subdirectory to one run
+        earlier = next((label for label, taken, _ in runs
+                        if (taken.strategy, taken.fixed_theta)
+                        == (strategy, child.fixed_theta)), None)
+        if earlier is not None:
+            errors.append(f"strategy token {token!r} trains the same strategy "
+                          f"as {earlier!r}")
+            continue
+        runs.append((token, child, token.replace(":", "-")))
     return runs, errors
 
 
@@ -456,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     would train: any error is printed as an `error:` line and exits 2
     before a directory is made. `validate` stops there; `run` and `sweep`
     train."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec, errors = _spec_from_args(args)
     except (OSError, ValueError) as err:

@@ -254,13 +254,13 @@ def _loss_and_deltas(
     dom_logits: np.ndarray,
     targets_clean: np.ndarray,
     labels: np.ndarray,
-    rows: np.ndarray,
+    row_starts: np.ndarray,
     lam: float,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Both losses and both loss-weighted head deltas from one pass: the
     auxiliary delta (1-lam)*d(MSE)/d(aux_out) and the dominant delta
-    lam*d(CE)/d(dom_logits). rows is np.arange(batch); the inputs are
-    expected to fit (losses checks them)."""
+    lam*d(CE)/d(dom_logits). row_starts is _row_starts' offset of each row
+    of dom_logits; the inputs are expected to fit (losses checks them)."""
     d_aux = aux_out - targets_clean  # the residual, scaled in place below
     loss_aux = _mean(d_aux * d_aux)
     d_aux *= (1.0 - lam) * 2.0
@@ -268,12 +268,19 @@ def _loss_and_deltas(
     shifted = dom_logits - np.maximum.reduce(dom_logits, axis=1, keepdims=True)
     d_dom = np.exp(shifted)  # normalized in place below
     z = np.add.reduce(d_dom, axis=1)
-    loss_dom = _mean(np.log(z) - shifted[rows, labels])
+    picked = row_starts + labels  # each row's label logit, as a flat offset
+    loss_dom = _mean(np.log(z) - shifted.take(picked))
     d_dom /= z[:, None]  # the softmax
-    d_dom[rows, labels] -= 1.0
+    d_dom.ravel()[picked] -= 1.0  # ravel is a view: d_dom is contiguous
     d_dom *= lam
     d_dom /= d_dom.shape[0]
     return loss_aux, loss_dom, d_aux, d_dom
+
+
+def _row_starts(batch: int, num_classes: int) -> np.ndarray:
+    """Each row's flat offset in a (batch, num_classes) logits array, as
+    _loss_and_deltas takes them."""
+    return np.arange(batch) * num_classes
 
 
 def _checked_targets(
@@ -310,7 +317,7 @@ def losses(
     targets_clean, labels = _checked_targets(cache, targets_clean, labels, lam)
     loss_aux, loss_dom, _, _ = _loss_and_deltas(
         cache.aux_out, cache.dom_logits, targets_clean, labels,
-        np.arange(labels.shape[0]), lam)
+        _row_starts(*cache.dom_logits.shape), lam)
     return LossBundle(loss_aux, loss_dom, (1.0 - lam) * loss_aux + lam * loss_dom)
 
 
@@ -422,6 +429,6 @@ def backward_two_task(
     )
     _, _, d_aux, d_dom = _loss_and_deltas(
         cache.aux_out, cache.dom_logits, targets_clean, labels,
-        np.arange(labels.shape[0]), lam)
+        _row_starts(*cache.dom_logits.shape), lam)
     return _backward(net, grads, cache.acts, d_aux, d_dom,
                      np.empty((2,) + cache.trunk_out.shape))

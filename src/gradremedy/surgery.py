@@ -141,7 +141,9 @@ class Gram(NamedTuple):
         """Whether a or b (only b, with only_b) has a 2-norm below
         DEFAULT_TOL_NORM."""
         norm = self.norm_b if only_b else min(self.norm_a, self.norm_b)
-        return norm < math.ldexp(DEFAULT_TOL_NORM, -self.exponent)
+        if self.exponent:
+            return norm < math.ldexp(DEFAULT_TOL_NORM, -self.exponent)
+        return norm < DEFAULT_TOL_NORM
 
 
 def pair_gram(a: np.ndarray, b: np.ndarray) -> Gram:
@@ -430,7 +432,8 @@ def remedy_pair(aux: np.ndarray, dom: np.ndarray, config: RemedyConfig) -> Remed
         aux = aux + plan.coef * dom
         gram = pair_gram(aux, dom)
         theta_p = None if gram.degenerate() else plan.theta
-    _, wrongly_dominant = _interference(gram, config)
+    post = _interference(gram, config)  # the emitted pair's, unless rescaled
+    wrongly_dominant = post[1]
 
     r_applied: float | None = None
     r_clamped = False
@@ -442,10 +445,9 @@ def remedy_pair(aux: np.ndarray, dom: np.ndarray, config: RemedyConfig) -> Remed
     ):
         r_applied, r_clamped = _ratio(theta_p, config)
         aux, dom = r_applied * aux, (1.0 / r_applied) * dom
-        gram = pair_gram(aux, dom)
-    conflicting_post, wrongly_dominant_post = _interference(gram, config)
+        post = _interference(pair_gram(aux, dom), config)
     return Remedy(aux, dom, plan.conflicting, wrongly_dominant, theta_p, plan.phi,
-                  conflicting_post, wrongly_dominant_post, r_applied, r_clamped)
+                  *post, r_applied, r_clamped)
 
 
 def remedy_layer(grads: TaskGradients, config: RemedyConfig) -> RemedyOutcome:

@@ -1,29 +1,32 @@
 """Two-task training loop with per-layer gradient surgery on the trunk.
 
-train() first checks that the net fits the dataset: its outer widths
-against dim and num_classes, and each layer's input width against what
-reaches it (net._check_widths; TrainConfig has already bounded lam and the
-sizes). It then moves every parameter of the net into one contiguous float64
-buffer, laid out trunk, auxiliary head, dominant head, each layer's weights
-(row-major) before its bias; the layers' weights and bias arrays become views
-of it. Two gradient buffers go with it: `total`, laid out like the
+train() first checks that the net fits the dataset: its outer widths against
+dim and num_classes, and each layer's input width against what reaches it
+(net._check_widths; TrainConfig has already bounded lam and the sizes). It
+then moves every parameter of the net into one contiguous float64 buffer,
+laid out trunk, auxiliary head, dominant head, each layer's weights
+(row-major) before its bias; the layers' weights and bias arrays become
+views of it. Two gradient buffers go with it: `total`, laid out like the
 parameters, and `tasks`, a (2, trunk size) array whose rows `aux` and `dom`
 are the two tasks' gradients, each laid out like the trunk part; the arena's
 `grads` holds each layer's views of them. The (2, batch, trunk width) delta
-buffer and the label row indices are allocated once per run, and a step
-checks no shape, lam or cache. Each step runs net's cores: one forward pass
-and one pass over the losses, which yields both losses and both head
-deltas; after the loss check, one backward pass walks each head and then
-the trunk once for both tasks, writing the trunk gradients into `tasks` and
-the head gradients into `total`. After one non-finite scan of `tasks`, the
+buffer and each batch row's flat offset into the logits are built once per
+run, and a step checks no shape, lam or cache. Each step runs net's cores:
+one forward pass and one pass over the losses, which yields both losses and
+both head deltas; after the loss check, one backward pass walks each head
+and then the trunk once for both tasks, writing the trunk gradients into
+`tasks` and the head gradients into `total`. After one scan of `tasks`, the
 strategy runs on each surgery unit, a (start, stop) segment of the trunk
 layout: a whole trunk layer, or its weights and its bias as two units with
-bias_separate. It writes aux' + dom' into the unit's segment of `total`;
-one more scan of `total` (which under Adam also rejects entries above
+bias_separate. It writes aux' + dom' into the unit's segment of `total`; one
+more scan of `total` (which under Adam also rejects entries above
 sqrt(float64 max), whose squares overflow) and one optimizer call over the
-whole buffer end the step. Heads are updated with their own task's
-gradient, untouched by surgery. The parameter buffer is scanned once per
-epoch, before the held-out evaluation.
+whole buffer end the step. Each scan is one BLAS pass, the buffer's sum of
+squares: when it is finite, every entry is finite and at most sqrt(float64
+max), within either limit, and only when it is not does the exact per-entry
+test run and locate the entry it rejects. Heads are updated with their own
+task's gradient, untouched by surgery. The parameter buffer is scanned once
+per epoch, before the held-out evaluation.
 
 The pass over the units that runs surgery also tallies the step's StepStats
 row and the run's rescale ratios, in unit order:
@@ -58,6 +61,7 @@ from .net import (
     _forward,
     _forward_chain,
     _loss_and_deltas,
+    _row_starts,
     chain_size,
     forward,  # noqa: F401 - perfbench's span tests wrap it under this name
     layer_views,
@@ -277,8 +281,11 @@ class _Arena:
         magnitude: a row of tasks (what names its gradient), params (what is
         "parameter") or total (what is None: the place names the gradient).
         At the default limit that is exactly the nan and +-inf entries;
-        under Adam, train() passes _ADAM_LIMIT."""
-        if np.maximum.reduce(np.abs(buffer)) <= limit:  # false for nan
+        under Adam, train() passes _ADAM_LIMIT. A finite sum of squares
+        bounds every entry by sqrt(float64 max), which passes both limits;
+        only a sum that overflows, or is nan, takes the exact test."""
+        if (math.isfinite(np.vdot(buffer, buffer))
+                or np.maximum.reduce(np.abs(buffer)) <= limit):  # false for nan
             return
         bad = int(np.flatnonzero(~(np.abs(buffer) <= limit))[0])
         name, gradient, start, stop = next(p for p in self.places if p[2] <= bad < p[3])
@@ -345,7 +352,7 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     arena = _Arena(net, config.bias_separate)
     grads, units, total = arena.grads, arena.units, arena.total
     trunk_delta = np.empty((2, config.batch_size, net.trunk[-1].out_dim))
-    rows = np.arange(config.batch_size)
+    row_starts = _row_starts(config.batch_size, data.num_classes)
     adam = config.optimizer is OptimizerKind.ADAM
     opt = (Adam if adam else SGD)(config.learning_rate)
     limit = _ADAM_LIMIT if adam else _FLOAT64_MAX
@@ -367,14 +374,14 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
             batch = data.train_batch(config.batch_size, global_step)
             acts = _forward(net, batch.noisy)
             loss_aux, loss_dom, d_aux, d_dom = _loss_and_deltas(
-                acts[1][-1], acts[2][-1], batch.clean, batch.labels, rows, lam)
+                acts[1][-1], acts[2][-1], batch.clean, batch.labels, row_starts, lam)
             if not (math.isfinite(loss_aux) and math.isfinite(loss_dom)):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}: "
                     f"loss_aux={loss_aux}, loss_dom={loss_dom}"
                 )
             _backward(net, grads, acts, d_aux, d_dom, trunk_delta)
-            if not np.isfinite(arena.tasks).all():  # locate only on failure
+            if not math.isfinite(np.vdot(arena.tasks, arena.tasks)):  # see check_finite
                 for row, gradient in zip(arena.tasks, _TASK_GRADIENTS):
                     arena.check_finite(row, gradient, epoch, batch_idx)
 

@@ -152,10 +152,16 @@ def test_parse_strategy_token():
         parse_strategy_token("pcgrad:10deg")
     with pytest.raises(ValueError, match="deg"):
         parse_strategy_token("fixed-theta:0.6rad")
-    with pytest.raises(ValueError) as err:
-        parse_strategy_token("fixed-theta:abcdeg")
-    assert str(err.value) == ("angle suffix must be a number followed by 'deg', "
-                              "got 'fixed-theta:abcdeg'")
+    assert parse_strategy_token("fixed-theta:22.5deg")[1] == math.radians(22.5)
+    # only ASCII digits with an optional decimal fraction, which float()
+    # alone does not enforce
+    for angle in ("abc", " 36", "3_6", "+36", "3.6e1", "36.", ".5", "\u0663\u0666",
+                  "inf", "nan"):
+        token = f"fixed-theta:{angle}deg"
+        with pytest.raises(ValueError) as err:
+            parse_strategy_token(token)
+        assert str(err.value) == ("angle suffix must be a number followed by "
+                                  f"'deg', got {token!r}")
     with pytest.raises(ValueError):
         parse_strategy_token("bogus")
 
@@ -189,6 +195,9 @@ MALFORMED = {
     "template-scale-inf-in-config": {"template_scale": float("inf")},
     "empty-angle-suffix": ["--strategy", "fixed-theta:"],
     "suffix-on-pcgrad": ["--strategy", "pcgrad:"],
+    "space-in-angle": ["--strategy", "fixed-theta: 36deg"],
+    "underscore-in-angle": ["--strategy", "fixed-theta:3_6deg"],
+    "same-angle-twice": ["--strategies", "fixed-theta,fixed-theta:36deg"],
 }
 
 
@@ -426,11 +435,22 @@ def test_sweep_rejects_bad_strategy_token(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert not (tmp_path / "bad").exists()
     assert "theta must lie in (0, 90] degrees" in capsys.readouterr().err
-    # a repeated token would train twice into one subdirectory
+    # a repeated token would train twice into one subdirectory, and tokens
+    # that resolve to one angle would train it twice into three
     code = main(["sweep", "--name", "bad", "--strategies", "naive,pcgrad,naive", *FAST])
     assert code == 2
     assert not (tmp_path / "bad").exists()
-    assert "repeats the subdirectory 'naive'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: strategy token 'naive' trains the same strategy as 'naive'\n")
+    code = main(["sweep", "--name", "bad", "--strategies",
+                 "fixed-theta,fixed-theta:36deg,fixed-theta:36.0deg", *FAST])
+    assert code == 2
+    assert not (tmp_path / "bad").exists()
+    assert capsys.readouterr().err == (
+        "error: strategy token 'fixed-theta:36deg' trains the same strategy as "
+        "'fixed-theta'\n"
+        "error: strategy token 'fixed-theta:36.0deg' trains the same strategy as "
+        "'fixed-theta'\n")
 
 
 def test_sweep_rerun_from_its_saved_config_reproduces_the_run(tmp_path):
@@ -453,6 +473,24 @@ def test_sweep_rerun_from_its_saved_config_reproduces_the_run(tmp_path):
     for path in ("config.json", "naive/config.json", "fixed-theta-20deg/config.json"):
         assert (ExperimentSpec.load_json(str(b / path))
                 == replace(ExperimentSpec.load_json(str(a / path)), name="b"))
+
+
+def test_reusing_the_parser_carries_no_flag_into_the_next_call(tmp_path, monkeypatch):
+    # main parses with one parser per process: a call after one with flags
+    # writes what the same call writes in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(gradremedy.__file__))
+    for side in ("inproc", "alone"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "inproc")
+    assert main(["run", "--name", "flagged", "--out", "out", "--lambda", "0.5",
+                 "--no-rescale", "--strategy", "fixed-theta:60deg", *FAST]) == 0
+    assert main(["run", "--name", "x", "--out", "out", *FAST]) == 0
+    subprocess.run([sys.executable, "-m", "gradremedy.cli", "run", "--name", "x",
+                    "--out", "out", *FAST], cwd=tmp_path / "alone", capture_output=True,
+                   check=True, env={**os.environ, "PYTHONPATH": src})
+    reused, alone = (tmp_path / side / "out" / "x" for side in ("inproc", "alone"))
+    assert (reused / "config.json").read_text() == (alone / "config.json").read_text()
+    assert _hashes(reused) == _hashes(alone)
 
 
 def test_out_flag_beats_env_var(tmp_path, monkeypatch):

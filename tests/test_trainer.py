@@ -294,6 +294,19 @@ def test_one_scan_predicate_serves_both_limits():
                 f"batch 3 (entry 7 of 54: {value})")
 
 
+def test_an_overflowing_sum_of_squares_falls_back_to_the_exact_test():
+    # the fast scan is a sum of squares; entries all within sqrt(float64
+    # max) can overflow it, and the exact test must then pass them
+    arena = trainer_module._Arena(make_net(), bias_separate=False)
+    adam = trainer_module._ADAM_LIMIT
+    arena.total[...] = 1e154
+    arena.total[7] = adam
+    arena.total[9] = -adam
+    assert not math.isfinite(np.vdot(arena.total, arena.total))
+    for limit in (trainer_module._FLOAT64_MAX, adam):
+        arena.check_finite(arena.total, None, 2, 3, limit)
+
+
 def _poison_epoch_1_batch_1(monkeypatch, poison, value):
     """Have trainer._backward set entry 1 of poison(grads) to value on the
     seventh step: epoch 1, batch 1 at five batches per epoch."""
