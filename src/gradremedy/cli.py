@@ -43,7 +43,7 @@ from .surgery import (
     raise_if_any,
     remedy_config_errors,
 )
-from .synthdata import TwoTaskDataset, dataset_errors, template_errors
+from .synthdata import TwoTaskDataset, batch_scale_errors, dataset_errors, template_errors
 from .trainer import (
     EpochStats,
     OptimizerKind,
@@ -201,7 +201,7 @@ def validate(spec: ExperimentSpec) -> list[str]:
         errors.append(f"seeds: each seed may appear once (got {list(spec.seeds)})")
     errors += remedy_config_errors(spec)
     errors += train_config_errors(spec)
-    errors += dataset_errors(spec) or template_errors(spec)
+    errors += dataset_errors(spec) or template_errors(spec) + batch_scale_errors(spec)
     errors += network_errors(spec)
     return errors
 

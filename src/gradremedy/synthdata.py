@@ -7,10 +7,13 @@ the batch hits the requested signal-to-noise ratio exactly, for |snr_db|
 up to _SNR_DB_LIMIT (about 319.1 dB). The clean vector is the auxiliary
 regression target; the originating class is the dominant-task label.
 
-Reproducibility: every random draw is keyed through numpy SeedSequence
-tuples — (seed, 0) for templates, (seed, 1, i) for training batch i,
+Reproducibility: every random draw is keyed by a tuple of non-negative
+ints — (seed, 0) for templates, (seed, 1, i) for training batch i,
 (seed, 2, j) for eval batch j — so batches are addressable and bit-stable
-regardless of generation order.
+regardless of generation order. A key goes into numpy's SeedSequence as
+the uint32 entropy words SeedSequence would build from the tuple itself
+(each int's little-endian 32-bit words), which gives the same generator
+state at about half the cost of handing it the tuple.
 """
 
 from __future__ import annotations
@@ -28,6 +31,27 @@ ANGLE_FLOOR_DEG = 45.0  # the least pairwise angle between class templates
 _TEMPLATE_STREAM = 0
 _TRAIN_STREAM = 1
 _EVAL_STREAM = 2
+
+
+# the largest uint32 word: the low word of an int, and the bound past
+# which an int takes more than one word
+_WORD = 0xFFFFFFFF
+
+
+def _rng(*key: int) -> np.random.Generator:
+    """np.random.default_rng(key), the same state bit for bit, seeded from
+    the uint32 words numpy's SeedSequence builds from the tuple: each int's
+    little-endian 32-bit words, one word for 0. A negative int raises
+    ValueError, as SeedSequence does."""
+    words = []
+    for n in key:
+        if n < 0:
+            raise ValueError(f"expected non-negative integer, got {n}")
+        words.append(n & _WORD)
+        while n > _WORD:
+            n >>= 32
+            words.append(n & _WORD)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 # the largest |snr_db| at which float64 holds both parts of a noisy sample:
@@ -48,6 +72,36 @@ def dataset_errors(config) -> list[str]:
          f"snr_db must be finite and within +-{_SNR_DB_LIMIT:.1f} dB, past which "
          "float64 cannot hold both the signal and the noise"),
     ))
+
+
+# numpy's standard normal never exceeds this in magnitude: its ziggurat tail
+# returns r - log(1 - u)/r, with r about 3.654 and 1 - u at least 2**-53,
+# so at most 13.71
+_NORMAL_BOUND = 14.0
+
+# the largest norm whose square fits float64, halved to cover rounding
+_NORM_LIMIT = math.sqrt(np.finfo(np.float64).max) / 2.0
+
+
+def batch_scale_errors(config) -> list[str]:
+    """An error if a batch of config's batch_size could have a clean squared
+    norm beyond float64, which _batch would refuse: the clean batch's norm
+    is at most template_scale*sqrt(batch_size) (unit templates) plus the
+    jitter's, jitter_std*_NORMAL_BOUND*sqrt(batch_size*dim). The CLI passes
+    its ExperimentSpec, with valid dataset fields; a batch_size below 1
+    gets no error here, since train_config_errors refuses it."""
+    b = config.batch_size
+    if b < 1:
+        return []
+    bound = (config.template_scale * math.sqrt(b)
+             + config.jitter_std * _NORMAL_BOUND * math.sqrt(b * config.dim))
+    if bound < _NORM_LIMIT:
+        return []
+    return [f"template_scale, jitter_std: a batch of {b} samples in dim {config.dim} "
+            f"may overflow float64 (template_scale {config.template_scale:g}, "
+            f"jitter_std {config.jitter_std:g}): template_scale*sqrt(batch_size) + "
+            f"{_NORMAL_BOUND:g}*jitter_std*sqrt(batch_size*dim) must stay below "
+            f"{_NORM_LIMIT:.6g}"]
 
 
 @dataclass(frozen=True)
@@ -94,7 +148,7 @@ def class_templates(
     share = _cap_share(dim)
     if num_classes * share > 1.0:
         raise ValueError(f"{failure}: at most {math.floor(1.0 / share)} fit")
-    rng = np.random.default_rng((seed, _TEMPLATE_STREAM))
+    rng = _rng(seed, _TEMPLATE_STREAM)
     cos_ceiling = math.cos(math.radians(ANGLE_FLOOR_DEG))
     accepted = np.empty((num_classes, dim))
     count = 0
@@ -164,12 +218,12 @@ class TwoTaskDataset:
     def _batch(self, batch_size: int, stream: int, index: int) -> SampleBatch:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        rng = np.random.default_rng((self.seed, stream, index))
+        rng = _rng(self.seed, stream, index)
         labels = rng.integers(0, self.num_classes, size=batch_size)
         # one draw: the jitter's entries first, then the raw noise's
         clean, noisy = rng.standard_normal((2, batch_size, self.dim))
         clean *= self.jitter_std
-        clean += self.templates[labels]
+        clean += self.templates.take(labels, axis=0)
         squared_norm = np.vdot(clean, clean)
         if not math.isfinite(squared_norm):
             kind = "training" if stream == _TRAIN_STREAM else "held-out"

@@ -39,15 +39,17 @@ row and the run's rescale ratios, in unit order:
 Each epoch's EpochStats averages the percentages and losses of that epoch's
 StepStats and adds a held-out dominant-task accuracy, for which only the
 trunk and the dominant head run. write_csv writes any such record list with
-its field names as the header; one %-template built from the field types
-formats every line, %.12g for float fields and str() for the rest, so
-identical runs produce byte-identical files.
+its field names as the header; one positional %-template built from the
+field types formats every line from the record's field values, %.12g for
+float fields and str() for the rest, so identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -419,12 +421,16 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
 
 def write_csv(rows: list, kind: type, path: str) -> None:
     """One header line of kind's dataclass field names, then one line per
-    record: fields declared float as %.12g, every other field with str()."""
+    record, formatted by one positional %-template from the tuple of the
+    record's field values in declaration order: fields declared float as
+    %.12g, every other field with str()."""
     names = [f.name for f in fields(kind)]
-    template = ",".join(f"%({f.name}).12g" if f.type in (float, "float")
-                        else f"%({f.name})s" for f in fields(kind))
+    template = ",".join("%.12g" if f.type in (float, "float") else "%s"
+                        for f in fields(kind))
+    get = operator.attrgetter(*names)
+    values = get if len(names) > 1 else lambda row: (get(row),)  # a 1-tuple
     lines = [",".join(names)]
-    lines += [template % vars(row) for row in rows]
+    lines += [template % values(row) for row in rows]
     with open(path, "w", encoding="ascii") as out:
         out.write("\n".join(lines) + "\n")
 

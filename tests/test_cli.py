@@ -14,8 +14,9 @@ import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradremedy
@@ -193,6 +194,8 @@ MALFORMED = {
     "jitter-inf": ["--jitter-std", "inf"],
     "template-scale-inf": ["--template-scale", "inf"],
     "template-scale-inf-in-config": {"template_scale": float("inf")},
+    "template-scale-overflows": ["--template-scale", "1e200"],
+    "jitter-overflows-in-config": {"jitter_std": 1e160},
     "empty-angle-suffix": ["--strategy", "fixed-theta:"],
     "suffix-on-pcgrad": ["--strategy", "pcgrad:"],
     "space-in-angle": ["--strategy", "fixed-theta: 36deg"],
@@ -376,14 +379,59 @@ def test_diverging_run_prints_only_its_error_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("scale", ["--template-scale", "--jitter-std"])
 def test_overflowing_batch_prints_only_its_error_line(scale, tmp_path, capsys):
+    # validate refuses the scale before training, as an input error
     code = main(["run", "--name", "huge", "--out", str(tmp_path), scale, "1e160",
                  "--epochs", "1", "--batches-per-epoch", "2", "--seeds", "1"])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: held-out batch 0: the clean samples' squared "
-                             "norm overflows float64 (template_scale ")
+    assert err[0].startswith("error: template_scale, jitter_std: a batch of 64 samples "
+                             "in dim 32 may overflow float64 (template_scale ")
+    assert err[0].endswith("template_scale*sqrt(batch_size) + "
+                           "14*jitter_std*sqrt(batch_size*dim) must stay below 6.7039e+153")
     assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    template_exp=st.floats(-3.0, 160.0),
+    jitter_exp=st.one_of(st.none(), st.floats(-3.0, 160.0)),
+    batch_size=st.integers(1, 8),
+    dim=st.integers(2, 6),
+    num_classes=st.integers(2, 4),
+    eval_batches=st.integers(1, 3),
+    snr_db=st.floats(-319.0, 319.0),
+    seed=st.integers(0, 2**40),
+)
+# the scale that validate passed and the first held-out batch overflowed
+@example(template_exp=200.0, jitter_exp=-1.3, batch_size=64, dim=32, num_classes=4,
+         eval_batches=4, snr_db=0.0, seed=1)
+# just inside the bound, at the most negative snr
+@example(template_exp=153.3, jitter_exp=None, batch_size=8, dim=6, num_classes=4,
+         eval_batches=1, snr_db=-319.0, seed=0)
+def test_every_spec_validate_accepts_builds_its_first_batches(
+        template_exp, jitter_exp, batch_size, dim, num_classes, eval_batches, snr_db, seed):
+    spec = ExperimentSpec(
+        template_scale=10.0 ** template_exp,
+        jitter_std=0.0 if jitter_exp is None else 10.0 ** jitter_exp,
+        batch_size=batch_size, dim=dim, num_classes=num_classes,
+        eval_batches=eval_batches, snr_db=snr_db, seeds=(seed,))
+    if validate(spec):
+        return
+    data = spec.dataset(seed)
+    batches = [data.eval_batch(batch_size, j) for j in range(eval_batches)]
+    batches.append(data.train_batch(batch_size, 0))
+    for batch in batches:
+        assert np.isfinite(batch.noisy).all() and np.isfinite(batch.clean).all()
+
+
+def test_seed_0_validates_and_runs(tmp_path, capsys):
+    argv = ["--name", "zero", "--out", str(tmp_path), *FAST[:-2], "--seeds", "0"]
+    assert main(["validate", *argv]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert main(["run", *argv]) == 0
+    assert (tmp_path / "zero" / "seed0" / "steps.csv").is_file()
+    assert json.loads((tmp_path / "zero" / "seed0" / "metrics.json").read_text())["seed"] == 0
 
 
 def test_run_flags_override_config_file(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from gradremedy import (
     remedy_layer,
     rescale,
 )
+from gradremedy.surgery import remedy_pair
 
 HALF_PI = math.pi / 2
 
@@ -269,6 +270,36 @@ def test_rescale_clamps_tiny_ratio_at_r_min():
     result = rescale(vec(9.0, 0.0), vec(1.0, 0.0), HALF_PI - 1e-9, config)
     assert result.triggered and result.clamped
     assert result.r == config.r_min
+
+
+def test_rescale_at_a_ratio_equal_to_r_min_is_not_clamped():
+    # the clamp is r < r_min: a ratio exactly at r_min is applied as it is
+    config = RemedyConfig(ratio_rule=RatioRule.CONSTANT, ratio_constant=0.5, r_min=0.5)
+    result = rescale(vec(10.0, 0.0), vec(1.0, 0.0), 0.0, config)
+    assert result.triggered and result.r == 0.5 and not result.clamped
+    out = remedy_pair(np.array([10.0, 0.0]), np.array([1.0, 0.0]), config)
+    assert out.r_applied == 0.5 and not out.r_clamped
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_an_exactly_orthogonal_pair_passes_through_untouched(strategy):
+    # conflict is a.d < 0: a dot product of exactly 0 is no conflict, so
+    # no strategy projects (fixed-theta would otherwise move a to 36 deg)
+    aux, dom = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    out = remedy_pair(aux, dom, RemedyConfig(strategy=strategy))
+    assert out.aux is aux and out.dom is dom
+    assert not out.was_conflicting and not out.conflicting_post
+    assert out.phi == HALF_PI and out.r_applied is None
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_norm_ratio_exactly_k_is_not_wrongly_dominant(strategy):
+    # dominance is ||a|| > K*||d||: at ||a|| = 5 = K*||d|| nothing rescales
+    aux, dom = np.array([5.0, 0.0]), np.array([1.0, 0.0])
+    out = remedy_pair(aux, dom, RemedyConfig(strategy=strategy, dominance_k=5.0))
+    assert out.aux is aux and out.dom is dom
+    assert not out.was_wrongly_dominant and not out.wrongly_dominant_post
+    assert out.r_applied is None
 
 
 def test_rescale_rejects_degenerate_dominant():

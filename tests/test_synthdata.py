@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from gradremedy import TwoTaskDataset, generate
-from gradremedy.synthdata import SampleBatch, _cap_share, class_templates
+from gradremedy.synthdata import SampleBatch, _cap_share, _rng, class_templates
 
 
 def realized_snr_db(batch: SampleBatch) -> float:
@@ -146,6 +146,22 @@ def test_batch_stream_is_bit_stable(seed, index, batch_size, dim, snr_db, jitter
         assert np.array_equal(batch.labels, labels)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**96 - 1),
+    stream=st.integers(0, 2),
+    index=st.integers(0, 2**96 - 1),
+)
+# the last one-word int and the first two-word one
+@example(seed=0, stream=0, index=0)
+@example(seed=2**32 - 1, stream=1, index=2**32 - 1)
+@example(seed=2**32, stream=2, index=2**32)
+@example(seed=2**64, stream=1, index=2**32 - 1)
+def test_keyed_generator_has_the_state_seedsequence_gives_the_tuple(seed, stream, index):
+    for key in ((seed, stream), (seed, stream, index)):
+        assert _rng(*key).bit_generator.state == np.random.default_rng(key).bit_generator.state
+
+
 def test_train_and_eval_streams_are_disjoint():
     data = TwoTaskDataset(seed=2, num_classes=4, dim=12, snr_db=5.0)
     train = data.train_batch(32, 0)
@@ -216,6 +232,10 @@ def test_dataset_validates_arguments():
     data = TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=0.0)
     with pytest.raises(ValueError, match="batch_size"):
         data.train_batch(0, 0)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        TwoTaskDataset(seed=-1, num_classes=3, dim=8, snr_db=0.0)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        data.train_batch(4, -1)
 
 
 @pytest.mark.parametrize("scale, values", [

@@ -517,6 +517,15 @@ def test_write_csv_writes_one_column_records_and_empty_record_lists(tmp_path):
     path = tmp_path / "one.csv"
     write_csv([One(1 / 3), One(2.0)], One, str(path))
     assert path.read_text(encoding="ascii") == "value\n0.333333333333\n2\n"
+
+    @dataclass
+    class Only:
+        cell: object
+
+    # rows are formatted positionally, and a one-field record's value goes in
+    # as a 1-tuple: a tuple value is one cell, not the argument list
+    write_csv([Only((1, 2)), Only(()), Only("%s")], Only, str(path))
+    assert path.read_text(encoding="ascii") == "cell\n(1, 2)\n()\n%s\n"
     write_csv([], _Cells, str(path))
     assert path.read_text(encoding="ascii") == ",".join(f.name for f in fields(_Cells)) + "\n"
 
