@@ -7,9 +7,11 @@ same `gradremedy` calls from both sources, each call in a fresh interpreter
 whose working directory is its side's own directory, so both sides write
 under the same relative `--out`. The calls are each benchmark workload's
 `run` arguments (perfbench/catalog.py, read from the working tree) for the
-four strategy tokens at seeds 1-4, plus one sweep of all four tokens on the
-`dominance` workload's arguments. Each call's exit code, stdout and stderr
-are kept next to its run files.
+four strategy tokens at seeds 1-4, one sweep of all four tokens on the
+`dominance` workload's arguments, and one `dominance` run at seed 2**32 + 3,
+whose batch keys spend two words on the seed, so its training batches are
+seeded through the multi-word path of the vectorized seeding. Each call's
+exit code, stdout and stderr are kept next to its run files.
 
 It prints each file that differs or exists on one side only and exits 1
 if there is any, 0 if every file is byte-identical, and 2 if the ref
@@ -30,6 +32,7 @@ import catalog  # noqa: E402 - standard library only
 
 SEEDS = (1, 2, 3, 4)
 SWEEP_WORKLOAD = "dominance"
+TWO_WORD_SEED = 2**32 + 3
 
 
 def calls() -> list[tuple[str, list[str]]]:
@@ -46,6 +49,8 @@ def calls() -> list[tuple[str, list[str]]]:
     argv[at:at + 2] = ["--strategies", ",".join(token for token, _ in catalog.STRATEGIES)]
     argv[argv.index("--seeds") + 1] = ",".join(map(str, SEEDS))
     made.append(("sweep", argv))
+    made.append((f"{SWEEP_WORKLOAD}-two-word-seed", catalog.WORKLOADS[SWEEP_WORKLOAD].argv(
+        catalog.RESCALING, TWO_WORD_SEED, "out/two-word-seed")))
     return made
 
 

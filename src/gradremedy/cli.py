@@ -43,7 +43,7 @@ from .surgery import (
     raise_if_any,
     remedy_config_errors,
 )
-from .synthdata import TwoTaskDataset, batch_scale_errors, dataset_errors, template_errors
+from .synthdata import TwoTaskDataset, batch_scale_errors, dataset_errors
 from .trainer import (
     EpochStats,
     OptimizerKind,
@@ -189,6 +189,12 @@ def _typed(kind, value):
 
 def validate(spec: ExperimentSpec) -> list[str]:
     """All config errors at once; empty list means runnable."""
+    return _checked(spec)[0]
+
+
+def _checked(spec: ExperimentSpec) -> tuple[list[str], dict[int, TwoTaskDataset]]:
+    """validate's errors, and the dataset of each seed whose templates it
+    placed: a run trains on these, so it places each seed's templates once."""
     errors = bound_errors(spec, ((
         "name", lambda n: n not in ("", ".", "..") and os.path.basename(n) == n,
         "must be one plain directory name: not empty, '.', '..' or a path",
@@ -201,9 +207,19 @@ def validate(spec: ExperimentSpec) -> list[str]:
         errors.append(f"seeds: each seed may appear once (got {list(spec.seeds)})")
     errors += remedy_config_errors(spec)
     errors += train_config_errors(spec)
-    errors += dataset_errors(spec) or template_errors(spec) + batch_scale_errors(spec)
+    datasets = {}
+    field_errors = dataset_errors(spec)
+    errors += field_errors
+    if not field_errors:
+        for seed in (s for s in spec.seeds if s >= 0):  # the rest are refused above
+            try:
+                datasets[seed] = spec.dataset(seed)
+            except ValueError as err:  # its templates cannot be placed
+                errors.append(f"num_classes: {err} (seed {seed})")
+                break
+        errors += batch_scale_errors(spec)
     errors += network_errors(spec)
-    return errors
+    return errors, datasets
 
 
 @dataclass
@@ -234,8 +250,10 @@ def _median(values: list[float]) -> float:
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
-    """Train one seed, write its files, and return its metrics.json dict."""
+def _run_one_seed(spec: ExperimentSpec, data: TwoTaskDataset, seed_dir: str) -> dict:
+    """Train on one seed's dataset, write its files, and return its
+    metrics.json dict."""
+    seed = data.seed
     os.mkdir(seed_dir)
     net = init_network(
         seed=seed,
@@ -243,7 +261,7 @@ def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
         trunk_widths=spec.trunk_widths,
         num_classes=spec.num_classes,
     )
-    result = train(spec.train_config(), spec.dataset(seed), net)
+    result = train(spec.train_config(), data, net)
     write_csv(result.step_stats, StepStats, os.path.join(seed_dir, "steps.csv"))
     write_csv(result.epoch_stats, EpochStats, os.path.join(seed_dir, "epochs.csv"))
     final = result.epoch_stats[-1]
@@ -265,13 +283,15 @@ def _run_one_seed(spec: ExperimentSpec, seed: int, seed_dir: str) -> dict:
     return metrics
 
 
-def run_strategy(spec: ExperimentSpec, strategy_dir: str, label: str) -> SummaryRow:
-    """Train every seed of one strategy; emit per-seed files under strategy_dir."""
+def run_strategy(spec: ExperimentSpec, strategy_dir: str, label: str,
+                 datasets: dict[int, TwoTaskDataset]) -> SummaryRow:
+    """Train every seed of one strategy on its dataset in datasets; emit
+    per-seed files under strategy_dir."""
     os.makedirs(strategy_dir, exist_ok=True)
     spec.save_json(os.path.join(strategy_dir, "config.json"))
     per_seed = []
     for seed in spec.seeds:
-        m = _run_one_seed(spec, seed, os.path.join(strategy_dir, f"seed{seed}"))
+        m = _run_one_seed(spec, datasets[seed], os.path.join(strategy_dir, f"seed{seed}"))
         per_seed.append(m)
         print(
             f"  seed {seed}: accuracy={m['final_eval_accuracy']:.4f} "
@@ -477,7 +497,8 @@ def main(argv: list[str] | None = None) -> int:
     """Every command first loads the spec and checks it and each spec it
     would train: any error is printed as an `error:` line and exits 2
     before a directory is made. `validate` stops there; `run` and `sweep`
-    train."""
+    train every strategy on the datasets the check built, so each seed's
+    templates are placed once per call."""
     args = _parser().parse_args(argv)
     try:
         spec, errors = _spec_from_args(args)
@@ -485,9 +506,11 @@ def main(argv: list[str] | None = None) -> int:
         errors, runs = [str(err)], []
     else:
         runs, token_errors = _strategy_runs(args, spec)
-        # a child spec differs from spec only in its remedy fields
+        # a child spec differs from spec only in its remedy fields, so it
+        # trains on spec's datasets
         checked = [e for _, child, _ in runs for e in remedy_config_errors(child)]
-        errors = list(dict.fromkeys(errors + validate(spec) + token_errors + checked))
+        spec_errors, datasets = _checked(spec)
+        errors = list(dict.fromkeys(errors + spec_errors + token_errors + checked))
     if errors:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
@@ -510,7 +533,8 @@ def main(argv: list[str] | None = None) -> int:
                 spec.save_json(os.path.join(new_dir, "config.json"))
             for label, child, subdir in runs:
                 print(f"{args.command} {spec.name}: strategy={label}")
-                rows.append(run_strategy(child, os.path.join(new_dir, subdir), label))
+                rows.append(run_strategy(child, os.path.join(new_dir, subdir), label,
+                                         datasets))
             write_csv(rows, SummaryRow, os.path.join(new_dir, "summary.csv"))
             if os.path.isdir(exp_dir):  # the earlier run is removed with the stage
                 os.rename(exp_dir, os.path.join(stage, "old"))

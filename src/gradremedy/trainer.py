@@ -11,7 +11,9 @@ parameters, and `tasks`, a (2, trunk size) array whose rows `aux` and `dom`
 are the two tasks' gradients, each laid out like the trunk part; the arena's
 `grads` holds each layer's views of them. The (2, batch, trunk width) delta
 buffer and each batch row's flat offset into the logits are built once per
-run, and a step checks no shape, lam or cache. Each step runs net's cores:
+run, and a step checks no shape, lam or cache. A step's batch is the next
+of data.train_batches, train_batch(batch_size, step) bit for bit, whose
+generators are seeded in one pass per run. Each step runs net's cores:
 one forward pass and one pass over the losses, which yields both losses and
 both head deltas; after the loss check, one backward pass walks each head
 and then the trunk once for both tasks, writing the trunk gradients into
@@ -365,6 +367,8 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     eval_set = [
         data.eval_batch(config.batch_size, j) for j in range(config.eval_batches)
     ]
+    batches = data.train_batches(config.batch_size,
+                                 config.epochs * config.batches_per_epoch)
 
     for epoch in range(config.epochs):
         for batch_idx in range(config.batches_per_epoch):
@@ -373,7 +377,7 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                 opt.lr = config.learning_rate * min(
                     1.0, (global_step + 1) / config.warmup_steps
                 )
-            batch = data.train_batch(config.batch_size, global_step)
+            batch = next(batches)  # train_batch(batch_size, global_step)
             acts = _forward(net, batch.noisy)
             loss_aux, loss_dom, d_aux, d_dom = _loss_and_deltas(
                 acts[1][-1], acts[2][-1], batch.clean, batch.labels, row_starts, lam)

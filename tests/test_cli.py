@@ -434,6 +434,39 @@ def test_seed_0_validates_and_runs(tmp_path, capsys):
     assert json.loads((tmp_path / "zero" / "seed0" / "metrics.json").read_text())["seed"] == 0
 
 
+def test_seed_0_is_placed_by_validate(tmp_path, capsys):
+    # seed 0's templates are checked like any other seed's: the refusal
+    # comes from validate (exit 2), not from the run's dataset (exit 1)
+    assert main(["validate", "--classes", "40", "--dim", "3", "--seeds", "0",
+                 "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: num_classes: could not place 40 templates in dim 3 with pairwise "
+        "angle >= 45.0 deg: at most 26 fit (seed 0)\n")
+
+
+@pytest.mark.parametrize("command, seeds, extra", [
+    ("run", [1], []),
+    ("sweep", [1, 2], ["--strategies", "naive,pcgrad"]),
+], ids=["run", "sweep"])
+def test_each_seed_s_templates_are_placed_once_per_call(command, seeds, extra,
+                                                         tmp_path, monkeypatch):
+    # validation places them, and every strategy trains on those datasets
+    placed = []
+    place = gradremedy.synthdata.class_templates
+
+    def spy(seed, *args, **kwargs):
+        placed.append(seed)
+        return place(seed, *args, **kwargs)
+
+    monkeypatch.setattr(gradremedy.synthdata, "class_templates", spy)
+    argv = [command, "--out", str(tmp_path), *FAST[:-2],
+            "--seeds", ",".join(map(str, seeds)), *extra]
+    assert main(argv) == 0
+    assert placed == seeds
+
+
 def test_run_flags_override_config_file(tmp_path, monkeypatch):
     monkeypatch.setenv("GRADREMEDY_OUT", str(tmp_path))
     base = ExperimentSpec(name="filecfg", learning_rate=0.5)

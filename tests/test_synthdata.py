@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from gradremedy import TwoTaskDataset, generate
-from gradremedy.synthdata import SampleBatch, _cap_share, _rng, class_templates
+from gradremedy.synthdata import (
+    SampleBatch, _cap_share, _pcg64_states, _rng, _words, class_templates,
+)
 
 
 def realized_snr_db(batch: SampleBatch) -> float:
@@ -146,6 +148,19 @@ def test_batch_stream_is_bit_stable(seed, index, batch_size, dim, snr_db, jitter
         assert np.array_equal(batch.labels, labels)
 
 
+def _vectorized_states(keys):
+    """The bit_generator.state of each key's generator, from one call of
+    _pcg64_states over the keys' words (zero-padded to the longest)."""
+    words = [_words(*key) for key in keys]
+    table = np.zeros((len(words), max(map(len, words))), dtype=np.uint32)
+    for row, key_words in zip(table, words):
+        row[:len(key_words)] = key_words
+    states = _pcg64_states(table, np.array([len(w) for w in words]))
+    return [{"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+             "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
+            for hi, lo, inc_hi, inc_lo in states.tolist()]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**96 - 1),
@@ -158,8 +173,37 @@ def test_batch_stream_is_bit_stable(seed, index, batch_size, dim, snr_db, jitter
 @example(seed=2**32, stream=2, index=2**32)
 @example(seed=2**64, stream=1, index=2**32 - 1)
 def test_keyed_generator_has_the_state_seedsequence_gives_the_tuple(seed, stream, index):
-    for key in ((seed, stream), (seed, stream, index)):
-        assert _rng(*key).bit_generator.state == np.random.default_rng(key).bit_generator.state
+    keys = [(seed, stream), (seed, stream, index)]
+    expected = [np.random.default_rng(key).bit_generator.state for key in keys]
+    assert [_rng(*key).bit_generator.state for key in keys] == expected
+    # and from one vectorized pass over both keys, whose word counts differ
+    assert _vectorized_states(keys) == expected
+
+
+def test_vectorized_seeding_is_exact_for_rows_of_every_length_in_one_call():
+    # 2 to 7 words a key: below, at and past the pool's 4 words, in an
+    # order that interleaves the lengths
+    ints = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1)
+    keys = [(seed, stream, index)[:length] for seed in ints for stream in range(3)
+            for index in ints for length in (2, 3)]
+    assert {len(_words(*key)) for key in keys} == set(range(2, 8))
+    assert _vectorized_states(keys) == [
+        np.random.default_rng(key).bit_generator.state for key in keys]
+
+
+@pytest.mark.parametrize("seed", [5, 2**32 + 3], ids=["one-word", "two-word"])
+def test_train_batches_are_the_train_batch_stream(seed):
+    data = TwoTaskDataset(seed=seed, num_classes=3, dim=5, snr_db=2.0, jitter_std=0.5)
+    batches = list(data.train_batches(7, 12))
+    assert len(batches) == 12
+    for i, batch in enumerate(batches):
+        expected = data.train_batch(7, i)
+        for name in ("noisy", "clean", "labels"):
+            got, want = getattr(batch, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert list(data.train_batches(7, 0)) == []
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        next(data.train_batches(0, 3))
 
 
 def test_train_and_eval_streams_are_disjoint():

@@ -294,6 +294,21 @@ def test_one_scan_predicate_serves_both_limits():
                 f"batch 3 (entry 7 of 54: {value})")
 
 
+@pytest.mark.parametrize("offset", [0, 34], ids=["first", "last"])
+def test_an_entry_past_the_first_unit_is_counted_from_its_unit_start(offset):
+    # trunk[1] takes total[54:89]: the message counts from the unit's own
+    # start, and the boundary entries belong to it, not to its neighbours
+    arena = trainer_module._Arena(make_net(), bias_separate=False)
+    assert arena.places[1][2:] == (54, 89)
+    arena.total[...] = 0.0
+    arena.total[54 + offset] = np.inf
+    with pytest.raises(ValueError) as caught:
+        arena.check_finite(arena.total, None, 2, 3)
+    assert str(caught.value) == (
+        "non-finite post-surgery total gradient in trunk[1] at epoch 2, "
+        f"batch 3 (entry {offset} of 35: inf)")
+
+
 def test_an_overflowing_sum_of_squares_falls_back_to_the_exact_test():
     # the fast scan is a sum of squares; entries all within sqrt(float64
     # max) can overflow it, and the exact test must then pass them
