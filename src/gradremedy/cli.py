@@ -31,6 +31,7 @@ import os
 import re
 import sys
 import tempfile
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
@@ -222,8 +223,7 @@ def _checked(spec: ExperimentSpec) -> tuple[list[str], dict[int, TwoTaskDataset]
     return errors, datasets
 
 
-@dataclass
-class SummaryRow:
+class SummaryRow(typing.NamedTuple):
     """One summary.csv row; seeds is the space-joined seed list."""
 
     strategy: str

@@ -15,11 +15,12 @@ the uint32 entropy words SeedSequence would build from the tuple itself
 (each int's little-endian 32-bit words), which gives the same generator
 state at about half the cost of handing it the tuple. A training run
 draws its batches from train_batches: one vectorized pass over all of its
-keys computes each batch generator's PCG64 state (a port of SeedSequence's
-hashing and PCG64's seeding, exact for keys of any length), and one reused
-generator is set to each state in turn, so every batch is train_batch's
-bit for bit without building a generator per batch. Templates, held-out
-batches and train_batch itself build their one generator through numpy.
+keys runs SeedSequence's hashing (a numpy port), PCG64's seeding runs per
+batch as its formula on Python ints, and one reused generator is set to
+each state in turn, so every batch is train_batch's bit for bit without
+building a generator per batch. Its batch index is one key word, so a run
+draws at most 2**32 batches. Templates, held-out batches and train_batch
+itself build their one generator through numpy.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-# PCG64's 128-bit LCG multiplier
+# PCG64's 128-bit LCG multiplier and modulus
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MOD = 1 << 128
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
@@ -101,35 +103,18 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """(a + b) mod 2**128 of uint64 (high, low) halves."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _mul128(hi, lo, m: int):
-    """(hi, lo) * m mod 2**128 for a constant m: the low halves' full
-    product from 32-bit pieces, plus the two cross products' low halves."""
-    m_hi, m_lo = divmod(m, 1 << 64)
-    x0, x1 = lo & _WORD, lo >> 32
-    y0, y1 = m_lo & _WORD, m_lo >> 32
-    p01, p10 = x0 * y1, x1 * y0
-    middle = (x0 * y0 >> 32) + (p01 & _WORD) + (p10 & _WORD)
-    carry = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)
-    return carry + lo * m_hi + hi * m_lo, lo * m_lo
-
-
-def _seeded_states(entropy: np.ndarray) -> np.ndarray:
-    """_pcg64_states for rows of one length: SeedSequence's mix_entropy and
-    generate_state(4, uint64) on every row at once, then PCG64's set_seed.
-    Each hash constant depends only on how many hashes came before it, so
-    it is the same for every row; within one source word of the pool's
-    mixing, the hashes read a word no other of them writes."""
-    width = entropy.shape[1]
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(words[i]).generate_state(4, uint64) for each row i of an
+    (n, w) uint32 array: numpy's mix_entropy and generate_state on every row
+    at once, as an (n, 4) uint64 array of the PCG64 seed's and sequence's
+    high and low 64 bits. Each hash constant depends only on how many hashes
+    came before it, so it is the same for every row; within one source word
+    of the pool's mixing, the hashes read a word no other of them writes."""
+    width = words.shape[1]
     # 4 hashes fill the pool, 12 mix it, and 4 mix in each word past it
     a = _hash_constants(_INIT_A, _MULT_A, 4 * max(width, _POOL))
-    pool = np.zeros((len(entropy), _POOL), dtype=np.uint32)
-    pool[:, :width] = entropy[:, :_POOL]
+    pool = np.zeros((len(words), _POOL), dtype=np.uint32)
+    pool[:, :width] = words[:, :_POOL]
     pool = _hashmix(pool, a[:_POOL + 1])
     k = _POOL
     for src in range(_POOL):  # mix every word into every other word
@@ -137,28 +122,20 @@ def _seeded_states(entropy: np.ndarray) -> np.ndarray:
         pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], a[k:k + _POOL]))
         k += _POOL - 1
     for src in range(_POOL, width):  # then every word past the pool into each
-        pool = _mix(pool, _hashmix(entropy[:, src, None], a[k:k + _POOL + 1]))
+        pool = _mix(pool, _hashmix(words[:, src, None], a[k:k + _POOL + 1]))
         k += _POOL
     out = _hashmix(np.tile(pool, 2), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
-    seed_hi, seed_lo, seq_hi, seq_lo = out.astype("<u4").view("<u8").astype(np.uint64).T
-    # set_seed: inc = 2*seq + 1; state = (inc + seed)*mult + inc
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    state = _add128(*_mul128(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), _PCG_MULT),
-                    inc_hi, inc_lo)
-    return np.stack([*state, inc_hi, inc_lo], axis=1)
+    return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_states(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The PCG64 state np.random.default_rng(words[i, :lengths[i]]) builds,
-    for each row i of an (n, w) uint32 array, as an (n, 4) uint64 array of
-    the state's and the increment's high and low 64 bits. Rows of equal
-    length are computed together. (np.unique would import numpy.ma, about
-    1.3 MB of a run's peak memory.)"""
-    states = np.empty((len(words), 4), dtype=np.uint64)
-    for length in set(lengths.tolist()):
-        rows = lengths == length
-        states[rows] = _seeded_states(words[rows, :length])
-    return states
+def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
+    """The bit_generator.state PCG64's set_seed builds from one _seed_states
+    row: inc = 2*seq + 1, state = (inc + seed)*mult + inc, mod 2**128."""
+    seed, seq = seed_hi << 64 | seed_lo, seq_hi << 64 | seq_lo
+    inc = (2 * seq + 1) % _MOD
+    state = ((inc + seed) * _PCG_MULT + inc) % _MOD
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state, "inc": inc}}
 
 
 # the largest |snr_db| at which float64 holds both parts of a noisy sample:
@@ -342,23 +319,19 @@ class TwoTaskDataset:
 
     def train_batches(self, batch_size: int, count: int) -> Iterator[SampleBatch]:
         """train_batch(batch_size, i) for i in range(count), bit for bit.
-        One pass of _pcg64_states over the keys gives every batch's
-        generator state up front, and one reused generator is set to each
-        in turn, which costs a batch less than building its generator."""
+        One pass of _seed_states over the keys hashes every batch's seed
+        up front, and one reused generator is set to each _pcg64_state in
+        turn, which costs a batch less than building its generator. Each
+        index is one key word, so count must lie in [0, 2**32]."""
+        if not 0 <= count <= 2**32:
+            raise ValueError(f"count must lie in [0, 2**32], got {count}")
         prefix = _words(self.seed, _TRAIN_STREAM)
-        index = np.arange(count, dtype=np.uint64)
-        words = np.empty((count, len(prefix) + 2), dtype=np.uint32)
-        words[:, :len(prefix)] = prefix
-        # an index past _WORD takes a second word, as in _words
-        words[:, -2], words[:, -1] = index & _WORD, index >> 32
-        states = _pcg64_states(words, len(prefix) + 1 + (index > _WORD))
+        words = np.empty((count, len(prefix) + 1), dtype=np.uint32)
+        words[:, :-1] = prefix
+        words[:, -1] = np.arange(count, dtype=np.uint32)
         rng = np.random.default_rng(0)
-        for i, row in enumerate(states):
-            state_hi, state_lo, inc_hi, inc_lo = row.tolist()
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-            }
+        for i, row in enumerate(_seed_states(words).tolist()):
+            rng.bit_generator.state = _pcg64_state(*row)
             yield self._draw(rng, batch_size, _TRAIN_STREAM, i)
 
     def eval_batch(self, batch_size: int, index: int = 0) -> SampleBatch:

@@ -40,19 +40,19 @@ row and the run's rescale ratios, in unit order:
 
 Each epoch's EpochStats averages the percentages and losses of that epoch's
 StepStats and adds a held-out dominant-task accuracy, for which only the
-trunk and the dominant head run. write_csv writes any such record list with
-its field names as the header; one positional %-template built from the
-field types formats every line from the record's field values, %.12g for
-float fields and str() for the rest, so identical runs produce
-byte-identical files.
+trunk and the dominant head run. Both run records are NamedTuples, as is
+the CLI's summary row. write_csv writes any such record list with its field
+names as the header; one positional %-template built from the field types
+formats every line from the record itself, %.12g for float fields and str()
+for the rest, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -129,8 +129,7 @@ class TrainConfig:
         raise_if_any(train_config_errors(self))
 
 
-@dataclass(frozen=True)
-class StepStats:
+class StepStats(typing.NamedTuple):
     """Interference counts and losses for one optimizer step.
 
     Each count sums one flag of the step's surgery units' outcomes, so it
@@ -153,8 +152,7 @@ class StepStats:
     loss_dom: float
 
 
-@dataclass(frozen=True)
-class EpochStats:
+class EpochStats(typing.NamedTuple):
     """Per-epoch averages of the step percentages plus held-out accuracy."""
 
     epoch: int
@@ -164,16 +162,12 @@ class EpochStats:
     loss_dom: float
     eval_accuracy: float
 
-    def __post_init__(self):
-        for name in ("pct_conflicting", "pct_wrongly_dominant"):
-            if not 0.0 <= getattr(self, name) <= 100.0:
-                raise ValueError(f"{name} must lie in [0, 100]")
-
     @classmethod
     def from_steps(cls, steps: list[StepStats], eval_accuracy: float) -> "EpochStats":
-        """The means over one epoch's steps, which must be non-empty."""
+        """The means over one epoch's steps, which must be non-empty; each
+        percentage must lie in [0, 100]."""
         n = len(steps)
-        return cls(
+        record = cls(
             epoch=steps[0].epoch,
             pct_conflicting=sum(100.0 * s.conflicting_post / s.layers_total
                                 for s in steps) / n,
@@ -183,6 +177,10 @@ class EpochStats:
             loss_dom=sum(s.loss_dom for s in steps) / n,
             eval_accuracy=eval_accuracy,
         )
+        for name in ("pct_conflicting", "pct_wrongly_dominant"):
+            if not 0.0 <= getattr(record, name) <= 100.0:
+                raise ValueError(f"{name} must lie in [0, 100]")
+        return record
 
 
 class SGD:
@@ -424,17 +422,13 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
 
 
 def write_csv(rows: list, kind: type, path: str) -> None:
-    """One header line of kind's dataclass field names, then one line per
-    record, formatted by one positional %-template from the tuple of the
-    record's field values in declaration order: fields declared float as
-    %.12g, every other field with str()."""
-    names = [f.name for f in fields(kind)]
-    template = ",".join("%.12g" if f.type in (float, "float") else "%s"
-                        for f in fields(kind))
-    get = operator.attrgetter(*names)
-    values = get if len(names) > 1 else lambda row: (get(row),)  # a 1-tuple
-    lines = [",".join(names)]
-    lines += [template % values(row) for row in rows]
+    """One header line of kind's field names (kind is a NamedTuple), then
+    one line per record, formatted by one positional %-template from the
+    record itself: fields annotated float as %.12g, every other field with
+    str()."""
+    hints = typing.get_type_hints(kind)
+    template = ",".join("%.12g" if hints[name] is float else "%s" for name in kind._fields)
+    lines = [",".join(kind._fields), *(template % row for row in rows)]
     with open(path, "w", encoding="ascii") as out:
         out.write("\n".join(lines) + "\n")
 

@@ -10,7 +10,7 @@ from scipy.special import betainc
 
 from gradremedy import TwoTaskDataset, generate
 from gradremedy.synthdata import (
-    SampleBatch, _cap_share, _pcg64_states, _rng, _words, class_templates,
+    SampleBatch, _cap_share, _pcg64_state, _rng, _seed_states, _words, class_templates,
 )
 
 
@@ -149,16 +149,17 @@ def test_batch_stream_is_bit_stable(seed, index, batch_size, dim, snr_db, jitter
 
 
 def _vectorized_states(keys):
-    """The bit_generator.state of each key's generator, from one call of
-    _pcg64_states over the keys' words (zero-padded to the longest)."""
+    """The bit_generator.state of each key's generator: one _seed_states
+    call per word count over the keys of that many words, then
+    _pcg64_state on each row."""
     words = [_words(*key) for key in keys]
-    table = np.zeros((len(words), max(map(len, words))), dtype=np.uint32)
-    for row, key_words in zip(table, words):
-        row[:len(key_words)] = key_words
-    states = _pcg64_states(table, np.array([len(w) for w in words]))
-    return [{"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-             "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
-            for hi, lo, inc_hi, inc_lo in states.tolist()]
+    states = [None] * len(keys)
+    for width in {len(w) for w in words}:
+        rows = [i for i, w in enumerate(words) if len(w) == width]
+        table = np.array([words[i] for i in rows], dtype=np.uint32)
+        for i, row in zip(rows, _seed_states(table).tolist()):
+            states[i] = _pcg64_state(*row)
+    return states
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -176,13 +177,14 @@ def test_keyed_generator_has_the_state_seedsequence_gives_the_tuple(seed, stream
     keys = [(seed, stream), (seed, stream, index)]
     expected = [np.random.default_rng(key).bit_generator.state for key in keys]
     assert [_rng(*key).bit_generator.state for key in keys] == expected
-    # and from one vectorized pass over both keys, whose word counts differ
+    # and from the vectorized port, one call per word count
     assert _vectorized_states(keys) == expected
 
 
 def test_vectorized_seeding_is_exact_for_rows_of_every_length_in_one_call():
     # 2 to 7 words a key: below, at and past the pool's 4 words, in an
-    # order that interleaves the lengths
+    # order that interleaves the lengths, so each width's rows must come
+    # back in place
     ints = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1)
     keys = [(seed, stream, index)[:length] for seed in ints for stream in range(3)
             for index in ints for length in (2, 3)]
@@ -204,6 +206,15 @@ def test_train_batches_are_the_train_batch_stream(seed):
     assert list(data.train_batches(7, 0)) == []
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         next(data.train_batches(0, 3))
+
+
+@pytest.mark.parametrize("count", [2**32 + 1, -1])
+def test_train_batches_refuses_a_count_past_one_key_word(count):
+    # each batch index is one uint32 key word, so a run has at most 2**32
+    # batches; the count is refused before any table is built
+    data = TwoTaskDataset(seed=5, num_classes=3, dim=5, snr_db=2.0)
+    with pytest.raises(ValueError, match=rf"count must lie in \[0, 2\*\*32\], got {count}$"):
+        next(data.train_batches(4, count))
 
 
 def test_train_and_eval_streams_are_disjoint():

@@ -4,7 +4,7 @@ import copy
 import inspect
 import math
 import sys
-from dataclasses import dataclass, fields, make_dataclass
+import typing
 
 import numpy as np
 import pytest
@@ -497,8 +497,7 @@ def test_epochs_csv_format(tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1"]
 
 
-@dataclass(frozen=True)
-class _Cells:
+class _Cells(typing.NamedTuple):
     not_a_number: float
     infinite: float
     negative_zero: float
@@ -525,24 +524,22 @@ def test_write_csv_formats_floats_as_12g_and_everything_else_with_str(tmp_path):
 
 
 def test_write_csv_writes_one_column_records_and_empty_record_lists(tmp_path):
-    @dataclass
-    class One:
+    class One(typing.NamedTuple):
         value: float
 
     path = tmp_path / "one.csv"
     write_csv([One(1 / 3), One(2.0)], One, str(path))
     assert path.read_text(encoding="ascii") == "value\n0.333333333333\n2\n"
 
-    @dataclass
-    class Only:
+    class Only(typing.NamedTuple):
         cell: object
 
-    # rows are formatted positionally, and a one-field record's value goes in
-    # as a 1-tuple: a tuple value is one cell, not the argument list
+    # rows are formatted positionally, and a one-field record is itself a
+    # 1-tuple: a tuple value is one cell, not the argument list
     write_csv([Only((1, 2)), Only(()), Only("%s")], Only, str(path))
     assert path.read_text(encoding="ascii") == "cell\n(1, 2)\n()\n%s\n"
     write_csv([], _Cells, str(path))
-    assert path.read_text(encoding="ascii") == ",".join(f.name for f in fields(_Cells)) + "\n"
+    assert path.read_text(encoding="ascii") == ",".join(_Cells._fields) + "\n"
 
 
 _FLOAT_EDGES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
@@ -561,8 +558,8 @@ def _records(draw):
     a few records of it."""
     kinds = draw(st.lists(st.sampled_from(list(_CELL_VALUES)), min_size=1, max_size=5))
     as_names = draw(st.booleans())
-    kind = make_dataclass("Record", [(f"f{i}", k.__name__ if as_names else k)
-                                     for i, k in enumerate(kinds)])
+    kind = typing.NamedTuple("Record", [(f"f{i}", k.__name__ if as_names else k)
+                                        for i, k in enumerate(kinds)])
     rows = draw(st.lists(st.tuples(*(_CELL_VALUES[k] for k in kinds)), max_size=4))
     return kind, [kind(*values) for values in rows]
 
@@ -573,7 +570,7 @@ def test_write_csv_bytes_match_per_cell_formatting(tmp_path_factory, record):
     # each line is what formatting cell by cell gives: %.12g for a float,
     # str() for anything else
     kind, rows = record
-    names = [f.name for f in fields(kind)]
+    names = kind._fields
 
     def cell(value):
         return f"{value:.12g}" if isinstance(value, float) else str(value)

@@ -25,7 +25,6 @@ own, so the stacked two-task backward is checked bit for bit.
 """
 
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -200,7 +199,7 @@ def _outcome(trainer, config, data, net):
 def _rows(records):
     """Records as tuples, with nan made comparable."""
     return [tuple("nan" if isinstance(v, float) and math.isnan(v) else v
-                  for v in dataclasses.astuple(r)) for r in records]
+                  for v in tuple(r)) for r in records]
 
 
 @st.composite
