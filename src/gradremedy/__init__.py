@@ -5,7 +5,6 @@ two-head MLP, a synthetic two-task benchmark, and a CSV-emitting trainer.
 """
 
 from .net import (
-    Activation,
     Layer,
     LossBundle,
     Network,
@@ -56,7 +55,6 @@ __all__ = [
     "AngleReport",
     "GradientVector",
     "angle_between",
-    "Activation",
     "Layer",
     "LossBundle",
     "Network",

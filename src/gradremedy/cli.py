@@ -13,7 +13,8 @@ A run executes the training harness once per seed and leaves on disk:
 a fresh sibling, `<out>/.<name>.XXXX`, which replaces `<out>/<name>` whole
 once every file is written and is removed if anything fails. Configuration
 comes from flags, an optional JSON config file (flags win), and the
-GRADREMEDY_OUT env var for the default output root. A fixed-theta angle
+GRADREMEDY_OUT env var for the default output root; the flags are
+ExperimentSpec's fields, each typed from its field. A fixed-theta angle
 comes from a `fixed-theta:NNdeg` token, in degrees, or a config file's
 fixed_theta, in radians; a token's angle overrides the file's in the
 token's subdirectory only, so a sweep reruns from its root config.json.
@@ -337,45 +338,45 @@ def parse_strategy_token(token: str) -> tuple[Strategy, float | None]:
 # --- argument parsing --------------------------------------------------------
 
 
+# the flags not spelled --<field> with dashes, by field
+_FLAG_NAMES = {"dominance_k": "--k", "lam": "--lambda", "rescale_enabled": "--rescale",
+               "learning_rate": "--lr", "num_classes": "--classes", "out_dir": "--out"}
+
+_FLAG_HELP = {
+    "name": "experiment name (output subdirectory)",
+    "strategy": "naive | pcgrad | fixed-theta[:NNdeg] | gradient-remedy",
+    "dominance_k": "dominance threshold K (> 1)",
+    "lam": "dominant-task loss weight in [0, 1]",
+    "trunk_widths": "comma-separated, e.g. 48,48",
+    "seeds": "comma-separated, e.g. 1,2,3",
+    "out_dir": "output root directory",
+}
+
+# the fields whose flag text _spec_from_args parses
+_PARSED = ("strategy", "seeds", "trunk_widths")
+
+
 def _common_flags() -> argparse.ArgumentParser:
-    """The flags every command takes, on a parser for parents=[...].
-    Defaults are all None so a config file can tell "flag given" from
-    "flag absent"; real defaults live on ExperimentSpec."""
+    """The flags every command takes, on a parser for parents=[...]:
+    --config, then one per ExperimentSpec field but fixed_theta, which only
+    a strategy token or a config file sets. Defaults are all None so a config
+    file can tell "flag given" from "flag absent"; ExperimentSpec has the real
+    ones."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--name", help="experiment name (output subdirectory)")
-    p.add_argument(
-        "--strategy",
-        help="naive | pcgrad | fixed-theta[:NNdeg] | gradient-remedy",
-    )
-    p.add_argument("--k", type=float, dest="dominance_k",
-                   help="dominance threshold K (> 1)")
-    p.add_argument("--lambda", type=float, dest="lam",
-                   help="dominant-task loss weight in [0, 1]")
-    p.add_argument("--ratio-rule",
-                   choices=[r.value for r in RatioRule], dest="ratio_rule")
-    p.add_argument("--ratio-constant", type=float, dest="ratio_constant")
-    p.add_argument("--rescale", action=argparse.BooleanOptionalAction,
-                   dest="rescale_enabled", default=None)
-    p.add_argument("--r-min", type=float, dest="r_min")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batches-per-epoch", type=int, dest="batches_per_epoch")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--optimizer", choices=[o.value for o in OptimizerKind])
-    p.add_argument("--warmup-steps", type=int, dest="warmup_steps")
-    p.add_argument("--bias-separate", action=argparse.BooleanOptionalAction,
-                   dest="bias_separate", default=None)
-    p.add_argument("--eval-batches", type=int, dest="eval_batches")
-    p.add_argument("--trunk-widths", dest="trunk_widths",
-                   help="comma-separated, e.g. 48,48")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--classes", type=int, dest="num_classes")
-    p.add_argument("--snr-db", type=float, dest="snr_db")
-    p.add_argument("--jitter-std", type=float, dest="jitter_std")
-    p.add_argument("--template-scale", type=float, dest="template_scale")
-    p.add_argument("--seeds", help="comma-separated, e.g. 1,2,3")
-    p.add_argument("--out", dest="out_dir", help="output root directory")
+    for f in fields(ExperimentSpec):
+        if f.name == "fixed_theta":
+            continue
+        if f.type is bool:
+            kind = {"action": argparse.BooleanOptionalAction}
+        elif f.name in _PARSED or f.type is str:
+            kind = {}
+        elif issubclass(f.type, Enum):
+            kind = {"choices": [member.value for member in f.type]}
+        else:  # int and float
+            kind = {"type": f.type}
+        p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                       dest=f.name, help=_FLAG_HELP.get(f.name), **kind)
     return p
 
 
@@ -433,10 +434,9 @@ def _spec_from_args(args: argparse.Namespace) -> tuple[ExperimentSpec, list[str]
     raw = _read_config(args.config) if args.config else {}
 
     overrides: dict = {}
-    # strategy, seeds and trunk_widths need parsing
     for key in (f.name for f in fields(ExperimentSpec)):
         value = getattr(args, key, None)
-        if value is not None and key not in ("strategy", "seeds", "trunk_widths"):
+        if value is not None and key not in _PARSED:
             overrides[key] = value
     if args.strategy is not None:
         strategy, theta = parse_strategy_token(args.strategy)

@@ -1,7 +1,7 @@
 """Feed-forward network with exact manual backprop for two-task training.
 
-A shared trunk feeds two heads: a reconstruction head trained with mean
-squared error against the clean signal (the auxiliary task) and a
+A shared ReLU trunk feeds two linear heads: a reconstruction head trained
+with mean squared error against the clean signal (the auxiliary task) and a
 classification head trained with softmax cross-entropy (the dominant task).
 One pass computes both losses and both loss-weighted head deltas.
 `backward_two_task` walks each head with its own task's delta, then walks
@@ -26,7 +26,6 @@ Everything is plain float64 numpy; batches are (batch, dim) matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -36,19 +35,9 @@ from .surgery import bound_errors, raise_if_any
 from .synthdata import dataset_errors
 
 
-class Activation(Enum):
-    RELU = "relu"
-    IDENTITY = "identity"
-
-
-# the step's cores test each layer against this name, not Activation.RELU,
-# whose class attribute lookup costs about 150 ns
-_RELU = Activation.RELU
-
-
 @dataclass
 class Layer:
-    """One dense layer: y = act(x @ weights.T + bias).
+    """One dense layer: x @ weights.T + bias, then its chain's activation.
 
     weights is (out_dim, in_dim), bias is (out_dim,). Parameters are mutable
     (the optimizer updates them in place); everything is float64.
@@ -56,7 +45,6 @@ class Layer:
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: Activation = Activation.RELU
 
     def __post_init__(self):
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -84,8 +72,10 @@ class Layer:
 class Network:
     """Trunk shared by both tasks plus one private head per task.
 
-    The field order is the layout order of everything that walks the net:
-    named_layers and the trainer's parameter buffer.
+    The chain sets each layer's activation: every trunk layer ends in a
+    ReLU, and every head layer is linear. The field order is the layout
+    order of everything that walks the net: named_layers and the trainer's
+    parameter buffer.
     """
 
     trunk: list[Layer]
@@ -138,22 +128,15 @@ def init_network(
     raise_if_any(network_errors(shape) + dataset_errors(shape))
     rng = np.random.default_rng(seed)
 
-    def dense(fan_in: int, fan_out: int, activation: Activation) -> Layer:
+    def dense(fan_in: int, fan_out: int) -> Layer:
         bound = 1.0 / np.sqrt(fan_in)
-        return Layer(
-            weights=rng.uniform(-bound, bound, size=(fan_out, fan_in)),
-            bias=rng.uniform(-bound, bound, size=fan_out),
-            activation=activation,
-        )
+        return Layer(rng.uniform(-bound, bound, size=(fan_out, fan_in)),
+                     rng.uniform(-bound, bound, size=fan_out))
 
-    trunk = []
-    prev = in_dim
-    for width in trunk_widths:
-        trunk.append(dense(prev, width, Activation.RELU))
-        prev = width
-    aux_head = [dense(prev, in_dim, Activation.IDENTITY)]
-    dom_head = [dense(prev, num_classes, Activation.IDENTITY)]
-    return Network(trunk=trunk, aux_head=aux_head, dom_head=dom_head)
+    widths = (in_dim, *trunk_widths)
+    trunk = [dense(fan_in, fan_out) for fan_in, fan_out in zip(widths, widths[1:])]
+    return Network(trunk=trunk, aux_head=[dense(widths[-1], in_dim)],
+                   dom_head=[dense(widths[-1], num_classes)])
 
 
 @dataclass
@@ -204,12 +187,12 @@ def _check_widths(net: Network, width: int) -> None:
             width = layer.out_dim
 
 
-def _forward_chain(chain: list[Layer], x: np.ndarray) -> list[np.ndarray]:
+def _forward_chain(chain: list[Layer], x: np.ndarray, relu: bool) -> list[np.ndarray]:
     acts = [x]
     for layer in chain:
         x = x @ layer.weights.T
         x += layer.bias
-        if layer.activation is _RELU:
+        if relu:
             np.maximum(x, 0.0, out=x)
         acts.append(x)
     return acts
@@ -218,8 +201,9 @@ def _forward_chain(chain: list[Layer], x: np.ndarray) -> list[np.ndarray]:
 def _forward(net: Network, x: np.ndarray) -> tuple[list[np.ndarray], ...]:
     """Each chain's activations, in field order: the trunk's feed each head.
     Expects widths that fit (forward and train() check them)."""
-    acts = _forward_chain(net.trunk, x)
-    return acts, _forward_chain(net.aux_head, acts[-1]), _forward_chain(net.dom_head, acts[-1])
+    acts = _forward_chain(net.trunk, x, True)
+    return (acts, _forward_chain(net.aux_head, acts[-1], False),
+            _forward_chain(net.dom_head, acts[-1], False))
 
 
 def forward(net: Network, batch_inputs: np.ndarray) -> ForwardCache:
@@ -365,17 +349,17 @@ class TwoTaskGradients:
 
 
 def _backward_chain(chain: list[Layer], grads: list[LayerGrads],
-                    acts: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
+                    acts: list[np.ndarray], delta: np.ndarray, relu: bool) -> np.ndarray:
     """Walk one chain backward from d(loss)/d(output), given its forward
     activations, writing each layer's gradients into grads' arrays. delta
     is (batch, out_dim), or (tasks, batch, out_dim) with grads' arrays
-    stacked the same way. Returns dz, the gradient at chain[0]'s
-    pre-activation; dz @ chain[0].weights is d(loss)/d(input). A ReLU
-    passes delta where its output is positive, which is exactly where its
-    input was."""
+    stacked the same way; relu is true for the trunk. Returns dz, the
+    gradient at chain[0]'s pre-activation; dz @ chain[0].weights is
+    d(loss)/d(input). A ReLU passes delta where its output is positive,
+    which is exactly where its input was."""
     for i in range(len(chain) - 1, -1, -1):
         layer = chain[i]
-        dz = np.where(acts[i + 1] > 0.0, delta, 0.0) if layer.activation is _RELU else delta
+        dz = np.where(acts[i + 1] > 0.0, delta, 0.0) if relu else delta
         np.matmul(dz.swapaxes(-1, -2), acts[i], out=grads[i].weights)
         np.add.reduce(dz, axis=-2, out=grads[i].bias)
         if i:
@@ -396,11 +380,11 @@ def _backward(
     and one trunk walk carries both tasks' deltas, stacked in trunk_delta,
     a (2, batch, trunk width) buffer."""
     trunk_acts, aux_acts, dom_acts = acts
-    np.matmul(_backward_chain(net.aux_head, grads.aux_head, aux_acts, d_aux),
+    np.matmul(_backward_chain(net.aux_head, grads.aux_head, aux_acts, d_aux, False),
               net.aux_head[0].weights, out=trunk_delta[0])
-    np.matmul(_backward_chain(net.dom_head, grads.dom_head, dom_acts, d_dom),
+    np.matmul(_backward_chain(net.dom_head, grads.dom_head, dom_acts, d_dom, False),
               net.dom_head[0].weights, out=trunk_delta[1])
-    _backward_chain(net.trunk, grads.trunk, trunk_acts, trunk_delta)
+    _backward_chain(net.trunk, grads.trunk, trunk_acts, trunk_delta, True)
     return grads
 
 

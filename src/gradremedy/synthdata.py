@@ -10,17 +10,17 @@ regression target; the originating class is the dominant-task label.
 Reproducibility: every random draw is keyed by a tuple of non-negative
 ints — (seed, 0) for templates, (seed, 1, i) for training batch i,
 (seed, 2, j) for eval batch j — so batches are addressable and bit-stable
-regardless of generation order. A key goes into numpy's SeedSequence as
-the uint32 entropy words SeedSequence would build from the tuple itself
-(each int's little-endian 32-bit words), which gives the same generator
-state at about half the cost of handing it the tuple. A training run
-draws its batches from train_batches: one vectorized pass over all of its
-keys runs SeedSequence's hashing (a numpy port), PCG64's seeding runs per
-batch as its formula on Python ints, and one reused generator is set to
-each state in turn, so every batch is train_batch's bit for bit without
-building a generator per batch. Its batch index is one key word, so a run
-draws at most 2**32 batches. Templates, held-out batches and train_batch
-itself build their one generator through numpy.
+regardless of generation order. Templates, held-out batches and
+train_batch each seed their one generator with np.random.default_rng(key).
+A training run draws its batches from train_batches, which hashes its keys
+_SEED_CHUNK at a time, so no key table outgrows one chunk: a vectorized
+port of SeedSequence's hashing runs over the uint32 entropy words numpy
+builds from each key (each int's little-endian 32-bit words), PCG64's
+seeding runs per batch as its formula on Python ints, and one reused
+generator is set to each state in turn, so every batch is train_batch's
+bit for bit without building a generator per batch. A batch index is one
+key word, so a run draws at most MAX_TRAIN_BATCHES (2**32) batches, the
+limit the trainer's config check reads.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def _words(*key: int) -> list[int]:
     return words
 
 
-def _rng(*key: int) -> np.random.Generator:
-    """np.random.default_rng(key), the same state bit for bit, seeded from
-    key's _words."""
-    return np.random.default_rng(np.array(_words(*key), dtype=np.uint32))
+# a training batch's index is one key word, so a run draws at most 2**32
+# batches; train_batches hashes their keys _SEED_CHUNK at a time
+MAX_TRAIN_BATCHES = _WORD + 1
+_SEED_CHUNK = 4096
 
 
 # numpy's SeedSequence: its pool of uint32 words, the running hash
@@ -232,7 +232,7 @@ def class_templates(
     share = _cap_share(dim)
     if num_classes * share > 1.0:
         raise ValueError(f"{failure}: at most {math.floor(1.0 / share)} fit")
-    rng = _rng(seed, _TEMPLATE_STREAM)
+    rng = np.random.default_rng((seed, _TEMPLATE_STREAM))
     cos_ceiling = math.cos(math.radians(ANGLE_FLOOR_DEG))
     accepted = np.empty((num_classes, dim))
     count = 0
@@ -288,7 +288,8 @@ class TwoTaskDataset:
         )
 
     def _batch(self, batch_size: int, stream: int, index: int) -> SampleBatch:
-        return self._draw(_rng(self.seed, stream, index), batch_size, stream, index)
+        return self._draw(np.random.default_rng((self.seed, stream, index)),
+                          batch_size, stream, index)
 
     def _draw(self, rng: np.random.Generator, batch_size: int, stream: int,
               index: int) -> SampleBatch:
@@ -319,20 +320,22 @@ class TwoTaskDataset:
 
     def train_batches(self, batch_size: int, count: int) -> Iterator[SampleBatch]:
         """train_batch(batch_size, i) for i in range(count), bit for bit.
-        One pass of _seed_states over the keys hashes every batch's seed
-        up front, and one reused generator is set to each _pcg64_state in
+        One pass of _seed_states per _SEED_CHUNK keys hashes those batches'
+        seeds, and one reused generator is set to each _pcg64_state in
         turn, which costs a batch less than building its generator. Each
-        index is one key word, so count must lie in [0, 2**32]."""
-        if not 0 <= count <= 2**32:
+        index is one key word, so count must lie in [0, MAX_TRAIN_BATCHES]."""
+        if not 0 <= count <= MAX_TRAIN_BATCHES:
             raise ValueError(f"count must lie in [0, 2**32], got {count}")
         prefix = _words(self.seed, _TRAIN_STREAM)
-        words = np.empty((count, len(prefix) + 1), dtype=np.uint32)
-        words[:, :-1] = prefix
-        words[:, -1] = np.arange(count, dtype=np.uint32)
         rng = np.random.default_rng(0)
-        for i, row in enumerate(_seed_states(words).tolist()):
-            rng.bit_generator.state = _pcg64_state(*row)
-            yield self._draw(rng, batch_size, _TRAIN_STREAM, i)
+        for start in range(0, count, _SEED_CHUNK):
+            stop = min(start + _SEED_CHUNK, count)
+            words = np.empty((stop - start, len(prefix) + 1), dtype=np.uint32)
+            words[:, :-1] = prefix
+            words[:, -1] = np.arange(start, stop, dtype=np.uint32)
+            for i, row in enumerate(_seed_states(words).tolist(), start):
+                rng.bit_generator.state = _pcg64_state(*row)
+                yield self._draw(rng, batch_size, _TRAIN_STREAM, i)
 
     def eval_batch(self, batch_size: int, index: int = 0) -> SampleBatch:
         """Held-out batch; a stream disjoint from every training batch."""

@@ -71,7 +71,7 @@ from .net import (
     layer_views,
 )
 from .surgery import RemedyConfig, bound_errors, raise_if_any, remedy_pair
-from .synthdata import SampleBatch, TwoTaskDataset
+from .synthdata import MAX_TRAIN_BATCHES, SampleBatch, TwoTaskDataset
 
 
 # what each row of a (2, ...) task-gradient array holds
@@ -92,8 +92,9 @@ class OptimizerKind(Enum):
 
 def train_config_errors(config) -> list[str]:
     """Every bound a TrainConfig, or anything with its field names (the
-    CLI passes its ExperimentSpec), breaks."""
-    return bound_errors(config, (
+    CLI passes its ExperimentSpec), breaks, and a valid schedule longer
+    than the train_batches that train draws from."""
+    errors = bound_errors(config, (
         ("learning_rate", lambda lr: 0.0 < lr < math.inf,
          "learning rate must be positive and finite"),
         ("lam", lambda lam: 0.0 <= lam <= 1.0, "lambda must lie in [0, 1]"),
@@ -101,6 +102,11 @@ def train_config_errors(config) -> list[str]:
           for name in ("epochs", "batches_per_epoch", "batch_size", "eval_batches")),
         ("warmup_steps", lambda n: n >= 0, "warmup_steps must be >= 0"),
     ))
+    epochs, per_epoch = config.epochs, config.batches_per_epoch
+    if min(epochs, per_epoch) >= 1 and epochs * per_epoch > MAX_TRAIN_BATCHES:
+        errors.append(f"epochs, batches_per_epoch: a run draws at most 2**32 training "
+                      f"batches, got {epochs}*{per_epoch} = {epochs * per_epoch}")
+    return errors
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,8 @@ def evaluate(net: Network, batches: list[SampleBatch]) -> float:
     correct = 0
     for b in batches:
         _check_widths(net, b.noisy.shape[1])
-        logits = _forward_chain(net.dom_head, _forward_chain(net.trunk, b.noisy)[-1])[-1]
+        trunk_out = _forward_chain(net.trunk, b.noisy, True)[-1]
+        logits = _forward_chain(net.dom_head, trunk_out, False)[-1]
         correct += int((logits.argmax(axis=1) == b.labels).sum())
     return correct / sum(len(b) for b in batches)
 

@@ -286,6 +286,83 @@ def test_every_command_takes_the_same_flags_and_sweep_adds_only_strategies():
     assert {v[1] for k, v in run.items() if k not in ("-h", "--help")} == {None}
 
 
+_STORE, _BOOL, _HELP = argparse._StoreAction, argparse.BooleanOptionalAction, argparse._HelpAction
+_HELP_TEXT = "show this help message and exit"
+
+# every flag of run, in --help order: option string -> (dest, default, type,
+# choices, action, help)
+FLAG_TABLE = {
+    "-h": ("help", argparse.SUPPRESS, None, None, _HELP, _HELP_TEXT),
+    "--help": ("help", argparse.SUPPRESS, None, None, _HELP, _HELP_TEXT),
+    "--config": ("config", None, None, None, _STORE, "JSON config file (flags override it)"),
+    "--name": ("name", None, None, None, _STORE, "experiment name (output subdirectory)"),
+    "--strategy": ("strategy", None, None, None, _STORE,
+                   "naive | pcgrad | fixed-theta[:NNdeg] | gradient-remedy"),
+    "--k": ("dominance_k", None, float, None, _STORE, "dominance threshold K (> 1)"),
+    "--ratio-rule": ("ratio_rule", None, None, ["cos-theta-prime", "inv-sqrt-k", "constant"],
+                     _STORE, None),
+    "--ratio-constant": ("ratio_constant", None, float, None, _STORE, None),
+    "--rescale": ("rescale_enabled", None, None, None, _BOOL, None),
+    "--no-rescale": ("rescale_enabled", None, None, None, _BOOL, None),
+    "--r-min": ("r_min", None, float, None, _STORE, None),
+    "--lambda": ("lam", None, float, None, _STORE, "dominant-task loss weight in [0, 1]"),
+    "--epochs": ("epochs", None, int, None, _STORE, None),
+    "--batches-per-epoch": ("batches_per_epoch", None, int, None, _STORE, None),
+    "--batch-size": ("batch_size", None, int, None, _STORE, None),
+    "--lr": ("learning_rate", None, float, None, _STORE, None),
+    "--optimizer": ("optimizer", None, None, ["sgd", "adam"], _STORE, None),
+    "--warmup-steps": ("warmup_steps", None, int, None, _STORE, None),
+    "--bias-separate": ("bias_separate", None, None, None, _BOOL, None),
+    "--no-bias-separate": ("bias_separate", None, None, None, _BOOL, None),
+    "--eval-batches": ("eval_batches", None, int, None, _STORE, None),
+    "--trunk-widths": ("trunk_widths", None, None, None, _STORE, "comma-separated, e.g. 48,48"),
+    "--dim": ("dim", None, int, None, _STORE, None),
+    "--classes": ("num_classes", None, int, None, _STORE, None),
+    "--snr-db": ("snr_db", None, float, None, _STORE, None),
+    "--jitter-std": ("jitter_std", None, float, None, _STORE, None),
+    "--template-scale": ("template_scale", None, float, None, _STORE, None),
+    "--seeds": ("seeds", None, None, None, _STORE, "comma-separated, e.g. 1,2,3"),
+    "--out": ("out_dir", None, None, None, _STORE, "output root directory"),
+}
+
+
+def test_the_flags_are_the_spec_fields_but_fixed_theta():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    actions = commands["run"]._actions
+    table = {option: (a.dest, a.default, a.type, a.choices, type(a), a.help)
+             for a in actions for option in a.option_strings}
+    assert list(table) == list(FLAG_TABLE)
+    assert table == FLAG_TABLE
+    # one flag per field, --no-* included in its field's flag
+    dests = [a.dest for a in actions if a.dest not in ("help", "config")]
+    assert dests == [f.name for f in fields(ExperimentSpec) if f.name != "fixed_theta"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_schedule_past_the_batch_key_limit_exits_2_before_any_directory(
+        command, tmp_path, capsys):
+    # a batch index is one uint32 key word, so a run draws at most 2**32
+    # batches; 10**10 is refused as a config error, not after the run starts
+    out = tmp_path / "out"
+    assert main([command, "--epochs", "100000", "--batches-per-epoch", "100000",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: epochs, batches_per_epoch: a run draws at most 2**32 training batches, "
+        "got 100000*100000 = 10000000000\n")
+    assert not out.exists()
+    with pytest.raises(ValueError, match=r"at most 2\*\*32 training batches"):
+        TrainConfig(epochs=100000, batches_per_epoch=100000)
+
+
+def test_a_schedule_of_exactly_2_to_the_32_batches_validates(capsys):
+    assert main(["validate", "--epochs", "65536", "--batches-per-epoch", "65536"]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    TrainConfig(epochs=65536, batches_per_epoch=65536)
+
+
 def test_validate_command_exit_codes(capsys):
     assert main(["validate", "--strategy", "gradient-remedy"]) == 0
     assert "ok" in capsys.readouterr().out

@@ -68,12 +68,14 @@ def counts_csv(result) -> str:
 def write_net(net, path):
     """A magic line, then per chain a '<name> <layer count>' line and per
     layer a 'layer <out_dim> <in_dim> <activation>' line, its row-major
-    weights and its bias, each value as %.17g, which round-trips float64."""
+    weights and its bias, each value as %.17g, which round-trips float64.
+    The activation is the chain's: relu in the trunk, identity in a head."""
     lines = [MAGIC]
     for name, chain in net.chains():
         lines.append(f"{name} {len(chain)}")
+        activation = "relu" if chain is net.trunk else "identity"
         for layer in chain:
-            lines.append(f"layer {layer.out_dim} {layer.in_dim} {layer.activation.value}")
+            lines.append(f"layer {layer.out_dim} {layer.in_dim} {activation}")
             lines += [" ".join(f"{v:.17g}" for v in array.ravel())
                       for array in (layer.weights, layer.bias)]
     with open(path, "w", encoding="ascii") as out:

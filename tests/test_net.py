@@ -7,7 +7,6 @@ import pytest
 from scipy.special import logsumexp
 
 from gradremedy import (
-    Activation,
     Layer,
     Network,
     backward_two_task,
@@ -38,15 +37,43 @@ def test_init_network_is_seed_deterministic():
     assert not np.array_equal(a.trunk[0].weights, c.trunk[0].weights)
 
 
+def assert_trunk_is_relu_and_heads_are_linear(net, x):
+    """With every weight and bias negative and positive inputs, every
+    pre-activation is negative: each trunk layer's output must be all 0,
+    and each head's must keep its sign, the head's bias, since its input
+    is the trunk's zeros."""
+    for _, layer in net.named_layers():
+        layer.weights[...] = -np.abs(layer.weights)
+        layer.bias[...] = -np.abs(layer.bias) - 0.25
+    cache = forward(net, x)
+    trunk_acts, aux_acts, dom_acts = cache.acts
+    for out in trunk_acts[1:]:
+        np.testing.assert_array_equal(out, 0.0)
+    for acts, head in ((aux_acts, net.aux_head), (dom_acts, net.dom_head)):
+        assert (acts[-1] < 0.0).all()
+        np.testing.assert_array_equal(acts[-1], np.broadcast_to(head[0].bias, acts[-1].shape))
+
+
 def test_init_network_shapes_and_activations():
     net = init_network(seed=1, in_dim=10, trunk_widths=(8, 6), num_classes=4)
     assert [l.out_dim for l in net.trunk] == [8, 6]
-    assert all(l.activation is Activation.RELU for l in net.trunk)
     assert net.aux_head[0].weights.shape == (10, 6)  # back to the input space
     assert net.dom_head[0].weights.shape == (4, 6)
-    assert net.aux_head[0].activation is Activation.IDENTITY
     bound = 1.0 / math.sqrt(10)
     assert np.abs(net.trunk[0].weights).max() <= bound
+    x = np.abs(np.random.default_rng(0).standard_normal((5, 10))) + 0.1
+    assert_trunk_is_relu_and_heads_are_linear(net, x)
+
+
+def test_a_hand_built_net_takes_its_activations_from_its_chains():
+    ones = np.ones((2, 2))
+    net = Network(trunk=[Layer(ones, np.ones(2)), Layer(ones, np.ones(2))],
+                  aux_head=[Layer(np.ones((3, 2)), np.ones(3))],
+                  dom_head=[Layer(np.ones((4, 2)), np.ones(4))])
+    assert_trunk_is_relu_and_heads_are_linear(net, np.full((3, 2), 2.0))
+    # a layer holds no activation of its own
+    with pytest.raises(TypeError):
+        Layer(ones, np.ones(2), "relu")
 
 
 def test_init_network_validates_arguments():
@@ -71,9 +98,9 @@ def test_layer_validates_shapes():
 
 
 def test_forward_matches_hand_computation():
-    trunk = [Layer(np.array([[1.0, -1.0]]), np.array([0.5]), Activation.RELU)]
-    aux = [Layer(np.array([[2.0], [0.0]]), np.array([0.0, 1.0]), Activation.IDENTITY)]
-    dom = [Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]), Activation.IDENTITY)]
+    trunk = [Layer(np.array([[1.0, -1.0]]), np.array([0.5]))]
+    aux = [Layer(np.array([[2.0], [0.0]]), np.array([0.0, 1.0]))]
+    dom = [Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]))]
     net = Network(trunk=trunk, aux_head=aux, dom_head=dom)
     x = np.array([[1.0, 0.0], [0.0, 2.0]])
     cache = forward(net, x)

@@ -1,6 +1,7 @@
 """Synthetic benchmark generator: determinism, SNR, and separability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from gradremedy import TwoTaskDataset, generate
+from gradremedy import TwoTaskDataset, generate, synthdata
 from gradremedy.synthdata import (
-    SampleBatch, _cap_share, _pcg64_state, _rng, _seed_states, _words, class_templates,
+    SampleBatch, _cap_share, _pcg64_state, _seed_states, _words, class_templates,
 )
 
 
@@ -176,8 +177,7 @@ def _vectorized_states(keys):
 def test_keyed_generator_has_the_state_seedsequence_gives_the_tuple(seed, stream, index):
     keys = [(seed, stream), (seed, stream, index)]
     expected = [np.random.default_rng(key).bit_generator.state for key in keys]
-    assert [_rng(*key).bit_generator.state for key in keys] == expected
-    # and from the vectorized port, one call per word count
+    # from the vectorized port, one call per word count
     assert _vectorized_states(keys) == expected
 
 
@@ -206,6 +206,25 @@ def test_train_batches_are_the_train_batch_stream(seed):
     assert list(data.train_batches(7, 0)) == []
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         next(data.train_batches(0, 3))
+
+
+def test_train_batches_hash_their_keys_one_chunk_at_a_time(monkeypatch):
+    data = TwoTaskDataset(seed=5, num_classes=3, dim=5, snr_db=2.0, jitter_std=0.5)
+    # a million-batch run holds one chunk's key tables before its first batch
+    batches = data.train_batches(4, 10**6)
+    tracemalloc.start()
+    try:
+        next(batches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # chunks of 5 split 12 batches across two chunk boundaries, seamlessly
+    monkeypatch.setattr(synthdata, "_SEED_CHUNK", 5)
+    for i, batch in enumerate(list(data.train_batches(7, 12))):
+        expected = data.train_batch(7, i)
+        for name in ("noisy", "clean", "labels"):
+            assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes()
 
 
 @pytest.mark.parametrize("count", [2**32 + 1, -1])

@@ -32,7 +32,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradremedy import (
-    Activation,
     EpochStats,
     GradientVector,
     OptimizerKind,
@@ -71,8 +70,7 @@ def _forward(net, x):
         acts[name] = [acts["trunk"][-1] if acts else x]
         for layer in chain:
             z = acts[name][-1] @ layer.weights.T + layer.bias
-            acts[name].append(np.maximum(z, 0.0)
-                              if layer.activation is Activation.RELU else z)
+            acts[name].append(np.maximum(z, 0.0) if name == "trunk" else z)
     return acts
 
 
@@ -92,13 +90,13 @@ def _losses(acts, clean, labels):
     return float(np.mean(diff * diff)), float(np.mean(log_z - picked))
 
 
-def _chain_backward(chain, acts, delta):
-    """Per-layer (weights, bias) gradients of one chain, and d(loss)/d(input)."""
+def _chain_backward(chain, acts, delta, relu):
+    """Per-layer (weights, bias) gradients of one chain, and d(loss)/d(input);
+    relu is true for the trunk, whose layers end in a ReLU."""
     grads = [None] * len(chain)
     for i in range(len(chain) - 1, -1, -1):
         layer = chain[i]
-        dz = (np.where(acts[i + 1] > 0.0, delta, 0.0)
-              if layer.activation is Activation.RELU else delta)
+        dz = np.where(acts[i + 1] > 0.0, delta, 0.0) if relu else delta
         grads[i] = (dz.T @ acts[i], np.add.reduce(dz, axis=0))
         delta = dz @ layer.weights
     return grads, delta
@@ -113,9 +111,9 @@ def _backward(net, acts, clean, labels, lam):
     d_dom = lam * p / p.shape[0]
     heads, trunks = [], []
     for head, delta in (("aux_head", d_aux), ("dom_head", d_dom)):
-        head_grads, delta = _chain_backward(getattr(net, head), acts[head], delta)
+        head_grads, delta = _chain_backward(getattr(net, head), acts[head], delta, False)
         heads += head_grads
-        trunks.append(_chain_backward(net.trunk, acts["trunk"], delta)[0])
+        trunks.append(_chain_backward(net.trunk, acts["trunk"], delta, True)[0])
     return list(zip(*trunks)), heads
 
 
