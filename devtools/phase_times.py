@@ -2,93 +2,40 @@
 
     python3 devtools/phase_times.py <src-dir> [--repeats N] [--seed S]
 
-It imports gradremedy from <src-dir> (a checkout's `src`), wraps the
-functions one training step calls with `time.perf_counter` timers, and
-runs each benchmark workload's `gradremedy run` call (perfbench/catalog.py,
-read from this checkout) for the four strategy tokens, N times each. The
-phases are:
+It imports gradremedy from <src-dir> (a checkout's `src`) and, for each
+benchmark workload's `gradremedy run` arguments (perfbench/catalog.py, read
+from this checkout) with each of the four strategy tokens, builds the run's
+spec and calls train() on it N times, each on a fresh network. train()
+times its own phases and returns them as TrainResult.phase_seconds; no
+function is wrapped. The phases are:
 
-    data       the step's batch: train_batch, or the next of train_batches
+    data       the next batch of train_batches
     forward    net._forward
-    loss       net._loss_and_deltas
-    backward   net._backward
-    surgery    surgery.remedy_pair, summed over the step's units
-    optimizer  SGD.step or Adam.step
-    eval       evaluate, once per epoch
-    rest       train() minus the above: the gradient scans, the unit sums,
-               the step's stats row and the loop itself
+    loss       net._loss_and_deltas and the losses' finite check
+    backward   net._backward and the task-gradient scan
+    surgery    the pass over the surgery units
+    optimizer  the total-gradient scan and the optimizer step
+    eval       the parameter scan and evaluate, once per epoch
+    rest       train() minus the above: the setup, the step's stats row
+               and the loop itself
 
 It prints one JSON object: per workload and token, each phase's us per
 step, the least over the N calls (best-of-N), plus the whole of train().
-A timer adds about 0.56 us per wrapped call (timeit, against the bare call),
-on both sides of an A/B: only differences between two sources run this way
-mean anything.
+A source tree whose TrainResult has no phase_seconds field is refused.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import functools
+import dataclasses
 import json
 import os
 import sys
-import tempfile
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import catalog  # noqa: E402 - standard library only
-
-PHASES = ("data", "forward", "loss", "backward", "surgery", "optimizer", "eval")
-
-
-def _timed(phase: str, spent: dict[str, float], fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            spent[phase] += time.perf_counter() - start
-    return wrapper
-
-
-def _timed_batches(spent: dict[str, float], fn):
-    """fn (a train_batches) with each batch's draw timed as data."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        batches = fn(*args, **kwargs)
-        while True:
-            start = time.perf_counter()
-            try:
-                batch = next(batches)
-            except StopIteration:
-                return
-            finally:
-                spent["data"] += time.perf_counter() - start
-            yield batch
-    return wrapper
-
-
-def install(spent: dict[str, float]) -> None:
-    """Wrap every timed function of the imported gradremedy."""
-    import gradremedy.cli as cli
-    import gradremedy.synthdata as synthdata
-    import gradremedy.trainer as trainer
-
-    dataset = synthdata.TwoTaskDataset
-    dataset.train_batch = _timed("data", spent, dataset.train_batch)
-    if hasattr(dataset, "train_batches"):
-        dataset.train_batches = _timed_batches(spent, dataset.train_batches)
-    for phase, name in (("forward", "_forward"), ("loss", "_loss_and_deltas"),
-                        ("backward", "_backward"), ("surgery", "remedy_pair"),
-                        ("eval", "evaluate")):
-        setattr(trainer, name, _timed(phase, spent, getattr(trainer, name)))
-    for kind in (trainer.SGD, trainer.Adam):
-        kind.step = _timed("optimizer", spent, kind.step)
-    cli.train = _timed("train", spent, cli.train)
 
 
 def main(argv: list[str]) -> int:
@@ -98,33 +45,36 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    import gradremedy.cli
+    from gradremedy import trainer
 
-    spent = dict.fromkeys((*PHASES, "train"), 0.0)
-    install(spent)
+    if "phase_seconds" not in {f.name for f in dataclasses.fields(trainer.TrainResult)}:
+        print(f"error: {args.src}: TrainResult has no phase_seconds field, "
+              "so its train() does not time its phases", file=sys.stderr)
+        return 1
+    from gradremedy import cli, init_network
+
+    run_parser = cli.build_parser()
     results = {}
-    with tempfile.TemporaryDirectory(prefix="phase-times-") as out:
-        for workload in catalog.WORKLOADS.values():
-            seed = catalog.call_seeds(workload.name, args.seed)[0]
-            for token, label in catalog.STRATEGIES:
-                best = {}
-                for _ in range(args.repeats):
-                    for key in spent:
-                        spent[key] = 0.0
-                    argv = workload.argv(token, seed, out)
-                    with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
-                        code = gradremedy.cli.main(argv)
-                    if code != 0:
-                        print(f"error: {workload.name} {token} exited {code}",
-                              file=sys.stderr)
-                        return 1
-                    per_step = {k: v / workload.steps_per_call * 1e6
-                                for k, v in spent.items()}
-                    per_step["rest"] = per_step["train"] - sum(per_step[p] for p in PHASES)
-                    for key, value in per_step.items():
-                        best[key] = min(best.get(key, value), value)
-                results.setdefault(workload.name, {})[label] = {
-                    key: round(value, 2) for key, value in best.items()}
+    for workload in catalog.WORKLOADS.values():
+        seed = catalog.call_seeds(workload.name, args.seed)[0]
+        for token, label in catalog.STRATEGIES:
+            # flags only, so no key is unknown and no value mistyped
+            spec, _ = cli._spec_from_args(
+                run_parser.parse_args(workload.argv(token, seed, ".")))
+            data = spec.dataset(seed)
+            best = {}
+            for _ in range(args.repeats):
+                net = init_network(seed=seed, in_dim=spec.dim,
+                                   trunk_widths=spec.trunk_widths,
+                                   num_classes=spec.num_classes)
+                spent = trainer.train(spec.train_config(), data, net).phase_seconds
+                per_step = {k: v / workload.steps_per_call * 1e6 for k, v in spent.items()}
+                per_step["rest"] = per_step["train"] - sum(
+                    v for k, v in per_step.items() if k != "train")
+                for key, value in per_step.items():
+                    best[key] = min(best.get(key, value), value)
+            results.setdefault(workload.name, {})[label] = {
+                key: round(value, 2) for key, value in best.items()}
     print(json.dumps({"us_per_step_best_of": args.repeats, "workloads": results}))
     return 0
 

@@ -30,6 +30,16 @@ test run and locate the entry it rejects. Heads are updated with their own
 task's gradient, untouched by surgery. The parameter buffer is scanned once
 per epoch, before the held-out evaluation.
 
+train() keeps its own phase clock: one time.perf_counter() read at each
+boundary between a step's phases, each phase summed over the run into
+TrainResult.phase_seconds. The phases are data (the next batch), forward,
+loss (with the losses' finite check), backward (with the scan of tasks),
+surgery (the pass over the units), optimizer (the scan of total and the
+optimizer call) and, once per epoch, eval (the parameter scan and
+evaluate). Its "train" entry is the whole call; what it holds beyond the
+seven is the setup, the step's stats row and the loop itself. No run file
+holds these times, so identical runs still write identical files.
+
 The pass over the units that runs surgery also tallies the step's StepStats
 row and the run's rescale ratios, in unit order:
 
@@ -51,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -314,7 +325,10 @@ class TrainResult:
     rescale_events counts optimizer steps' per-unit rescale firings over
     the whole run; mean_r_applied averages the applied ratio (None when the
     rescale never fired), letting a run's effective r be audited without
-    widening the steps.csv column contract.
+    widening the steps.csv column contract. phase_seconds holds train()'s
+    own clock (see the module docstring): the seconds spent in each phase,
+    summed over the run, and under "train" the whole call. It differs
+    between identical runs, so equality ignores it and no run file holds it.
     """
 
     net: Network
@@ -322,6 +336,7 @@ class TrainResult:
     step_stats: list[StepStats]
     rescale_events: int = 0
     mean_r_applied: float | None = None
+    phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def _fit_errors(net: Network, data: TwoTaskDataset) -> list[str]:
@@ -356,6 +371,10 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     numpy's overflow and invalid-value warnings are silenced meanwhile:
     these checks turn every non-finite value into such an error.
     """
+    clock = time.perf_counter
+    started = clock()
+    spent = dict.fromkeys(
+        ("data", "forward", "loss", "backward", "surgery", "optimizer", "eval"), 0.0)
     raise_if_any(_fit_errors(net, data))
     _check_widths(net, data.dim)
     arena = _Arena(net, config.bias_separate)
@@ -382,8 +401,11 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                 opt.lr = config.learning_rate * min(
                     1.0, (global_step + 1) / config.warmup_steps
                 )
+            t0 = clock()
             batch = next(batches)  # train_batch(batch_size, global_step)
+            t1 = clock()
             acts = _forward(net, batch.noisy)
+            t2 = clock()
             loss_aux, loss_dom, d_aux, d_dom = _loss_and_deltas(
                 acts[1][-1], acts[2][-1], batch.clean, batch.labels, row_starts, lam)
             if not (math.isfinite(loss_aux) and math.isfinite(loss_dom)):
@@ -391,10 +413,12 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}: "
                     f"loss_aux={loss_aux}, loss_dom={loss_dom}"
                 )
+            t3 = clock()
             _backward(net, grads, acts, d_aux, d_dom, trunk_delta)
             if not math.isfinite(np.vdot(arena.tasks, arena.tasks)):  # see check_finite
                 for row, gradient in zip(arena.tasks, _TASK_GRADIENTS):
                     arena.check_finite(row, gradient, epoch, batch_idx)
+            t4 = clock()
 
             # one pass over the units runs surgery and tallies the step's row
             pre = post = dominant = 0
@@ -409,22 +433,35 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                     phis.append(unit.phi)
                 if unit.r_applied is not None:
                     r_applied.append(unit.r_applied)
+            t5 = clock()
             arena.check_finite(total, None, epoch, batch_idx, limit)
             opt.step(arena.params, total)
+            t6 = clock()
 
+            spent["data"] += t1 - t0
+            spent["forward"] += t2 - t1
+            spent["loss"] += t3 - t2
+            spent["backward"] += t4 - t3
+            spent["surgery"] += t5 - t4
+            spent["optimizer"] += t6 - t5
             step_stats.append(StepStats(
                 epoch, batch_idx, len(units), pre, post, dominant,
                 sum(phis) / len(phis) if phis else math.nan, loss_aux, loss_dom))
 
+        t0 = clock()
         arena.check_finite(arena.params, "parameter", epoch, batch_idx)
+        accuracy = evaluate(net, eval_set)
+        spent["eval"] += clock() - t0
         epoch_stats.append(EpochStats.from_steps(
-            step_stats[epoch * config.batches_per_epoch:], evaluate(net, eval_set)))
+            step_stats[epoch * config.batches_per_epoch:], accuracy))
+    spent["train"] = clock() - started
     return TrainResult(
         net=net,
         epoch_stats=epoch_stats,
         step_stats=step_stats,
         rescale_events=len(r_applied),
         mean_r_applied=sum(r_applied) / len(r_applied) if r_applied else None,
+        phase_seconds=spent,
     )
 
 

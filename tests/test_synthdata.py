@@ -227,6 +227,20 @@ def test_train_batches_hash_their_keys_one_chunk_at_a_time(monkeypatch):
             assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes()
 
 
+def test_train_batches_name_the_global_batch_index_past_a_chunk(monkeypatch):
+    # batch 6 is the second of the second chunk of 5: its overflow message
+    # names it by its index in the run, not in its chunk
+    monkeypatch.setattr(synthdata, "_SEED_CHUNK", 5)
+    data = TwoTaskDataset(seed=5, num_classes=3, dim=5, snr_db=2.0)
+    batches = data.train_batches(4, 12)
+    for _ in range(6):
+        next(batches)
+    data.templates *= 1e300
+    with pytest.raises(ValueError, match="^training batch 6: the clean samples' "
+                                         "squared norm overflows"):
+        next(batches)
+
+
 @pytest.mark.parametrize("count", [2**32 + 1, -1])
 def test_train_batches_refuses_a_count_past_one_key_word(count):
     # each batch index is one uint32 key word, so a run has at most 2**32
@@ -328,7 +342,9 @@ def test_a_batch_whose_squared_norm_overflows_is_refused(scale, values):
 
 
 @pytest.mark.parametrize("snr_db", [7000.0, -7000.0, 6166.0, -6154.0, 1e308, -1e308,
-                                    400.0, -2900.0, 319.1, -319.1])
+                                    400.0, -2900.0, 319.1, -319.1,
+                                    np.nextafter(synthdata._SNR_DB_LIMIT, math.inf),
+                                    np.nextafter(-synthdata._SNR_DB_LIMIT, -math.inf)])
 def test_snr_whose_gain_is_not_a_normal_float_is_refused(snr_db):
     # past +-319.1 dB one part of noisy = clean + noise falls below the
     # other's float64 rounding (-2900 dB trained into gradients near 1e284);
@@ -339,7 +355,8 @@ def test_snr_whose_gain_is_not_a_normal_float_is_refused(snr_db):
         TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=snr_db)
 
 
-@pytest.mark.parametrize("snr_db", [319.0, -319.0])
+@pytest.mark.parametrize("snr_db", [319.0, -319.0, synthdata._SNR_DB_LIMIT,
+                                    -synthdata._SNR_DB_LIMIT])
 def test_snr_at_the_edge_of_the_carried_range_is_accepted(snr_db):
     data = TwoTaskDataset(seed=0, num_classes=3, dim=8, snr_db=snr_db)
     assert data.snr_db == snr_db

@@ -114,6 +114,21 @@ def test_training_is_deterministic():
     assert results[0].step_stats == results[1].step_stats
 
 
+def test_train_times_its_phases_without_touching_its_records():
+    results = [train(tiny_config(), make_dataset(), make_net()) for _ in range(2)]
+    for result in results:
+        spent = result.phase_seconds
+        assert list(spent) == ["data", "forward", "loss", "backward", "surgery",
+                               "optimizer", "eval", "train"]
+        assert all(seconds >= 0.0 for seconds in spent.values())
+        # the phases are disjoint stretches of the call
+        assert sum(seconds for phase, seconds in spent.items()
+                   if phase != "train") <= spent["train"]
+    assert results[0].step_stats == results[1].step_stats
+    assert results[0].epoch_stats == results[1].epoch_stats
+    assert results[0].phase_seconds != results[1].phase_seconds
+
+
 @pytest.mark.parametrize(
     "strategy",
     [Strategy.PCGRAD, Strategy.FIXED_THETA, Strategy.GRADIENT_REMEDY],
@@ -307,6 +322,21 @@ def test_an_entry_past_the_first_unit_is_counted_from_its_unit_start(offset):
     assert str(caught.value) == (
         "non-finite post-surgery total gradient in trunk[1] at epoch 2, "
         f"batch 3 (entry {offset} of 35: inf)")
+
+
+def test_an_entry_exactly_at_the_adam_limit_is_not_the_one_located():
+    # the exact test flags entries above the limit, not at it: past an
+    # entry at the limit, the nan is the entry named
+    arena = trainer_module._Arena(make_net(), bias_separate=False)
+    adam = trainer_module._ADAM_LIMIT
+    arena.total[...] = 0.0
+    arena.total[7] = adam
+    arena.total[9] = np.nan
+    with pytest.raises(ValueError) as caught:
+        arena.check_finite(arena.total, None, 2, 3, adam)
+    assert str(caught.value) == (
+        "non-finite post-surgery total gradient in trunk[0] at epoch 2, "
+        "batch 3 (entry 9 of 54: nan)")
 
 
 def test_an_overflowing_sum_of_squares_falls_back_to_the_exact_test():
