@@ -10,9 +10,9 @@ under the same relative `--out`. The calls are each benchmark workload's
 four strategy tokens at seeds 1-4, one sweep of all four tokens on the
 `dominance` workload's arguments, one `dominance` run at seed 2**32 + 3,
 whose batch keys spend two words on the seed, so its training batches are
-seeded from wider keys, and one `dominance` run with `--bias-separate`,
-whose steps.csv counts two surgery units per trunk layer. Each call's exit
-code, stdout and stderr are kept next to its run files.
+seeded from wider keys, and one `dominance` gradient-remedy run with
+`--no-rescale`, the projection-only variant. Each call's exit code, stdout
+and stderr are kept next to its run files.
 
 It prints each file that differs or exists on one side only and exits 1
 if there is any, 0 if every file is byte-identical, and 2 if the ref
@@ -52,8 +52,8 @@ def calls() -> list[tuple[str, list[str]]]:
     made.append(("sweep", argv))
     made.append((f"{SWEEP_WORKLOAD}-two-word-seed", catalog.WORKLOADS[SWEEP_WORKLOAD].argv(
         catalog.RESCALING, TWO_WORD_SEED, "out/two-word-seed")))
-    made.append((f"{SWEEP_WORKLOAD}-bias-separate", [*catalog.WORKLOADS[SWEEP_WORKLOAD].argv(
-        catalog.RESCALING, SEEDS[0], "out/bias-separate"), "--bias-separate"]))
+    made.append((f"{SWEEP_WORKLOAD}-no-rescale", [*catalog.WORKLOADS[SWEEP_WORKLOAD].argv(
+        catalog.RESCALING, SEEDS[0], "out/no-rescale"), "--no-rescale"]))
     return made
 
 

@@ -84,8 +84,6 @@ class ExperimentSpec:
     batch_size: int = TrainConfig.batch_size
     learning_rate: float = TrainConfig.learning_rate
     optimizer: OptimizerKind = TrainConfig.optimizer
-    warmup_steps: int = TrainConfig.warmup_steps
-    bias_separate: bool = TrainConfig.bias_separate
     eval_batches: int = TrainConfig.eval_batches
     trunk_widths: tuple[int, ...] = (48, 48)
     dim: int = 32

@@ -1,60 +1,25 @@
 """Two-task training loop with per-layer gradient surgery on the trunk.
 
-train() first checks that the net fits the dataset: its outer widths against
-dim and num_classes, and each layer's input width against what reaches it
-(net._check_widths; TrainConfig has already bounded lam and the sizes). It
-then moves every parameter of the net into one contiguous float64 buffer,
-laid out trunk, auxiliary head, dominant head, each layer's weights
-(row-major) before its bias; the layers' weights and bias arrays become
-views of it. Two gradient buffers go with it: `total`, laid out like the
-parameters, and `tasks`, a (2, trunk size) array whose rows `aux` and `dom`
-are the two tasks' gradients, each laid out like the trunk part; the arena's
-`grads` holds each layer's views of them. The (2, batch, trunk width) delta
-buffer and each batch row's flat offset into the logits are built once per
-run, and a step checks no shape, lam or cache. A step's batch is the next
-of data.train_batches, train_batch(batch_size, step) bit for bit, whose
-generators are seeded in one pass per run. Each step runs net's cores:
-one forward pass and one pass over the losses, which yields both losses and
-both head deltas; after the loss check, one backward pass walks each head
-and then the trunk once for both tasks, writing the trunk gradients into
-`tasks` and the head gradients into `total`. After one scan of `tasks`, the
-strategy runs on each surgery unit, a (start, stop) segment of the trunk
-layout: a whole trunk layer, or its weights and its bias as two units with
-bias_separate. It writes aux' + dom' into the unit's segment of `total`; one
-more scan of `total` (which under Adam also rejects entries above
-sqrt(float64 max), whose squares overflow) and one optimizer call over the
-whole buffer end the step. Each scan is one BLAS pass, the buffer's sum of
-squares: when it is finite, every entry is finite and at most sqrt(float64
-max), within either limit, and only when it is not does the exact per-entry
-test run and locate the entry it rejects. Heads are updated with their own
-task's gradient, untouched by surgery. The parameter buffer is scanned once
-per epoch, before the held-out evaluation.
+train() moves every parameter of the net into one contiguous float64
+buffer, laid out trunk, auxiliary head, dominant head, each layer's
+row-major weights before its bias, and rebinds the layers' arrays as views
+of it, so that one optimizer call updates the whole net. Both tasks' trunk
+gradients share one (2, trunk size) array laid out like the trunk part.
+Each surgery unit is one trunk layer's segment of it: the strategy sees a
+layer's weights and bias as one vector pair and writes aux' + dom' into the
+same segment of `total`, the gradient the optimizer applies. Heads get
+their own task's gradient, untouched by surgery.
 
-train() keeps its own phase clock: one time.perf_counter() read at each
-boundary between a step's phases, each phase summed over the run into
-TrainResult.phase_seconds. The phases are data (the next batch), forward,
-loss (with the losses' finite check), backward (with the scan of tasks),
-surgery (the pass over the units), optimizer (the scan of total and the
-optimizer call) and, once per epoch, eval (the parameter scan and
-evaluate). Its "train" entry is the whole call; what it holds beyond the
-seven is the setup, the step's stats row and the loop itself. No run file
-holds these times, so identical runs still write identical files.
+Every finite check is one BLAS pass, the buffer's sum of squares. A finite
+sum bounds every entry by sqrt(float64 max), within both the finite limit
+and Adam's (an entry whose square overflows would freeze its parameter), so
+only a sum that is not finite runs the exact per-entry test, which locates
+the entry it rejects.
 
-The pass over the units that runs surgery also tallies the step's StepStats
-row and the run's rescale ratios, in unit order:
-
-- conflicting_pre: units arriving with a negative inner product
-- conflicting_post / wrongly_dominant: the same predicates evaluated on the
-  pair the strategy actually emitted, i.e. what the strategy leaves behind;
-  surgery.remedy_pair measures them and the row only counts
-
-Each epoch's EpochStats averages the percentages and losses of that epoch's
-StepStats and adds a held-out dominant-task accuracy, for which only the
-trunk and the dominant head run. Both run records are NamedTuples, as is
-the CLI's summary row. write_csv writes any such record list with its field
-names as the header; one positional %-template built from the field types
-formats every line from the record itself, %.12g for float fields and str()
-for the rest, so identical runs produce byte-identical files.
+A step's StepStats counts measure the pair the strategy emitted
+(surgery.remedy_pair), so conflicting_post and wrongly_dominant report what
+the strategy leaves behind. The phase clock is the only part of a result
+that differs between identical runs, and no run file holds it.
 """
 
 from __future__ import annotations
@@ -111,7 +76,6 @@ def train_config_errors(config) -> list[str]:
         ("lam", lambda lam: 0.0 <= lam <= 1.0, "lambda must lie in [0, 1]"),
         *((name, lambda n: n >= 1, f"{name} must be >= 1")
           for name in ("epochs", "batches_per_epoch", "batch_size", "eval_batches")),
-        ("warmup_steps", lambda n: n >= 0, "warmup_steps must be >= 0"),
     ))
     epochs, per_epoch = config.epochs, config.batches_per_epoch
     if min(epochs, per_epoch) >= 1 and epochs * per_epoch > MAX_TRAIN_BATCHES:
@@ -125,10 +89,6 @@ class TrainConfig:
     """Everything a run needs besides the network and the dataset.
 
     lam weights the dominant-task loss: loss_total = (1-lam)*aux + lam*dom.
-    bias_separate remedies a layer's weight and bias gradients as two
-    independent vectors instead of one concatenated vector per layer.
-    warmup_steps > 0 scales the learning rate linearly from 1/warmup_steps
-    to 1 over the first warmup_steps updates.
     """
 
     remedy: RemedyConfig = field(default_factory=RemedyConfig)
@@ -138,8 +98,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     optimizer: OptimizerKind = OptimizerKind.ADAM
-    bias_separate: bool = False
-    warmup_steps: int = 0
     eval_batches: int = 4
 
     def __post_init__(self):
@@ -237,50 +195,45 @@ class Adam:
 
 def evaluate(net: Network, batches: list[SampleBatch]) -> float:
     """Held-out dominant-task accuracy over the batches; only the trunk and
-    the dominant head run."""
+    the dominant head run; ValueError if they hold no sample."""
+    samples = sum(len(b) for b in batches)
+    if not samples:
+        raise ValueError("evaluate needs at least one batch with at least one sample")
     correct = 0
     for b in batches:
         _check_widths(net, b.noisy.shape[1])
         trunk_out = _forward_chain(net.trunk, b.noisy, True)[-1]
         logits = _forward_chain(net.dom_head, trunk_out, False)[-1]
         correct += int((logits.argmax(axis=1) == b.labels).sum())
-    return correct / sum(len(b) for b in batches)
+    return correct / samples
 
 
 class _Arena:
     """A net's parameters and gradients in flat buffers (see the module
     docstring); building one rebinds the net's layer arrays as views.
 
-    units holds the (aux, dom, total) views of each surgery unit's segment,
-    in trunk order. places names each segment of the total
-    layout as (name, gradient, start, stop): the surgery units first, whose
-    segments aux and dom share, then the head layers; gradient names what
-    the total buffer holds there. grads holds each layer's gradient views:
-    the trunk layers' two rows of tasks and the head layers' segments of
-    total.
+    places names each layer's segment of the total layout as (name,
+    gradient, start, stop), where gradient names what total holds there;
+    the trunk layers come first, and their segments are also those of aux
+    and dom. units holds each trunk layer's (aux, dom, total) views. grads
+    holds each layer's gradient views: the trunk layers' two rows of tasks
+    and the head layers' segments of total.
     """
 
-    def __init__(self, net: Network, bias_separate: bool):
-        pieces = []  # (name, gradient, size) along the total layout
-        for (chain_name, chain), gradient in zip(
-                net.chains(), ("post-surgery total gradient", *_TASK_GRADIENTS)):
-            for i, layer in enumerate(chain):
-                name = f"{chain_name}[{i}]"
-                if bias_separate and chain is net.trunk:
-                    pieces += [(f"{name}.weights", gradient, layer.weights.size),
-                               (f"{name}.bias", gradient, layer.bias.size)]
-                else:
-                    pieces.append((name, gradient, layer.weights.size + layer.bias.size))
-        ends = list(itertools.accumulate(size for _, _, size in pieces))
-        self.places = [(name, gradient, end - size, end)
-                       for (name, gradient, size), end in zip(pieces, ends)]
+    def __init__(self, net: Network):
+        named = net.named_layers()
+        gradients = [gradient for (_, chain), gradient in zip(
+            net.chains(), ("post-surgery total gradient", *_TASK_GRADIENTS)) for _ in chain]
+        bounds = list(itertools.accumulate(
+            (layer.weights.size + layer.bias.size for _, layer in named), initial=0))
+        self.places = [(name, gradient, start, stop) for (name, _), gradient, start, stop
+                       in zip(named, gradients, bounds, bounds[1:])]
 
-        trunk_end = chain_size(net.trunk)
-        self.params = np.empty(ends[-1])
-        self.total = np.empty(ends[-1])
-        self.tasks = np.empty((2, trunk_end))
+        self.params = np.empty(bounds[-1])
+        self.total = np.empty(bounds[-1])
+        self.tasks = np.empty((2, chain_size(net.trunk)))
         self.aux, self.dom = self.tasks
-        layers = [layer for _, layer in net.named_layers()]
+        layers = [layer for _, layer in named]
         for layer, view in zip(layers, layer_views(self.params, layers)):
             view.weights[...] = layer.weights
             view.bias[...] = layer.bias
@@ -292,7 +245,7 @@ class _Arena:
             dom_head=heads[len(net.aux_head):],
         )
         self.units = [(self.aux[a:b], self.dom[a:b], self.total[a:b])
-                      for _, _, a, b in self.places if b <= trunk_end]
+                      for _, _, a, b in self.places[:len(net.trunk)]]
 
     def check_finite(self, buffer: np.ndarray, what: str | None,
                      epoch: int, batch: int, limit: float = _FLOAT64_MAX) -> None:
@@ -326,8 +279,8 @@ class TrainResult:
     the whole run; mean_r_applied averages the applied ratio (None when the
     rescale never fired), letting a run's effective r be audited without
     widening the steps.csv column contract. phase_seconds holds train()'s
-    own clock (see the module docstring): the seconds spent in each phase,
-    summed over the run, and under "train" the whole call. It differs
+    own clock: the seconds spent in each phase of train()'s loop, summed
+    over the run, and under "train" the whole call. It differs
     between identical runs, so equality ignores it and no run file holds it.
     """
 
@@ -377,7 +330,7 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
         ("data", "forward", "loss", "backward", "surgery", "optimizer", "eval"), 0.0)
     raise_if_any(_fit_errors(net, data))
     _check_widths(net, data.dim)
-    arena = _Arena(net, config.bias_separate)
+    arena = _Arena(net)
     grads, units, total = arena.grads, arena.units, arena.total
     trunk_delta = np.empty((2, config.batch_size, net.trunk[-1].out_dim))
     row_starts = _row_starts(config.batch_size, data.num_classes)
@@ -396,13 +349,8 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
 
     for epoch in range(config.epochs):
         for batch_idx in range(config.batches_per_epoch):
-            global_step = epoch * config.batches_per_epoch + batch_idx
-            if config.warmup_steps > 0:
-                opt.lr = config.learning_rate * min(
-                    1.0, (global_step + 1) / config.warmup_steps
-                )
             t0 = clock()
-            batch = next(batches)  # train_batch(batch_size, global_step)
+            batch = next(batches)  # train_batch(batch_size, epoch * per_epoch + batch_idx)
             t1 = clock()
             acts = _forward(net, batch.noisy)
             t2 = clock()

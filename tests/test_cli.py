@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import gradremedy
 from gradremedy import (
-    OptimizerKind, RatioRule, RemedyConfig, Strategy, TrainConfig, train,
+    OptimizerKind, RatioRule, RemedyConfig, Strategy, TrainConfig, TwoTaskDataset, train,
 )
 from gradremedy.cli import (
     ExperimentSpec,
@@ -73,6 +73,31 @@ def test_spec_states_every_config_field_with_its_default():
         assert not missing, (cls.__name__, missing)
     assert ExperimentSpec().remedy_config() == RemedyConfig()
     assert ExperimentSpec().train_config() == TrainConfig()
+    # and each spec field reaches a run: _build passes on only the fields its
+    # class has, so one that no class has would be a flag that does nothing
+    passed_on = {f.name for cls in (RemedyConfig, TrainConfig, TwoTaskDataset)
+                 for f in fields(cls)}
+    spec_only = {"name", "seeds", "out_dir", "trunk_widths"}
+    assert spec_fields - passed_on - spec_only == set()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_removed_training_knobs_are_refused_before_any_directory(command, tmp_path, capsys):
+    # a config file that sets a knob the trainer no longer has is refused
+    # whole, not run without it
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"bias_separate": False, "warmup_steps": 0}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown config keys: bias_separate, warmup_steps\n"
+    for flags in (["--bias-separate"], ["--no-bias-separate"], ["--warmup-steps", "3"]):
+        with pytest.raises(SystemExit) as caught:
+            main([command, *flags, "--out", str(out)])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
 
 
 def test_config_reader_names_the_file_it_cannot_use(tmp_path, capsys):
@@ -128,7 +153,6 @@ def test_validate_reports_each_broken_bound_once():
         "batches_per_epoch": 0,
         "batch_size": 0,
         "eval_batches": 0,
-        "warmup_steps": -1,
         "dim": 1,
         "num_classes": 1,
         "trunk_widths": (),
@@ -311,9 +335,6 @@ FLAG_TABLE = {
     "--batch-size": ("batch_size", None, int, None, _STORE, None),
     "--lr": ("learning_rate", None, float, None, _STORE, None),
     "--optimizer": ("optimizer", None, None, ["sgd", "adam"], _STORE, None),
-    "--warmup-steps": ("warmup_steps", None, int, None, _STORE, None),
-    "--bias-separate": ("bias_separate", None, None, None, _BOOL, None),
-    "--no-bias-separate": ("bias_separate", None, None, None, _BOOL, None),
     "--eval-batches": ("eval_batches", None, int, None, _STORE, None),
     "--trunk-widths": ("trunk_widths", None, None, None, _STORE, "comma-separated, e.g. 48,48"),
     "--dim": ("dim", None, int, None, _STORE, None),

@@ -1,8 +1,8 @@
 """Golden trace: final parameters and per-step counts of small fixed runs.
 
-Twelve runs of the small test_trainer.py network (trunk 6x5, dim 8, three
-classes): the four strategies, each plain, with bias_separate, and on the
-jitter_std=4, template_scale=30 SGD data that makes gradient-remedy rescale.
+Eight runs of the small test_trainer.py network (trunk 6x5, dim 8, three
+classes): the four strategies, each plain and on the jitter_std=4,
+template_scale=30 SGD data that makes gradient-remedy rescale.
 tests/data/golden/ holds each run's final parameters (a .net file, see
 write_net) and the integer columns of its steps.csv. A change to the
 training step must keep every parameter array within 1e-12 relative (in the
@@ -33,7 +33,6 @@ STRATEGIES = ("naive", "pcgrad", "fixed-theta", "gradient-remedy")
 # case -> (TrainConfig overrides, TwoTaskDataset overrides)
 CASES = {
     "plain": ({}, {}),
-    "bias-separate": ({"bias_separate": True}, {}),
     "rescale": (
         {"epochs": 3, "optimizer": OptimizerKind.SGD, "learning_rate": 5e-3},
         {"jitter_std": 4.0, "template_scale": 30.0},

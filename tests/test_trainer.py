@@ -19,6 +19,7 @@ from gradremedy import (
     Network,
     OptimizerKind,
     RemedyConfig,
+    SampleBatch,
     Strategy,
     TrainConfig,
     TwoTaskDataset,
@@ -81,30 +82,6 @@ def test_single_sgd_step_matches_manual_update():
         np.testing.assert_array_equal(got.bias, want.bias)
 
 
-def test_warmup_scales_the_first_update():
-    config = tiny_config(
-        epochs=1,
-        batches_per_epoch=1,
-        remedy=RemedyConfig(strategy=Strategy.NAIVE_SUM),
-        optimizer=OptimizerKind.SGD,
-        learning_rate=0.4,
-        warmup_steps=4,
-    )
-    reference = tiny_config(
-        epochs=1,
-        batches_per_epoch=1,
-        remedy=RemedyConfig(strategy=Strategy.NAIVE_SUM),
-        optimizer=OptimizerKind.SGD,
-        learning_rate=0.1,  # 0.4 * (1/4): warmup fraction of step 0
-    )
-    warmed, plain = make_net(), make_net()
-    train(config, make_dataset(), warmed)
-    train(reference, make_dataset(), plain)
-    np.testing.assert_allclose(
-        warmed.trunk[0].weights, plain.trunk[0].weights, rtol=0, atol=1e-15
-    )
-
-
 def test_training_is_deterministic():
     results = []
     for _ in range(2):
@@ -161,11 +138,15 @@ def test_lambda_one_silences_the_auxiliary_task():
     assert all(math.isnan(s.mean_phi_rad) for s in result.step_stats)
 
 
-def test_bias_separate_doubles_the_unit_count():
-    joint = train(tiny_config(), make_dataset(), make_net())
-    split = train(tiny_config(bias_separate=True), make_dataset(), make_net())
-    assert joint.step_stats[0].layers_total == 2
-    assert split.step_stats[0].layers_total == 4
+def test_each_trunk_layer_is_one_surgery_unit():
+    # a unit is a layer's weights then its bias, one segment of the trunk
+    net = init_network(seed=1, in_dim=DIM, trunk_widths=(6, 5, 4), num_classes=CLASSES)
+    arena = trainer_module._Arena(net)
+    assert [place[:1] + place[2:] for place in arena.places[:3]] == [
+        ("trunk[0]", 0, 54), ("trunk[1]", 54, 89), ("trunk[2]", 89, 113)]
+    assert [len(g_total) for _, _, g_total in arena.units] == [54, 35, 24]
+    result = train(tiny_config(), make_dataset(), net)
+    assert {s.layers_total for s in result.step_stats} == {3}
 
 
 def test_rescale_telemetry_is_recorded():
@@ -219,6 +200,17 @@ def test_evaluate_counts_over_all_batches():
     correct = sum(int((forward(net, b.noisy).dom_logits.argmax(axis=1) == b.labels).sum())
                   for b in batches)
     assert accuracy == correct / 48
+
+
+@pytest.mark.parametrize(
+    "batches",
+    [[], [SampleBatch(np.empty((0, DIM)), np.empty((0, DIM)), np.empty(0, dtype=np.int64))]],
+    ids=["no-batch", "empty-batch"],
+)
+def test_evaluate_refuses_to_average_over_no_sample(batches):
+    with pytest.raises(ValueError, match="^evaluate needs at least one batch with "
+                       "at least one sample$"):
+        evaluate(make_net(), batches)
 
 
 def test_nonfinite_loss_aborts_with_location():
@@ -289,7 +281,7 @@ def test_a_net_whose_layers_stopped_chaining_is_refused_before_training(
 
 
 def test_one_scan_predicate_serves_both_limits():
-    arena = trainer_module._Arena(make_net(), bias_separate=False)
+    arena = trainer_module._Arena(make_net())
     adam = trainer_module._ADAM_LIMIT
     arena.total[...] = 0.0
     arena.total[7] = 1e300
@@ -313,7 +305,7 @@ def test_one_scan_predicate_serves_both_limits():
 def test_an_entry_past_the_first_unit_is_counted_from_its_unit_start(offset):
     # trunk[1] takes total[54:89]: the message counts from the unit's own
     # start, and the boundary entries belong to it, not to its neighbours
-    arena = trainer_module._Arena(make_net(), bias_separate=False)
+    arena = trainer_module._Arena(make_net())
     assert arena.places[1][2:] == (54, 89)
     arena.total[...] = 0.0
     arena.total[54 + offset] = np.inf
@@ -327,7 +319,7 @@ def test_an_entry_past_the_first_unit_is_counted_from_its_unit_start(offset):
 def test_an_entry_exactly_at_the_adam_limit_is_not_the_one_located():
     # the exact test flags entries above the limit, not at it: past an
     # entry at the limit, the nan is the entry named
-    arena = trainer_module._Arena(make_net(), bias_separate=False)
+    arena = trainer_module._Arena(make_net())
     adam = trainer_module._ADAM_LIMIT
     arena.total[...] = 0.0
     arena.total[7] = adam
@@ -342,7 +334,7 @@ def test_an_entry_exactly_at_the_adam_limit_is_not_the_one_located():
 def test_an_overflowing_sum_of_squares_falls_back_to_the_exact_test():
     # the fast scan is a sum of squares; entries all within sqrt(float64
     # max) can overflow it, and the exact test must then pass them
-    arena = trainer_module._Arena(make_net(), bias_separate=False)
+    arena = trainer_module._Arena(make_net())
     adam = trainer_module._ADAM_LIMIT
     arena.total[...] = 1e154
     arena.total[7] = adam
@@ -369,21 +361,24 @@ def _poison_epoch_1_batch_1(monkeypatch, poison, value):
 
 
 @pytest.mark.parametrize(
-    "bias_separate, poison, message",
+    "poison, message",
     [
-        (False, lambda g: g.trunk_dom[1].bias, r"dominant-task gradient in trunk\[1\] "),
-        (True, lambda g: g.trunk_dom[1].bias, r"dominant-task gradient in trunk\[1\]\.bias "),
-        (True, lambda g: g.trunk_aux[0].weights, r"auxiliary-task gradient in trunk\[0\]\.weights "),
-        (False, lambda g: g.aux_head[0].weights, r"auxiliary-task gradient in aux_head\[0\] "),
+        (lambda g: g.trunk_dom[1].bias, r"dominant-task gradient in trunk\[1\] "
+                                        r"at epoch 1, batch 1 "),
+        # a trunk layer's unit holds its weights, then its bias
+        (lambda g: g.trunk_dom[0].bias, r"dominant-task gradient in trunk\[0\] "
+                                        r"at epoch 1, batch 1 \(entry 49 of 54: inf\)"),
+        (lambda g: g.trunk_aux[0].weights, r"auxiliary-task gradient in trunk\[0\] "
+                                           r"at epoch 1, batch 1 \(entry 1 of 54: inf\)"),
+        (lambda g: g.aux_head[0].weights, r"auxiliary-task gradient in aux_head\[0\] "
+                                          r"at epoch 1, batch 1 "),
     ],
     ids=["trunk-layer", "trunk-bias", "trunk-weights", "head"],
 )
-def test_nonfinite_gradient_names_task_unit_epoch_and_batch(
-    monkeypatch, bias_separate, poison, message
-):
+def test_nonfinite_gradient_names_task_unit_epoch_and_batch(monkeypatch, poison, message):
     _poison_epoch_1_batch_1(monkeypatch, poison, np.inf)
-    with pytest.raises(ValueError, match=message + "at epoch 1, batch 1"):
-        train(tiny_config(bias_separate=bias_separate), make_dataset(), make_net())
+    with pytest.raises(ValueError, match=message):
+        train(tiny_config(), make_dataset(), make_net())
 
 
 @pytest.mark.parametrize(
@@ -406,10 +401,10 @@ def test_gradient_too_large_for_adam_names_gradient_unit_epoch_and_batch(
         train(tiny_config(optimizer=OptimizerKind.ADAM), make_dataset(), make_net())
 
 
-def _reference_adam_steps(params, grads_per_step, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+def _reference_adam_steps(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam with one (m, v, t) per parameter array, as the trainer once kept it."""
     state = [(np.zeros_like(p), np.zeros_like(p), 0) for p in params]
-    for grads, lr in zip(grads_per_step, lrs):
+    for grads in grads_per_step:
         for i, (param, grad) in enumerate(zip(params, grads)):
             m, v, t = state[i]
             t += 1
@@ -429,14 +424,12 @@ def test_flat_adam_matches_per_array_adam_bit_for_bit():
     params = [rng.standard_normal(shape) for shape in shapes]
     steps = [[rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes]
              for _ in range(7)]
-    lrs = [1e-2 * min(1.0, (k + 1) / 4) for k in range(len(steps))]  # warmup over 4
 
     flat = np.concatenate([p.ravel() for p in params])
-    adam = trainer_module.Adam(lrs[0])
-    for grads, lr in zip(steps, lrs):
-        adam.lr = lr
+    adam = trainer_module.Adam(1e-2)
+    for grads in steps:
         adam.step(flat, np.concatenate([g.ravel() for g in grads]))
-    _reference_adam_steps(params, steps, lrs)
+    _reference_adam_steps(params, steps, 1e-2)
     assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
 
 
@@ -447,7 +440,7 @@ def _assert_same_parameters(a, b):
 
 
 def test_copied_and_reloaded_nets_train_like_the_original():
-    config = tiny_config(warmup_steps=3)
+    config = tiny_config()
     original = make_net()
     train(config, make_dataset(), original)  # its arrays are now arena views
     copied = copy.deepcopy(original)
@@ -457,7 +450,7 @@ def test_copied_and_reloaded_nets_train_like_the_original():
 
 
 def test_training_twice_continues_from_the_trained_parameters():
-    config = tiny_config(bias_separate=True)
+    config = tiny_config()
     net = make_net()
     train(config, make_dataset(), net)
     after_first = copy.deepcopy(net)
@@ -495,8 +488,6 @@ def test_train_config_validation():
         tiny_config(lam=-0.1)
     with pytest.raises(ValueError, match="epochs"):
         tiny_config(epochs=0)
-    with pytest.raises(ValueError, match="warmup_steps"):
-        tiny_config(warmup_steps=-1)
 
 
 def test_steps_csv_format(tmp_path):
