@@ -2,10 +2,10 @@
 
     python3 devtools/compare_outputs.py <git-ref>
 
-It extracts `git archive <ref>` into a temporary directory and runs the
-same `gradremedy` calls from both sources, each call in a fresh interpreter
-whose working directory is its side's own directory, so both sides write
-under the same relative `--out`. The calls are each benchmark workload's
+It extracts `git archive <ref>` (devtools/gitref.py) into a temporary
+directory and runs the same `gradremedy` calls from both sources, each call
+in a fresh interpreter whose working directory is its side's own directory,
+so both sides write under the same relative `--out`. The calls are each benchmark workload's
 `run` arguments (perfbench/catalog.py, read from the working tree) for the
 four strategy tokens at seeds 1-4, one sweep of all four tokens on the
 `dominance` workload's arguments, one `dominance` run at seed 2**32 + 3,
@@ -30,6 +30,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import catalog  # noqa: E402 - standard library only
+import gitref  # noqa: E402 - standard library only
 
 SEEDS = (1, 2, 3, 4)
 SWEEP_WORKLOAD = "dominance"
@@ -90,14 +91,11 @@ def main(argv: list[str]) -> int:
     ref = argv[0]
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
         ref_src = os.path.join(scratch, "ref-source")
-        os.mkdir(ref_src)
-        archive = subprocess.run(["git", "-C", ROOT, "archive", ref],
-                                 capture_output=True, check=False)
-        if archive.returncode != 0:
-            print(f"error: git archive {ref}: {archive.stderr.decode().strip()}",
-                  file=sys.stderr)
+        try:
+            gitref.extract(ref, ref_src)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
             return 2
-        subprocess.run(["tar", "-x", "-C", ref_src], input=archive.stdout, check=True)
         sides = {}
         for side, src in (("ref", os.path.join(ref_src, "src")),
                           ("tree", os.path.join(ROOT, "src"))):

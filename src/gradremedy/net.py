@@ -356,10 +356,20 @@ def _backward_chain(chain: list[Layer], grads: list[LayerGrads],
     stacked the same way; relu is true for the trunk. Returns dz, the
     gradient at chain[0]'s pre-activation; dz @ chain[0].weights is
     d(loss)/d(input). A ReLU passes delta where its output is positive,
-    which is exactly where its input was."""
+    which is exactly where its input was.
+
+    The gate multiplies delta by the mask in place, with no branch per
+    entry: the mask changes every step, and np.where, which branches on it,
+    took three to four times as long on the default fixture's deltas.
+    Overwriting delta is safe because the trunk's first delta is the
+    caller's scratch buffer and every later one is a fresh dz @ W. Two
+    results differ from a select: a gated entry whose delta is negative
+    becomes -0.0, not +0.0, and a gated inf or nan delta becomes nan, not
+    0. The latter needs a backward pass that has already overflowed, and
+    the trainer's task-gradient scan reports it."""
     for i in range(len(chain) - 1, -1, -1):
         layer = chain[i]
-        dz = np.where(acts[i + 1] > 0.0, delta, 0.0) if relu else delta
+        dz = np.multiply(delta, acts[i + 1] > 0.0, out=delta) if relu else delta
         np.matmul(dz.swapaxes(-1, -2), acts[i], out=grads[i].weights)
         np.add.reduce(dz, axis=-2, out=grads[i].bias)
         if i:

@@ -1,5 +1,6 @@
 """devtools/phase_times.py runs on this source tree and refuses a tree whose
-train() keeps no phase clock."""
+train() keeps no phase clock; devtools/bench_pairs.py alternates its sides
+and summarizes canned runs as stated."""
 
 import json
 import os
@@ -7,6 +8,9 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "devtools"))
+
+import bench_pairs  # noqa: E402 - standard library only
 PHASE_TIMES = os.path.join(ROOT, "devtools", "phase_times.py")
 KEYS = ["data", "forward", "loss", "backward", "surgery", "optimizer", "eval",
         "train", "rest"]
@@ -42,3 +46,30 @@ def test_phase_times_refuses_a_tree_without_the_phase_clock(tmp_path):
     assert done.stdout == ""
     assert done.stderr == (f"error: {tmp_path}: TrainResult has no phase_seconds "
                            "field, so its train() does not time its phases\n")
+
+
+def test_bench_pairs_alternates_the_side_that_runs_first():
+    assert bench_pairs.schedule(4, 501) == [
+        (1, 501, ("parent", "change")), (2, 502, ("change", "parent")),
+        (3, 503, ("parent", "change")), (4, 504, ("change", "parent"))]
+
+
+def _canned_run(pair, parent, change):
+    return {"pair": pair, "seed": pair, "first": "parent",
+            "parent": {"w": {"m": parent, "same": 1.0}},
+            "change": {"w": {"m": change, "same": 1.0}}}
+
+
+def test_bench_pairs_summary_arithmetic():
+    runs = [_canned_run(1, 1.0, 0.5), _canned_run(2, 2.0, 2.5),
+            _canned_run(3, 3.0, 2.0), _canned_run(4, 4.0, 3.0)]
+    # inclusive quartiles of 4 sorted values sit at positions 0.75 and 2.25:
+    # parent 1, 2, 3, 4 -> 1.75, 3.25; change 0.5, 2, 2.5, 3 -> 1.625, 2.625
+    assert bench_pairs.summary(runs) == {"w": {
+        "m": {"parent_median": 2.5, "parent_quartiles": [1.75, 3.25],
+              "change_median": 2.25, "change_quartiles": [1.625, 2.625],
+              "change_lower_in_pairs": 3, "pct": -10.0},
+        # an equal value is not lower
+        "same": {"parent_median": 1.0, "parent_quartiles": [1.0, 1.0],
+                 "change_median": 1.0, "change_quartiles": [1.0, 1.0],
+                 "change_lower_in_pairs": 0, "pct": 0.0}}}

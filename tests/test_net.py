@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from gradremedy import (
@@ -14,6 +16,7 @@ from gradremedy import (
     init_network,
     losses,
 )
+from gradremedy.net import LayerGrads, _backward_chain, _loss_and_deltas, _row_starts
 
 
 def small_net(seed=0):
@@ -193,6 +196,75 @@ def test_backward_lambda_weighting_is_linear():
     at_one = backward_two_task(net, cache, clean, labels, 1.0)
     assert all(np.all(g.weights == 0.0) for g in at_one.trunk_aux)
     assert all(np.all(g.bias == 0.0) for g in at_one.aux_head)
+
+
+def _where_chain(chain, acts, delta, relu):
+    """A chain's (weights, bias) gradients and d(loss)/d(input), with the
+    ReLU gate as a select: the reference for the in-place multiply."""
+    grads = [None] * len(chain)
+    for i in range(len(chain) - 1, -1, -1):
+        dz = np.where(acts[i + 1] > 0.0, delta, 0.0) if relu else delta
+        grads[i] = (np.matmul(dz.swapaxes(-1, -2), acts[i]), np.add.reduce(dz, axis=-2))
+        delta = dz @ chain[i].weights
+    return grads, delta
+
+
+@st.composite
+def gated_nets(draw):
+    """A net of 1-3 trunk layers, each 1-64 wide, a batch of 1-64 rows, a
+    lam, and one trunk unit whose pre-activation is exactly 0 or -1 on
+    every row, so the ReLU outputs include exact zeros."""
+    widths = tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=3)))
+    dim, classes = draw(st.integers(1, 8)), draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    net = init_network(seed=seed, in_dim=dim, trunk_widths=widths, num_classes=classes)
+    layer = net.trunk[draw(st.integers(0, len(widths) - 1))]
+    unit = draw(st.integers(0, layer.out_dim - 1))
+    layer.weights[unit] = 0.0
+    layer.bias[unit] = draw(st.sampled_from([0.0, -1.0]))
+    rng = np.random.default_rng(seed)
+    batch = draw(st.integers(1, 64))
+    x, clean = rng.standard_normal((2, batch, dim))
+    labels = rng.integers(0, classes, size=batch)
+    return net, x, clean, labels, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gated_nets())
+def test_the_in_place_relu_gate_gives_the_gradients_of_a_select(case):
+    net, x, clean, labels, lam = case
+    cache = forward(net, x)
+    got = backward_two_task(net, cache, clean, labels, lam)
+    trunk_acts, aux_acts, dom_acts = cache.acts
+    _, _, d_aux, d_dom = _loss_and_deltas(cache.aux_out, cache.dom_logits, clean, labels,
+                                          _row_starts(*cache.dom_logits.shape), lam)
+    aux_head, to_aux = _where_chain(net.aux_head, aux_acts, d_aux, False)
+    dom_head, to_dom = _where_chain(net.dom_head, dom_acts, d_dom, False)
+    trunk, _ = _where_chain(net.trunk, trunk_acts, np.stack([to_aux, to_dom]), True)
+    assert any((out == 0.0).any() for out in trunk_acts[1:])
+    for mine, ref in ((got.trunk, trunk), (got.aux_head, aux_head), (got.dom_head, dom_head)):
+        for layer_grads, ref_grads in zip(mine, ref):
+            for array, expected in zip(layer_grads, ref_grads):
+                assert np.array_equal(array, expected)
+                # the bits may differ only in the sign of a zero
+                moved = array.view(np.int64) != expected.view(np.int64)
+                assert (array[moved] == 0.0).all() and (expected[moved] == 0.0).all()
+
+
+def test_the_relu_gate_turns_an_inf_delta_at_a_gated_entry_into_nan():
+    # a select would drop the inf; the multiply gives inf * 0 = nan, so an
+    # overflowed backward pass stays visible to the trainer's gradient scan
+    layer = Layer(np.ones((2, 3)), np.zeros(2))
+    x = np.ones((4, 3))
+    out = np.array([[1.0, 0.0]] * 4)  # unit 1 is gated on every row
+    delta = np.ones((4, 2))
+    delta[2, 1] = np.inf
+    grads = [LayerGrads(np.empty((2, 3)), np.empty(2))]
+    with np.errstate(invalid="ignore"):
+        _backward_chain([layer], grads, [x, out], delta, True)
+    assert np.isnan(grads[0].weights[1]).all() and np.isnan(grads[0].bias[1])
+    np.testing.assert_array_equal(grads[0].weights[0], 4.0)
+    assert grads[0].bias[0] == 4.0
 
 
 def test_backward_rejects_foreign_cache_and_bad_shapes():

@@ -23,7 +23,7 @@ from gradremedy import (
     remedy_layer,
     rescale,
 )
-from gradremedy.surgery import remedy_pair
+from gradremedy.surgery import POST_CONFLICT_TOL, pair_gram, remedy_pair
 
 HALF_PI = math.pi / 2
 
@@ -290,6 +290,18 @@ def test_an_exactly_orthogonal_pair_passes_through_untouched(strategy):
     assert out.aux is aux and out.dom is dom
     assert not out.was_conflicting and not out.conflicting_post
     assert out.phi == HALF_PI and out.r_applied is None
+
+
+def test_a_dot_exactly_at_the_post_conflict_slack_is_no_post_conflict():
+    # ||d|| = sqrt(1 + 1e-18) rounds to 1.0, so a.d = -1e-9 is exactly
+    # -POST_CONFLICT_TOL * ||a|| * ||d||: a conflict before surgery (a.d < 0),
+    # but inside the slack that measures the emitted pair
+    aux, dom = np.array([1.0, 0.0]), np.array([-1e-9, 1.0])
+    gram = pair_gram(aux, dom)
+    assert gram.dot == -POST_CONFLICT_TOL * gram.norm_a * gram.norm_b
+    out = remedy_pair(aux, dom, RemedyConfig(strategy=Strategy.NAIVE_SUM))
+    assert out.aux is aux and out.dom is dom
+    assert out.was_conflicting and not out.conflicting_post
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
