@@ -10,17 +10,22 @@ directory, then for pair k = 1..N runs
 
 once from that copy (the parent side) and once from the working tree (the
 change side), each from its own root with PYTHONDONTWRITEBYTECODE=1, so
-every process compiles its sources. Odd pairs run the parent first, even
-pairs the change. Each run's end-to-end metrics come from the JSON object
-perfbench prints last.
+every process compiles its sources. After each side's perfbench run it
+runs this tree's devtools/phase_times.py on that side's `src` with the
+pair's seed. Odd pairs run the parent first, even pairs the change. Each
+run's end-to-end metrics come from the JSON object perfbench prints last.
 
 It writes --out after every pair: the command, the machine, `runs` (per
-pair: its seed, which side ran first and both sides' metrics per workload)
-and `summary`: per workload and metric, each side's median and quartiles
-(statistics.quantiles(n=4, method="inclusive"), the first and third cut)
-over the pairs, the number of pairs in which the change was lower, and the
-change of the median in percent. It exits 1 if any perfbench call failed,
-and 2 if the ref cannot be extracted or a run printed no result.
+pair: its seed, which side ran first, both sides' metrics per workload and
+both sides' phase splits), `summary`: per workload and metric, each side's
+median and quartiles (statistics.quantiles(n=4, method="inclusive"), the
+first and third cut) over the pairs, the number of pairs in which the
+change was lower, and the change of the median in percent, and `phase_ab`:
+per workload, strategy and phase, each side's least microseconds per step
+over the pairs and the change's minus the parent's. A source whose train()
+keeps no phase clock has no phase split (null), and then `phase_ab` holds
+none. It exits 1 if any perfbench call failed, and 2 if the ref cannot be
+extracted, a run printed no result or phase_times.py failed otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import tempfile
 import gitref
 
 SIDES = ("parent", "change")
+PHASE_TIMES = os.path.join(gitref.ROOT, "devtools", "phase_times.py")
 
 
 def schedule(pairs: int, first_seed: int) -> list[tuple[int, int, tuple[str, str]]]:
@@ -62,6 +68,39 @@ def summary(runs: list[dict]) -> dict:
             row["pct"] = round(100.0 * (medians["change"] / medians["parent"] - 1.0), 2)
             made.setdefault(workload, {})[metric] = row
     return made
+
+
+def phase_ab(runs: list[dict]) -> dict | None:
+    """Per workload, strategy and phase, each side's least microseconds per
+    step over the runs' phase splits and the change's minus the parent's;
+    None if a side has no phase split."""
+    splits = {side: [run["phases"][side] for run in runs] for side in SIDES}
+    if None in splits["parent"] + splits["change"]:
+        return None
+    made: dict = {}
+    for workload, strategies in splits["parent"][0].items():
+        for strategy, phases in strategies.items():
+            for phase in phases:
+                best = {side: min(split[workload][strategy][phase] for split in splits[side])
+                        for side in SIDES}
+                best["delta"] = round(best["change"] - best["parent"], 2)
+                made.setdefault(workload, {}).setdefault(strategy, {})[phase] = best
+    return made
+
+
+def run_phase_times(root: str, seed: int) -> dict | None:
+    """phase_times.py's us per step of each workload, strategy and phase for
+    root's source at seed, or None if its train() keeps no phase clock."""
+    done = subprocess.run(
+        [sys.executable, PHASE_TIMES, os.path.join(root, "src"), "--seed", str(seed)],
+        cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, check=False)
+    if done.returncode == 1 and "has no phase_seconds field" in done.stderr:
+        return None
+    if done.returncode != 0:
+        raise ValueError(f"{root}: phase_times.py failed (exit {done.returncode}): "
+                         f"{done.stderr.strip()[-500:]}")
+    return json.loads(done.stdout)["workloads"]
 
 
 def run_perfbench(root: str, seed: int, seconds: float) -> tuple[dict, str]:
@@ -93,6 +132,7 @@ def main(argv: list[str]) -> int:
     report = {
         "command": (f"python3 perfbench/run.py --workload all --seed <seed> "
                     f"--seconds {args.seconds:g} --trace 0"),
+        "phase_command": "python3 devtools/phase_times.py <side>/src --seed <seed>",
         "ref": args.ref,
         "unit_note": ("odd pairs ran the parent first, even pairs the change, both with "
                       "PYTHONDONTWRITEBYTECODE=1; quartiles are "
@@ -100,6 +140,7 @@ def main(argv: list[str]) -> int:
         "attempted_calls": dict.fromkeys(SIDES, 0),
         "failed_calls": dict.fromkeys(SIDES, 0),
         "summary": {},
+        "phase_ab": None,
         "runs": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
@@ -110,10 +151,12 @@ def main(argv: list[str]) -> int:
             return 2
         roots = {"parent": scratch, "change": gitref.ROOT}
         for pair, seed, order in schedule(args.pairs, args.first_seed):
-            run = {"pair": pair, "seed": seed, "first": order[0], **dict.fromkeys(SIDES)}
+            run = {"pair": pair, "seed": seed, "first": order[0], **dict.fromkeys(SIDES),
+                   "phases": dict.fromkeys(SIDES)}
             for side in order:
                 try:
                     result, report["machine"] = run_perfbench(roots[side], seed, args.seconds)
+                    run["phases"][side] = run_phase_times(roots[side], seed)
                 except ValueError as err:
                     print(f"error: {err}", file=sys.stderr)
                     return 2
@@ -128,6 +171,7 @@ def main(argv: list[str]) -> int:
             report["runs"].append(run)
             if len(report["runs"]) > 1:  # quartiles need two values
                 report["summary"] = summary(report["runs"])
+            report["phase_ab"] = phase_ab(report["runs"])
             with open(args.out, "w", encoding="ascii") as out:
                 json.dump(report, out, indent=1)
                 out.write("\n")

@@ -51,6 +51,7 @@ from .trainer import (
     OptimizerKind,
     StepStats,
     TrainConfig,
+    first_step_errors,
     train,
     train_config_errors,
     write_csv,
@@ -187,14 +188,10 @@ def _typed(kind, value):
     raise ValueError(f"must be {_EXPECTED[kind]}, got {value!r}")
 
 
-def validate(spec: ExperimentSpec) -> list[str]:
-    """All config errors at once; empty list means runnable."""
-    return _checked(spec)[0]
-
-
 def _checked(spec: ExperimentSpec) -> tuple[list[str], dict[int, TwoTaskDataset]]:
-    """validate's errors, and the dataset of each seed whose templates it
-    placed: a run trains on these, so it places each seed's templates once."""
+    """Every config error at once (none means runnable), and the dataset of
+    each seed whose templates it placed: a run trains on these, so it places
+    each seed's templates once."""
     errors = bound_errors(spec, ((
         "name", lambda n: n not in ("", ".", "..") and os.path.basename(n) == n,
         "must be one plain directory name: not empty, '.', '..' or a path",
@@ -217,7 +214,7 @@ def _checked(spec: ExperimentSpec) -> tuple[list[str], dict[int, TwoTaskDataset]
             except ValueError as err:  # its templates cannot be placed
                 errors.append(f"num_classes: {err} (seed {seed})")
                 break
-        errors += batch_scale_errors(spec)
+        errors += batch_scale_errors(spec) or first_step_errors(spec)
     errors += network_errors(spec)
     return errors, datasets
 

@@ -35,6 +35,7 @@ import numpy as np
 from .surgery import bound_errors, raise_if_any
 
 ANGLE_FLOOR_DEG = 45.0  # the least pairwise angle between class templates
+_TEMPLATE_DRAWS = 100_000  # class_templates' rejection-sampling budget
 
 _TEMPLATE_STREAM = 0
 _TRAIN_STREAM = 1
@@ -167,19 +168,22 @@ _NORMAL_BOUND = 14.0
 _NORM_LIMIT = math.sqrt(np.finfo(np.float64).max) / 2.0
 
 
+def _clean_norm_bound(config) -> float:
+    """The most a clean batch of config's batch_size can measure: its
+    templates' norm, template_scale*sqrt(batch_size) (unit templates), plus
+    its jitter's, jitter_std*_NORMAL_BOUND*sqrt(batch_size*dim)."""
+    b = config.batch_size
+    return (config.template_scale * math.sqrt(b)
+            + config.jitter_std * _NORMAL_BOUND * math.sqrt(b * config.dim))
+
+
 def batch_scale_errors(config) -> list[str]:
     """An error if a batch of config's batch_size could have a clean squared
-    norm beyond float64, which _batch would refuse: the clean batch's norm
-    is at most template_scale*sqrt(batch_size) (unit templates) plus the
-    jitter's, jitter_std*_NORMAL_BOUND*sqrt(batch_size*dim). The CLI passes
-    its ExperimentSpec, with valid dataset fields; a batch_size below 1
-    gets no error here, since train_config_errors refuses it."""
+    norm beyond float64, which _batch would refuse. The CLI passes its
+    ExperimentSpec, with valid dataset fields; a batch_size below 1 gets no
+    error here, since train_config_errors refuses it."""
     b = config.batch_size
-    if b < 1:
-        return []
-    bound = (config.template_scale * math.sqrt(b)
-             + config.jitter_std * _NORMAL_BOUND * math.sqrt(b * config.dim))
-    if bound < _NORM_LIMIT:
+    if b < 1 or _clean_norm_bound(config) < _NORM_LIMIT:
         return []
     return [f"template_scale, jitter_std: a batch of {b} samples in dim {config.dim} "
             f"may overflow float64 (template_scale {config.template_scale:g}, "
@@ -213,18 +217,13 @@ class SampleBatch:
         return self.noisy.shape[0]
 
 
-def class_templates(
-    seed: int,
-    num_classes: int,
-    dim: int,
-    max_tries: int = 100_000,
-) -> np.ndarray:
+def class_templates(seed: int, num_classes: int, dim: int) -> np.ndarray:
     """Random unit vectors with every pairwise angle >= ANGLE_FLOOR_DEG.
 
     Rejection sampling from an isotropic Gaussian; deterministic in seed.
     Raises, without drawing, if the caps of half the floor around that
     many templates would cover more than the sphere, and otherwise if the
-    floor cannot be met within max_tries draws.
+    floor cannot be met within _TEMPLATE_DRAWS draws.
     """
     raise_if_any(dataset_errors(SimpleNamespace(num_classes=num_classes, dim=dim)))
     failure = (f"could not place {num_classes} templates in dim {dim} with pairwise "
@@ -236,7 +235,7 @@ def class_templates(
     cos_ceiling = math.cos(math.radians(ANGLE_FLOOR_DEG))
     accepted = np.empty((num_classes, dim))
     count = 0
-    for _ in range(max_tries):
+    for _ in range(_TEMPLATE_DRAWS):
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         if count == 0 or (accepted[:count] @ v).max() <= cos_ceiling:
@@ -244,7 +243,7 @@ def class_templates(
             count += 1
             if count == num_classes:
                 return accepted
-    raise ValueError(f"{failure} after {max_tries} draws")
+    raise ValueError(f"{failure} after {_TEMPLATE_DRAWS} draws")
 
 
 def _cap_share(dim: int) -> float:

@@ -39,7 +39,6 @@ from .net import (
     _backward,
     _check_widths,
     _forward,
-    _forward_chain,
     _loss_and_deltas,
     _row_starts,
     chain_size,
@@ -47,7 +46,9 @@ from .net import (
     layer_views,
 )
 from .surgery import RemedyConfig, bound_errors, raise_if_any, remedy_pair
-from .synthdata import MAX_TRAIN_BATCHES, SampleBatch, TwoTaskDataset
+from .synthdata import (
+    _NORMAL_BOUND, MAX_TRAIN_BATCHES, SampleBatch, TwoTaskDataset, _clean_norm_bound,
+)
 
 
 # what each row of a (2, ...) task-gradient array holds
@@ -82,6 +83,33 @@ def train_config_errors(config) -> list[str]:
         errors.append(f"epochs, batches_per_epoch: a run draws at most 2**32 training "
                       f"batches, got {epochs}*{per_epoch} = {epochs * per_epoch}")
     return errors
+
+
+def first_step_errors(config) -> list[str]:
+    """An error if the first optimizer step on config's batches could
+    overflow: a weight gradient is an input times a residual, and the
+    auxiliary loss a residual squared, so both grow as N**2, where N is the
+    noisy batch's norm bound, the clean one times 1 + 10**(-snr_db/20).
+    N must stay below sqrt(limit)/2, limit being the largest gradient entry
+    the optimizer takes (_ADAM_LIMIT or float64's maximum). First steps on
+    trunks 1 to 1024 wide gave gradient entries up to 0.3*N**2 and squared
+    residual norms up to 1.6*N**2. The CLI passes its ExperimentSpec, whose
+    fields and clean batches are valid (batch_scale_errors)."""
+    b = config.batch_size
+    if b < 1:
+        return []
+    noisy = _clean_norm_bound(config) * (1.0 + 10.0 ** (-config.snr_db / 20.0))
+    adam = config.optimizer is OptimizerKind.ADAM
+    bound = math.sqrt(_ADAM_LIMIT if adam else _FLOAT64_MAX) / 2.0
+    if noisy < bound:
+        return []
+    return [f"template_scale, jitter_std, snr_db: the first {config.optimizer.value} step "
+            f"on a batch of {b} samples in dim {config.dim} may "
+            f"{'give a gradient entry too large for Adam' if adam else 'overflow float64'} "
+            f"(template_scale {config.template_scale:g}, jitter_std {config.jitter_std:g}, "
+            f"snr_db {config.snr_db:g}): the noisy batch's norm bound, "
+            f"(template_scale*sqrt(batch_size) + {_NORMAL_BOUND:g}*jitter_std*"
+            f"sqrt(batch_size*dim))*(1 + 10**(-snr_db/20)), must stay below {bound:.6g}"]
 
 
 @dataclass(frozen=True)
@@ -194,16 +222,15 @@ class Adam:
 
 
 def evaluate(net: Network, batches: list[SampleBatch]) -> float:
-    """Held-out dominant-task accuracy over the batches; only the trunk and
-    the dominant head run; ValueError if they hold no sample."""
+    """Held-out dominant-task accuracy over the batches, from the dominant
+    head's logits of _forward; ValueError if they hold no sample."""
     samples = sum(len(b) for b in batches)
     if not samples:
         raise ValueError("evaluate needs at least one batch with at least one sample")
     correct = 0
     for b in batches:
         _check_widths(net, b.noisy.shape[1])
-        trunk_out = _forward_chain(net.trunk, b.noisy, True)[-1]
-        logits = _forward_chain(net.dom_head, trunk_out, False)[-1]
+        logits = _forward(net, b.noisy)[2][-1]
         correct += int((logits.argmax(axis=1) == b.labels).sum())
     return correct / samples
 
@@ -340,7 +367,8 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     remedy_cfg, lam = config.remedy, config.lam
     step_stats: list[StepStats] = []
     epoch_stats: list[EpochStats] = []
-    r_applied: list[float] = []  # every rescale's ratio, in step and unit order
+    # the rescales' count and their ratios' sum, added in step and unit order
+    rescales, r_sum = 0, 0.0
     eval_set = [
         data.eval_batch(config.batch_size, j) for j in range(config.eval_batches)
     ]
@@ -380,7 +408,8 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                 if unit.phi is not None:
                     phis.append(unit.phi)
                 if unit.r_applied is not None:
-                    r_applied.append(unit.r_applied)
+                    rescales += 1
+                    r_sum += unit.r_applied
             t5 = clock()
             arena.check_finite(total, None, epoch, batch_idx, limit)
             opt.step(arena.params, total)
@@ -407,8 +436,8 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
         net=net,
         epoch_stats=epoch_stats,
         step_stats=step_stats,
-        rescale_events=len(r_applied),
-        mean_r_applied=sum(r_applied) / len(r_applied) if r_applied else None,
+        rescale_events=rescales,
+        mean_r_applied=r_sum / rescales if rescales else None,
         phase_seconds=spent,
     )
 

@@ -21,16 +21,17 @@ from hypothesis import strategies as st
 
 import gradremedy
 from gradremedy import (
-    OptimizerKind, RatioRule, RemedyConfig, Strategy, TrainConfig, TwoTaskDataset, train,
+    OptimizerKind, RatioRule, RemedyConfig, Strategy, TrainConfig, TwoTaskDataset,
+    init_network, train,
 )
 from gradremedy.cli import (
     ExperimentSpec,
+    _checked,
     _fmean,
     _median,
     build_parser,
     main,
     parse_strategy_token,
-    validate,
 )
 
 # small enough to train in well under a second
@@ -118,8 +119,8 @@ def test_spec_rejects_unknown_keys():
 
 
 def test_validate_accepts_defaults_and_boundary_theta():
-    assert validate(ExperimentSpec()) == []
-    assert validate(ExperimentSpec(fixed_theta=math.pi / 2)) == []
+    assert _checked(ExperimentSpec())[0] == []
+    assert _checked(ExperimentSpec(fixed_theta=math.pi / 2))[0] == []
 
 
 def test_validate_collects_all_errors():
@@ -133,7 +134,7 @@ def test_validate_collects_all_errors():
         seeds=(),
         learning_rate=-1.0,
     )
-    errors = validate(spec)
+    errors = _checked(spec)[0]
     assert any("K must exceed 1" in e for e in errors)
     assert any("theta must lie in (0, 90] degrees" in e for e in errors)
     assert any("lambda must lie in [0, 1]" in e for e in errors)
@@ -161,7 +162,7 @@ def test_validate_reports_each_broken_bound_once():
         "snr_db": math.inf,
         "seeds": (3, -1),
     }
-    errors = validate(ExperimentSpec(**broken))
+    errors = _checked(ExperimentSpec(**broken))[0]
     assert len(errors) == len(broken)
     for name in broken:
         assert sum(e.startswith(f"{name}: ") for e in errors) == 1, name
@@ -490,6 +491,23 @@ def test_overflowing_batch_prints_only_its_error_line(scale, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_first_step_too_large_for_adam_is_refused_before_any_directory(tmp_path, capsys):
+    # the batches fit float64, but the first gradient, an input times a
+    # residual, would pass the entry Adam can square
+    code = main(["run", "--name", "big", "--out", str(tmp_path), "--template-scale", "1e80",
+                 "--trunk-widths", "3", "--dim", "4", "--batch-size", "4", "--seeds", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: template_scale, jitter_std, snr_db: the first adam step on a batch of 4 "
+        "samples in dim 4 may give a gradient entry too large for Adam (template_scale "
+        "1e+80, jitter_std 0.05, snr_db 0): the noisy batch's norm bound, "
+        "(template_scale*sqrt(batch_size) + 14*jitter_std*sqrt(batch_size*dim))"
+        "*(1 + 10**(-snr_db/20)), must stay below 5.7896e+76\n")
+    assert list(tmp_path.iterdir()) == []
+    # SGD's first step at that scale completes; its later divergence stays a run error
+    assert main(["validate", "--template-scale", "1e80", "--optimizer", "sgd"]) == 0
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     template_exp=st.floats(-3.0, 160.0),
@@ -500,27 +518,42 @@ def test_overflowing_batch_prints_only_its_error_line(scale, tmp_path, capsys):
     eval_batches=st.integers(1, 3),
     snr_db=st.floats(-319.0, 319.0),
     seed=st.integers(0, 2**40),
+    optimizer=st.sampled_from(OptimizerKind),
+    trunk_widths=st.sampled_from([(3,), (48, 48)]),
 )
 # the scale that validate passed and the first held-out batch overflowed
 @example(template_exp=200.0, jitter_exp=-1.3, batch_size=64, dim=32, num_classes=4,
-         eval_batches=4, snr_db=0.0, seed=1)
-# just inside the bound, at the most negative snr
+         eval_batches=4, snr_db=0.0, seed=1, optimizer=OptimizerKind.ADAM,
+         trunk_widths=(48, 48))
+# just inside the batch bound and SGD's first-step bound, where the noise is faint
 @example(template_exp=153.3, jitter_exp=None, batch_size=8, dim=6, num_classes=4,
-         eval_batches=1, snr_db=-319.0, seed=0)
+         eval_batches=1, snr_db=300.0, seed=0, optimizer=OptimizerKind.SGD,
+         trunk_widths=(48, 48))
+# just inside Adam's first-step bound, at the most negative snr
+@example(template_exp=60.3, jitter_exp=None, batch_size=8, dim=6, num_classes=4,
+         eval_batches=1, snr_db=-319.0, seed=0, optimizer=OptimizerKind.ADAM,
+         trunk_widths=(3,))
 def test_every_spec_validate_accepts_builds_its_first_batches(
-        template_exp, jitter_exp, batch_size, dim, num_classes, eval_batches, snr_db, seed):
+        template_exp, jitter_exp, batch_size, dim, num_classes, eval_batches, snr_db, seed,
+        optimizer, trunk_widths):
+    """Every spec validate accepts builds its first batches and takes its
+    first optimizer step."""
     spec = ExperimentSpec(
         template_scale=10.0 ** template_exp,
         jitter_std=0.0 if jitter_exp is None else 10.0 ** jitter_exp,
         batch_size=batch_size, dim=dim, num_classes=num_classes,
-        eval_batches=eval_batches, snr_db=snr_db, seeds=(seed,))
-    if validate(spec):
+        eval_batches=eval_batches, snr_db=snr_db, seeds=(seed,), optimizer=optimizer,
+        trunk_widths=trunk_widths, epochs=1, batches_per_epoch=1)
+    if _checked(spec)[0]:
         return
     data = spec.dataset(seed)
     batches = [data.eval_batch(batch_size, j) for j in range(eval_batches)]
     batches.append(data.train_batch(batch_size, 0))
     for batch in batches:
         assert np.isfinite(batch.noisy).all() and np.isfinite(batch.clean).all()
+    net = init_network(seed=seed, in_dim=dim, trunk_widths=trunk_widths,
+                       num_classes=num_classes)
+    assert len(train(spec.train_config(), data, net).step_stats) == 1
 
 
 def test_seed_0_validates_and_runs(tmp_path, capsys):

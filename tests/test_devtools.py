@@ -1,6 +1,7 @@
 """devtools/phase_times.py runs on this source tree and refuses a tree whose
-train() keeps no phase clock; devtools/bench_pairs.py alternates its sides
-and summarizes canned runs as stated."""
+train() keeps no phase clock; devtools/bench_pairs.py alternates its sides,
+summarizes canned runs and their phase splits as stated, and records a tree
+without the phase clock as having no split."""
 
 import json
 import os
@@ -34,18 +35,27 @@ def test_phase_times_reports_every_phase_for_every_workload_and_strategy():
             assert all(value >= 0 for value in per_step.values())
 
 
-def test_phase_times_refuses_a_tree_without_the_phase_clock(tmp_path):
-    package = tmp_path / "gradremedy"
-    package.mkdir()
+def _tree_without_the_phase_clock(src):
+    package = src / "gradremedy"
+    package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "trainer.py").write_text(
         "import dataclasses\n\n\n@dataclasses.dataclass\n"
         "class TrainResult:\n    step_stats: list\n")
+
+
+def test_phase_times_refuses_a_tree_without_the_phase_clock(tmp_path):
+    _tree_without_the_phase_clock(tmp_path)
     done = _phase_times(str(tmp_path))
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == (f"error: {tmp_path}: TrainResult has no phase_seconds "
                            "field, so its train() does not time its phases\n")
+
+
+def test_bench_pairs_records_a_tree_without_the_phase_clock_as_no_split(tmp_path):
+    _tree_without_the_phase_clock(tmp_path / "src")
+    assert bench_pairs.run_phase_times(str(tmp_path), 1) is None
 
 
 def test_bench_pairs_alternates_the_side_that_runs_first():
@@ -73,3 +83,17 @@ def test_bench_pairs_summary_arithmetic():
         "same": {"parent_median": 1.0, "parent_quartiles": [1.0, 1.0],
                  "change_median": 1.0, "change_quartiles": [1.0, 1.0],
                  "change_lower_in_pairs": 0, "pct": 0.0}}}
+
+
+def test_bench_pairs_phase_ab_takes_each_side_s_best_and_their_difference():
+    def split(data, train):
+        return {"w": {"naive": {"data": data, "train": train}}}
+
+    runs = [{"phases": {"parent": split(10.0, 50.0), "change": split(9.0, 52.0)}},
+            {"phases": {"parent": split(8.0, 55.0), "change": split(9.5, 49.0)}}]
+    assert bench_pairs.phase_ab(runs) == {"w": {"naive": {
+        "data": {"parent": 8.0, "change": 9.0, "delta": 1.0},
+        "train": {"parent": 50.0, "change": 49.0, "delta": -1.0}}}}
+    # a parent without the phase clock leaves nothing to compare
+    runs[0]["phases"]["parent"] = runs[1]["phases"]["parent"] = None
+    assert bench_pairs.phase_ab(runs) is None

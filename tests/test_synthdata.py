@@ -11,7 +11,8 @@ from scipy.special import betainc
 
 from gradremedy import TwoTaskDataset, generate, synthdata
 from gradremedy.synthdata import (
-    SampleBatch, _cap_share, _pcg64_state, _seed_states, _words, class_templates,
+    _TEMPLATE_DRAWS, SampleBatch, _cap_share, _pcg64_state, _seed_states, _words,
+    class_templates,
 )
 
 
@@ -39,14 +40,18 @@ def test_templates_are_unit_norm_with_angle_floor():
         assert cosines.max() <= ceiling + 1e-12
 
 
-def _reference_templates(seed, num_classes, dim, max_tries):
+def _reference_templates(seed, num_classes, dim):
     """The templates drawn the way the sampler first drew them, each draw
     tested against every accepted template in turn; None if they do not
-    fit within max_tries draws."""
+    fit within the sampler's _TEMPLATE_DRAWS draws, and None without drawing
+    if their disjoint caps of 22.5 degrees would cover more than the sphere
+    (scipy's betainc gives a cap's exact share)."""
+    if num_classes * betainc((dim - 1) / 2, 0.5, math.sin(math.radians(22.5)) ** 2) > 2:
+        return None
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     ceiling = math.cos(math.radians(45.0))
     accepted = []
-    for _ in range(max_tries):
+    for _ in range(_TEMPLATE_DRAWS):
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         if all(float(v @ u) <= ceiling for u in accepted):
@@ -66,12 +71,12 @@ def _reference_templates(seed, num_classes, dim, max_tries):
 @example(seed=0, num_classes=12, dim=3)
 @example(seed=1, num_classes=7, dim=2)
 def test_template_stream_is_bit_stable(seed, num_classes, dim):
-    want = _reference_templates(seed, num_classes, dim, max_tries=2000)
+    want = _reference_templates(seed, num_classes, dim)
     if want is None:
         with pytest.raises(ValueError, match="could not place"):
-            class_templates(seed, num_classes, dim, max_tries=2000)
+            class_templates(seed, num_classes, dim)
     else:
-        assert np.array_equal(class_templates(seed, num_classes, dim, max_tries=2000), want)
+        assert np.array_equal(class_templates(seed, num_classes, dim), want)
 
 
 def test_templates_deterministic_in_seed():
@@ -84,17 +89,46 @@ def test_templates_deterministic_in_seed():
 def test_templates_impossible_floor_raises():
     # 2-D fits at most a handful of directions 45 degrees apart
     with pytest.raises(ValueError, match="could not place"):
-        class_templates(seed=0, num_classes=50, dim=2, max_tries=2000)
+        class_templates(seed=0, num_classes=50, dim=2)
+
+
+class _Draws:
+    """A stand-in generator whose standard_normal returns the given draws
+    in turn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def standard_normal(self, dim):
+        return np.array(next(self.draws), dtype=np.float64)
+
+
+def test_a_draw_exactly_at_the_angle_floor_is_accepted(monkeypatch):
+    floor = math.radians(45.0)
+    on_floor = [math.cos(floor), math.sin(floor)]  # unit norm in float64 too
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda key: _Draws([[1.0, 0.0], on_floor, [0.0, 1.0]]))
+    templates = class_templates(0, 2, 2)
+    assert templates[0] @ templates[1] == math.cos(floor)
+    np.testing.assert_array_equal(templates, [[1.0, 0.0], on_floor])
+
+
+def test_a_class_count_exactly_on_the_cap_bound_is_drawn_for(monkeypatch):
+    # caps of share 1/8 each: 8 of them fill the sphere exactly, 9 overfill it
+    monkeypatch.setattr(synthdata, "_cap_share", lambda dim: 0.125)
+    assert class_templates(0, 8, 3).shape == (8, 3)
+    with pytest.raises(ValueError, match=r"in dim 3 .*: at most 8 fit$"):
+        class_templates(0, 9, 3)
 
 
 def test_cap_bound_refuses_without_drawing_and_never_overstates():
     # caps of 22.5 degrees around templates 45 degrees apart are disjoint
     for dim, most in ((2, 8), (3, 26)):
         with pytest.raises(ValueError, match=rf"in dim {dim} .*: at most {most} fit$"):
-            class_templates(0, most + 1, dim, max_tries=0)
+            class_templates(0, most + 1, dim)
     # at the bound the draws decide: 8 in 2-D would need a regular octagon
-    with pytest.raises(ValueError, match="after 2000 draws$"):
-        class_templates(seed=0, num_classes=8, dim=2, max_tries=2000)
+    with pytest.raises(ValueError, match="after 100000 draws$"):
+        class_templates(seed=0, num_classes=8, dim=2)
     x = math.sin(math.radians(22.5)) ** 2
     for dim in (*range(2, 60), 100, 400, 700, 2000):
         exact = betainc((dim - 1) / 2, 0.5, x) / 2
