@@ -11,8 +11,12 @@ four strategy tokens at seeds 1-4, one sweep of all four tokens on the
 `dominance` workload's arguments, one `dominance` run at seed 2**32 + 3,
 whose batch keys spend two words on the seed, so its training batches are
 seeded from wider keys, and one `dominance` gradient-remedy run with
-`--no-rescale`, the projection-only variant. Each call's exit code, stdout
-and stderr are kept next to its run files.
+`--no-rescale`, the projection-only variant. Three more calls are refused
+or fail, so a change to a message or an exit code shows: a `validate` whose
+batches overflow float64, a `run` of fixed-theta at 0.001 degrees whose
+first step could pass the entry Adam can square, and a diverging SGD
+`run`. Each call's exit code, stdout and stderr are kept next to its run
+files.
 
 It prints each file that differs or exists on one side only and exits 1
 if there is any, 0 if every file is byte-identical, and 2 if the ref
@@ -36,9 +40,23 @@ SEEDS = (1, 2, 3, 4)
 SWEEP_WORKLOAD = "dominance"
 TWO_WORD_SEED = 2**32 + 3
 
+# (name, argv) of the calls that exit with an error
+REFUSED = [
+    ("validate-overflowing-batch", ["validate", "--template-scale", "1e160"]),
+    ("tiny-fixed-angle", [
+        "run", "--strategy", "fixed-theta:0.001deg", "--template-scale", "1.4e76",
+        "--trunk-widths", "3", "--dim", "4", "--batch-size", "4", "--seeds", "1",
+        "--epochs", "1", "--batches-per-epoch", "1", "--out", "out/tiny-fixed-angle"]),
+    ("diverging-sgd", [
+        "run", "--optimizer", "sgd", "--lr", "1000", "--template-scale", "30",
+        "--trunk-widths", "4", "--dim", "3", "--classes", "2", "--batch-size", "4",
+        "--seeds", "1", "--epochs", "1", "--batches-per-epoch", "6",
+        "--out", "out/diverging-sgd"]),
+]
+
 
 def calls() -> list[tuple[str, list[str]]]:
-    """(name, gradremedy argv) of every call, outputs under out/<name>."""
+    """(name, gradremedy argv) of every call; each run writes under out/."""
     made = []
     for workload in catalog.WORKLOADS.values():
         for token, label in catalog.STRATEGIES:
@@ -55,7 +73,7 @@ def calls() -> list[tuple[str, list[str]]]:
         catalog.RESCALING, TWO_WORD_SEED, "out/two-word-seed")))
     made.append((f"{SWEEP_WORKLOAD}-no-rescale", [*catalog.WORKLOADS[SWEEP_WORKLOAD].argv(
         catalog.RESCALING, SEEDS[0], "out/no-rescale"), "--no-rescale"]))
-    return made
+    return made + REFUSED
 
 
 def run_side(src: str, side_dir: str) -> None:

@@ -3,7 +3,7 @@
 A run executes the training harness once per seed and leaves on disk:
 
     <out>/<name>/
-        config.json            resolved experiment (reloadable, round-trips)
+        config.json            resolved experiment; --config reloads it
         seed<k>/steps.csv      per-step interference stats
         seed<k>/epochs.csv     per-epoch aggregates
         seed<k>/metrics.json   final metrics for the seed
@@ -42,10 +42,9 @@ from .surgery import (
     RemedyConfig,
     Strategy,
     bound_errors,
-    raise_if_any,
     remedy_config_errors,
 )
-from .synthdata import TwoTaskDataset, batch_scale_errors, dataset_errors
+from .synthdata import TwoTaskDataset, dataset_errors
 from .trainer import (
     EpochStats,
     OptimizerKind,
@@ -96,28 +95,14 @@ class ExperimentSpec:
     out_dir: str = ""
 
     def to_dict(self) -> dict:
-        raw = asdict(self)
-        raw["strategy"] = self.strategy.value
-        raw["ratio_rule"] = self.ratio_rule.value
-        raw["optimizer"] = self.optimizer.value
-        raw["seeds"] = list(self.seeds)
-        raw["trunk_widths"] = list(self.trunk_widths)
-        return raw
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        """Inverse of to_dict; one ValueError names every unknown key and
-        every value of the wrong type."""
-        spec, errors = _load(raw)
-        raise_if_any(errors)
-        return spec
+        """The JSON form _load reads back: an enum as its value, a tuple as
+        a list."""
+        return {key: value.value if isinstance(value, Enum)
+                else list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
     def save_json(self, path: str) -> None:
         _write_json(self.to_dict(), path)
-
-    @classmethod
-    def load_json(cls, path: str) -> "ExperimentSpec":
-        return cls.from_dict(_read_config(path))
 
     def _build(self, cls, **given):
         """cls from this spec's fields that cls also has, plus given."""
@@ -188,10 +173,13 @@ def _typed(kind, value):
     raise ValueError(f"must be {_EXPECTED[kind]}, got {value!r}")
 
 
-def _checked(spec: ExperimentSpec) -> tuple[list[str], dict[int, TwoTaskDataset]]:
+def _checked(
+    spec: ExperimentSpec, children: typing.Sequence[ExperimentSpec] = ()
+) -> tuple[list[str], dict[int, TwoTaskDataset]]:
     """Every config error at once (none means runnable), and the dataset of
     each seed whose templates it placed: a run trains on these, so it places
-    each seed's templates once."""
+    each seed's templates once. Each spec in children, which differs from
+    spec only in its remedy fields, also gets its first step checked."""
     errors = bound_errors(spec, ((
         "name", lambda n: n not in ("", ".", "..") and os.path.basename(n) == n,
         "must be one plain directory name: not empty, '.', '..' or a path",
@@ -214,7 +202,8 @@ def _checked(spec: ExperimentSpec) -> tuple[list[str], dict[int, TwoTaskDataset]
             except ValueError as err:  # its templates cannot be placed
                 errors.append(f"num_classes: {err} (seed {seed})")
                 break
-        errors += batch_scale_errors(spec) or first_step_errors(spec)
+        for trained in (spec, *children):
+            errors += first_step_errors(trained)
     errors += network_errors(spec)
     return errors, datasets
 
@@ -503,8 +492,9 @@ def main(argv: list[str] | None = None) -> int:
         runs, token_errors = _strategy_runs(args, spec)
         # a child spec differs from spec only in its remedy fields, so it
         # trains on spec's datasets
-        checked = [e for _, child, _ in runs for e in remedy_config_errors(child)]
-        spec_errors, datasets = _checked(spec)
+        children = [child for _, child, _ in runs]
+        checked = [e for child in children for e in remedy_config_errors(child)]
+        spec_errors, datasets = _checked(spec, children)
         errors = list(dict.fromkeys(errors + spec_errors + token_errors + checked))
     if errors:
         for e in errors:

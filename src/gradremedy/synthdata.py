@@ -164,9 +164,6 @@ def dataset_errors(config) -> list[str]:
 # so at most 13.71
 _NORMAL_BOUND = 14.0
 
-# the largest norm whose square fits float64, halved to cover rounding
-_NORM_LIMIT = math.sqrt(np.finfo(np.float64).max) / 2.0
-
 
 def _clean_norm_bound(config) -> float:
     """The most a clean batch of config's batch_size can measure: its
@@ -175,21 +172,6 @@ def _clean_norm_bound(config) -> float:
     b = config.batch_size
     return (config.template_scale * math.sqrt(b)
             + config.jitter_std * _NORMAL_BOUND * math.sqrt(b * config.dim))
-
-
-def batch_scale_errors(config) -> list[str]:
-    """An error if a batch of config's batch_size could have a clean squared
-    norm beyond float64, which _batch would refuse. The CLI passes its
-    ExperimentSpec, with valid dataset fields; a batch_size below 1 gets no
-    error here, since train_config_errors refuses it."""
-    b = config.batch_size
-    if b < 1 or _clean_norm_bound(config) < _NORM_LIMIT:
-        return []
-    return [f"template_scale, jitter_std: a batch of {b} samples in dim {config.dim} "
-            f"may overflow float64 (template_scale {config.template_scale:g}, "
-            f"jitter_std {config.jitter_std:g}): template_scale*sqrt(batch_size) + "
-            f"{_NORMAL_BOUND:g}*jitter_std*sqrt(batch_size*dim) must stay below "
-            f"{_NORM_LIMIT:.6g}"]
 
 
 @dataclass(frozen=True)

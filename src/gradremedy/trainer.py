@@ -45,7 +45,7 @@ from .net import (
     forward,  # noqa: F401 - perfbench's span tests wrap it under this name
     layer_views,
 )
-from .surgery import RemedyConfig, bound_errors, raise_if_any, remedy_pair
+from .surgery import RemedyConfig, Strategy, bound_errors, raise_if_any, remedy_pair
 from .synthdata import (
     _NORMAL_BOUND, MAX_TRAIN_BATCHES, SampleBatch, TwoTaskDataset, _clean_norm_bound,
 )
@@ -91,20 +91,32 @@ def first_step_errors(config) -> list[str]:
     auxiliary loss a residual squared, so both grow as N**2, where N is the
     noisy batch's norm bound, the clean one times 1 + 10**(-snr_db/20).
     N must stay below sqrt(limit)/2, limit being the largest gradient entry
-    the optimizer takes (_ADAM_LIMIT or float64's maximum). First steps on
-    trunks 1 to 1024 wide gave gradient entries up to 0.3*N**2 and squared
-    residual norms up to 1.6*N**2. The CLI passes its ExperimentSpec, whose
-    fields and clean batches are valid (batch_scale_errors)."""
+    the optimizer takes (_ADAM_LIMIT or float64's maximum), times sin(theta)
+    under fixed-theta, whose projection to theta can lengthen the auxiliary
+    gradient by up to 1/sin(theta). First steps on trunks 1 to 1024 wide
+    gave gradient entries up to 0.3*N**2 and squared residual norms up to
+    1.6*N**2. The clean bound is at most N, so a spec this accepts draws
+    batches whose squared norms fit float64. The CLI passes its
+    ExperimentSpec, whose dataset fields are valid; a batch_size below 1 or
+    an angle whose sine is not positive gets no error here, since
+    train_config_errors and remedy_config_errors refuse them."""
     b = config.batch_size
-    if b < 1:
+    fixed = config.strategy is Strategy.FIXED_THETA
+    sin_theta = math.sin(config.fixed_theta) if fixed else 1.0
+    if b < 1 or not sin_theta > 0.0:
         return []
     noisy = _clean_norm_bound(config) * (1.0 + 10.0 ** (-config.snr_db / 20.0))
     adam = config.optimizer is OptimizerKind.ADAM
-    bound = math.sqrt(_ADAM_LIMIT if adam else _FLOAT64_MAX) / 2.0
+    bound = math.sqrt((_ADAM_LIMIT if adam else _FLOAT64_MAX) * sin_theta) / 2.0
     if noisy < bound:
         return []
-    return [f"template_scale, jitter_std, snr_db: the first {config.optimizer.value} step "
-            f"on a batch of {b} samples in dim {config.dim} may "
+    names = "template_scale, jitter_std, snr_db"
+    step = f"the first {config.optimizer.value} step"
+    if fixed:
+        names += ", fixed_theta"
+        step += (f" of fixed-theta at {math.degrees(config.fixed_theta):g} deg, whose "
+                 "projection may lengthen the auxiliary gradient by 1/sin(theta),")
+    return [f"{names}: {step} on a batch of {b} samples in dim {config.dim} may "
             f"{'give a gradient entry too large for Adam' if adam else 'overflow float64'} "
             f"(template_scale {config.template_scale:g}, jitter_std {config.jitter_std:g}, "
             f"snr_db {config.snr_db:g}): the noisy batch's norm bound, "

@@ -28,11 +28,15 @@ from gradremedy.cli import (
     ExperimentSpec,
     _checked,
     _fmean,
+    _load,
     _median,
+    _read_config,
     build_parser,
     main,
     parse_strategy_token,
 )
+from gradremedy.synthdata import _clean_norm_bound
+from gradremedy.trainer import first_step_errors
 
 # small enough to train in well under a second
 FAST = [
@@ -57,14 +61,21 @@ def test_spec_dict_round_trip():
         seeds=(4, 5),
         trunk_widths=(10, 7),
     )
-    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    assert _load(spec.to_dict()) == (spec, [])
+
+
+def _reload(path) -> ExperimentSpec:
+    """The spec a config file gives the CLI, which must hold no error."""
+    spec, errors = _load(_read_config(str(path)))
+    assert errors == []
+    return spec
 
 
 def test_spec_json_round_trip(tmp_path):
     spec = ExperimentSpec(name="roundtrip", snr_db=-2.5, seeds=(9,))
     path = str(tmp_path / "config.json")
     spec.save_json(path)
-    assert ExperimentSpec.load_json(path) == spec
+    assert _reload(path) == spec
 
 
 def test_spec_states_every_config_field_with_its_default():
@@ -105,17 +116,16 @@ def test_config_reader_names_the_file_it_cannot_use(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="list.json: a config file holds one JSON object"):
-        ExperimentSpec.load_json(str(path))
+        _read_config(str(path))
     path.write_text("{bad")
     with pytest.raises(ValueError, match="list.json: Expecting property name"):
-        ExperimentSpec.load_json(str(path))
+        _read_config(str(path))
     assert main(["validate", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: Expecting property name")
 
 
 def test_spec_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config keys: snr"):
-        ExperimentSpec.from_dict({"snr": 3.0})
+    assert _load({"snr": 3.0}) == (ExperimentSpec(), ["unknown config keys: snr"])
 
 
 def test_validate_accepts_defaults_and_boundary_theta():
@@ -409,7 +419,7 @@ def test_run_writes_expected_tree(tmp_path, monkeypatch, capsys):
     assert 0.0 <= metrics["final_eval_accuracy"] <= 1.0
     assert "rescale_events" in metrics
     # the written config reloads to a runnable spec
-    reloaded = ExperimentSpec.load_json(str(exp / "config.json"))
+    reloaded = _reload(exp / "config.json")
     assert reloaded.strategy is Strategy.GRADIENT_REMEDY
     assert reloaded.epochs == 2
     summary = (exp / "summary.csv").read_text().splitlines()
@@ -484,10 +494,12 @@ def test_overflowing_batch_prints_only_its_error_line(scale, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: template_scale, jitter_std: a batch of 64 samples "
-                             "in dim 32 may overflow float64 (template_scale ")
-    assert err[0].endswith("template_scale*sqrt(batch_size) + "
-                           "14*jitter_std*sqrt(batch_size*dim) must stay below 6.7039e+153")
+    # a batch whose squared norm overflows float64 cannot take a first step,
+    # so the first-step check is the one that names it
+    assert err[0].startswith("error: template_scale, jitter_std, snr_db: the first adam "
+                             "step on a batch of 64 samples in dim 32 may give a gradient "
+                             "entry too large for Adam (template_scale ")
+    assert err[0].endswith("*(1 + 10**(-snr_db/20)), must stay below 5.7896e+76")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -508,6 +520,35 @@ def test_a_first_step_too_large_for_adam_is_refused_before_any_directory(tmp_pat
     assert main(["validate", "--template-scale", "1e80", "--optimizer", "sgd"]) == 0
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    template_exp=st.floats(150.0, 160.0),
+    jitter_exp=st.floats(150.0, 160.0),
+    batch_size=st.integers(1, 64),
+    dim=st.integers(2, 64),
+    snr_db=st.floats(-319.0, 319.0),
+    optimizer=st.sampled_from(OptimizerKind),
+)
+def test_the_first_step_bound_refuses_every_batch_float64_cannot_square(
+        template_exp, jitter_exp, batch_size, dim, snr_db, optimizer):
+    # the noisy batch's bound is never below the clean one's, and every
+    # optimizer's first-step bound is at most sqrt(float64 max)/2, so the
+    # first-step check alone keeps _draw's overflow check from firing on a
+    # spec it accepts
+    spec = ExperimentSpec(template_scale=10.0 ** template_exp,
+                          jitter_std=10.0 ** jitter_exp, batch_size=batch_size, dim=dim,
+                          snr_db=snr_db, optimizer=optimizer)
+    if _clean_norm_bound(spec) >= math.sqrt(np.finfo(np.float64).max) / 2.0:
+        assert first_step_errors(spec)
+
+
+# a strategy token: a plain strategy, or fixed-theta at an angle from 1e-6 to
+# 90 degrees, evenly spread in its exponent
+STRATEGY_TOKENS = st.one_of(
+    st.sampled_from([s.value for s in Strategy]),
+    st.floats(-6.0, math.log10(90.0)).map(lambda e: f"fixed-theta:{10.0 ** e:.9f}deg"))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     template_exp=st.floats(-3.0, 160.0),
@@ -520,30 +561,45 @@ def test_a_first_step_too_large_for_adam_is_refused_before_any_directory(tmp_pat
     seed=st.integers(0, 2**40),
     optimizer=st.sampled_from(OptimizerKind),
     trunk_widths=st.sampled_from([(3,), (48, 48)]),
+    token=STRATEGY_TOKENS,
 )
 # the scale that validate passed and the first held-out batch overflowed
 @example(template_exp=200.0, jitter_exp=-1.3, batch_size=64, dim=32, num_classes=4,
          eval_batches=4, snr_db=0.0, seed=1, optimizer=OptimizerKind.ADAM,
-         trunk_widths=(48, 48))
-# just inside the batch bound and SGD's first-step bound, where the noise is faint
+         trunk_widths=(48, 48), token="gradient-remedy")
+# just inside SGD's first-step bound, where the noise is faint
 @example(template_exp=153.3, jitter_exp=None, batch_size=8, dim=6, num_classes=4,
          eval_batches=1, snr_db=300.0, seed=0, optimizer=OptimizerKind.SGD,
-         trunk_widths=(48, 48))
+         trunk_widths=(48, 48), token="gradient-remedy")
 # just inside Adam's first-step bound, at the most negative snr
 @example(template_exp=60.3, jitter_exp=None, batch_size=8, dim=6, num_classes=4,
          eval_batches=1, snr_db=-319.0, seed=0, optimizer=OptimizerKind.ADAM,
-         trunk_widths=(3,))
+         trunk_widths=(3,), token="gradient-remedy")
+# the fixed-theta spec whose first step passed the entry Adam can square while
+# validate passed it, and that spec just inside the bound at its angle
+@example(template_exp=math.log10(1.4e76), jitter_exp=-1.3, batch_size=4, dim=4,
+         num_classes=4, eval_batches=4, snr_db=0.0, seed=1, optimizer=OptimizerKind.ADAM,
+         trunk_widths=(3,), token="fixed-theta:0.001deg")
+@example(template_exp=math.log10(6e73), jitter_exp=-1.3, batch_size=4, dim=4,
+         num_classes=4, eval_batches=4, snr_db=0.0, seed=1, optimizer=OptimizerKind.ADAM,
+         trunk_widths=(3,), token="fixed-theta:0.001deg")
+# just inside the bound at the least angle drawn
+@example(template_exp=math.log10(1.9e72), jitter_exp=-1.3, batch_size=4, dim=4,
+         num_classes=4, eval_batches=4, snr_db=0.0, seed=1, optimizer=OptimizerKind.ADAM,
+         trunk_widths=(3,), token="fixed-theta:0.000001deg")
 def test_every_spec_validate_accepts_builds_its_first_batches(
         template_exp, jitter_exp, batch_size, dim, num_classes, eval_batches, snr_db, seed,
-        optimizer, trunk_widths):
+        optimizer, trunk_widths, token):
     """Every spec validate accepts builds its first batches and takes its
     first optimizer step."""
+    strategy, theta = parse_strategy_token(token)
     spec = ExperimentSpec(
         template_scale=10.0 ** template_exp,
         jitter_std=0.0 if jitter_exp is None else 10.0 ** jitter_exp,
         batch_size=batch_size, dim=dim, num_classes=num_classes,
         eval_batches=eval_batches, snr_db=snr_db, seeds=(seed,), optimizer=optimizer,
-        trunk_widths=trunk_widths, epochs=1, batches_per_epoch=1)
+        trunk_widths=trunk_widths, epochs=1, batches_per_epoch=1, strategy=strategy,
+        fixed_theta=RemedyConfig.fixed_theta if theta is None else theta)
     if _checked(spec)[0]:
         return
     data = spec.dataset(seed)
@@ -554,6 +610,37 @@ def test_every_spec_validate_accepts_builds_its_first_batches(
     net = init_network(seed=seed, in_dim=dim, trunk_widths=trunk_widths,
                        num_classes=num_classes)
     assert len(train(spec.train_config(), data, net).step_stats) == 1
+
+
+# a spec whose first step at seed 1 passed the entry Adam can square while
+# validate printed ok
+TINY_ANGLE = ["--strategy", "fixed-theta:0.001deg", "--template-scale", "1.4e76",
+         "--trunk-widths", "3", "--dim", "4", "--batch-size", "4", "--seeds", "1",
+         "--epochs", "1", "--batches-per-epoch", "1"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_a_fixed_angle_that_could_overflow_the_first_step_is_refused(
+        command, tmp_path, capsys):
+    # the projection to theta may lengthen the auxiliary gradient by up to
+    # 1/sin(theta), so the bound shrinks by sqrt(sin(theta)); a sweep checks
+    # each token's angle, not only the base spec's
+    extra = ["--strategies", "naive,fixed-theta:0.001deg"] if command == "sweep" else []
+    out = tmp_path / "out"
+    assert main([command, *TINY_ANGLE, "--out", str(out), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: template_scale, jitter_std, snr_db, fixed_theta: the first adam step of "
+        "fixed-theta at 0.001 deg, whose projection may lengthen the auxiliary gradient "
+        "by 1/sin(theta), on a batch of 4 samples in dim 4 may give a gradient entry too "
+        "large for Adam (template_scale 1.4e+76, jitter_std 0.05, snr_db 0): the noisy "
+        "batch's norm bound, (template_scale*sqrt(batch_size) + 14*jitter_std*"
+        "sqrt(batch_size*dim))*(1 + 10**(-snr_db/20)), must stay below 2.41873e+74\n")
+    assert list(tmp_path.iterdir()) == []
+    # the other strategies keep the bound of a plain step at that scale
+    for strategy in ("naive", "pcgrad", "gradient-remedy"):
+        assert main(["validate", *TINY_ANGLE, "--strategy", strategy]) == 0
 
 
 def test_seed_0_validates_and_runs(tmp_path, capsys):
@@ -605,7 +692,7 @@ def test_run_flags_override_config_file(tmp_path, monkeypatch):
     base.save_json(str(cfg))
     code = main(["run", "--config", str(cfg), "--lr", "0.25", *FAST])
     assert code == 0
-    written = ExperimentSpec.load_json(str(tmp_path / "filecfg" / "config.json"))
+    written = _reload(tmp_path / "filecfg" / "config.json")
     assert written.learning_rate == 0.25
     assert written.name == "filecfg"
 
@@ -672,9 +759,9 @@ def test_sweep_rerun_from_its_saved_config_reproduces_the_run(tmp_path):
     tokens = ["--strategies", "naive,fixed-theta:20deg"]
     assert main(["sweep", "--name", "a", "--out", str(tmp_path), *tokens, *FAST]) == 0
     a, b = tmp_path / "a", tmp_path / "b"
-    base = ExperimentSpec.load_json(str(a / "config.json"))
+    base = _reload(a / "config.json")
     assert base.fixed_theta == RemedyConfig.fixed_theta
-    token = ExperimentSpec.load_json(str(a / "fixed-theta-20deg" / "config.json"))
+    token = _reload(a / "fixed-theta-20deg" / "config.json")
     assert token.fixed_theta == math.radians(20.0)
     assert main(["sweep", "--name", "b", "--config", str(a / "config.json"),
                  *tokens]) == 0
@@ -683,8 +770,7 @@ def test_sweep_rerun_from_its_saved_config_reproduces_the_run(tmp_path):
     assert len(runs[0]) == 2 * 3 + 1
     assert runs[0] == runs[1]
     for path in ("config.json", "naive/config.json", "fixed-theta-20deg/config.json"):
-        assert (ExperimentSpec.load_json(str(b / path))
-                == replace(ExperimentSpec.load_json(str(a / path)), name="b"))
+        assert _reload(b / path) == replace(_reload(a / path), name="b")
 
 
 def test_reusing_the_parser_carries_no_flag_into_the_next_call(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 """devtools/phase_times.py runs on this source tree and refuses a tree whose
 train() keeps no phase clock; devtools/bench_pairs.py alternates its sides,
 summarizes canned runs and their phase splits as stated, and records a tree
-without the phase clock as having no split."""
+without the phase clock as having no split; every devtools/compare_outputs.py
+call parses and has a name of its own."""
 
 import json
 import os
@@ -12,6 +13,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "devtools"))
 
 import bench_pairs  # noqa: E402 - standard library only
+import compare_outputs  # noqa: E402 - standard library only
+from gradremedy.cli import build_parser  # noqa: E402
 PHASE_TIMES = os.path.join(ROOT, "devtools", "phase_times.py")
 KEYS = ["data", "forward", "loss", "backward", "surgery", "optimizer", "eval",
         "train", "rest"]
@@ -97,3 +100,12 @@ def test_bench_pairs_phase_ab_takes_each_side_s_best_and_their_difference():
     # a parent without the phase clock leaves nothing to compare
     runs[0]["phases"]["parent"] = runs[1]["phases"]["parent"] = None
     assert bench_pairs.phase_ab(runs) is None
+
+
+def test_compare_outputs_calls_parse_and_have_unique_names():
+    made = compare_outputs.calls()
+    names = [name for name, _ in made]
+    assert len(set(names)) == len(names)
+    parser = build_parser()
+    for _, argv in made:
+        parser.parse_args(argv)  # an argv the CLI cannot parse exits 2

@@ -5,10 +5,14 @@ A stand-in for a linter's unused-import rule (F401): an import bound to a
 name that no expression in the file reads, and that `__all__` does not
 list, fails. An import kept on purpose carries `# noqa: F401` on its line.
 A private function, class or constant that nothing in `src/` reads is dead
-code that the other tests cannot see.
+code that the other tests cannot see. A public function, class or method
+that only unit tests read is a seam kept for them: every one is read in
+`src/`, `devtools/`, `perfbench/` or the acceptance tests, or named in
+README.md as part of the library's use.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -59,15 +63,50 @@ def private_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def test_every_private_name_is_read_somewhere_in_src():
-    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+def read_names(trees) -> set[str]:
+    """Every name the trees read, as a name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def test_every_private_name_is_read_somewhere_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    read = read_names(trees.values())
     unread = [f"{name}: {private}" for name, tree in trees.items()
               for private in private_definitions(tree) if private not in read]
     assert unread == []
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of each public function and class a module
+    defines at its top level, and of each public method of those classes."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{method.name}", method.name)
+                      for method in node.body if isinstance(method, ast.FunctionDef)
+                      and not method.name.startswith("_")]
+    return found
+
+
+def test_every_public_name_is_used_outside_the_unit_tests():
+    readers = [*SOURCES, *sorted((ROOT / "devtools").glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    read = read_names(ast.parse(path.read_text()) for path in readers)
+    read |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    unused = [f"{path.name}: {qualified}" for path in SOURCES
+              for qualified, name in public_definitions(ast.parse(path.read_text()))
+              if name not in read]
+    assert unused == []
