@@ -4,25 +4,29 @@
         [--first-seed K]
 
 It extracts `git archive <ref>` (devtools/gitref.py) into a temporary
-directory, then for pair k = 1..N runs
+directory and copies the working tree's files that an archive would hold
+into another, so neither side finds a bytecode cache, then for pair
+k = 1..N runs
 
     python3 perfbench/run.py --workload all --seed <K + k - 1> --seconds S --trace 0
 
-once from that copy (the parent side) and once from the working tree (the
+once from each copy, the ref's (the parent side) and the tree's (the
 change side), each from its own root with PYTHONDONTWRITEBYTECODE=1, so
-every process compiles its sources. After each side's perfbench run it
-runs this tree's devtools/phase_times.py on that side's `src` with the
-pair's seed. Odd pairs run the parent first, even pairs the change. Each
-run's end-to-end metrics come from the JSON object perfbench prints last.
+every process compiles the sources and writes no cache. After each side's
+perfbench run it runs this tree's devtools/phase_times.py on that side's
+`src` with the pair's seed. Odd pairs run the parent first, even pairs
+the change. Each run's end-to-end metrics come from the JSON object
+perfbench prints last.
 
 It writes --out after every pair: the command, the machine, `runs` (per
 pair: its seed, which side ran first, both sides' metrics per workload and
 both sides' phase splits), `summary`: per workload and metric, each side's
 median and quartiles (statistics.quantiles(n=4, method="inclusive"), the
 first and third cut) over the pairs, the number of pairs in which the
-change was lower, and the change of the median in percent, and `phase_ab`:
-per workload, strategy and phase, each side's least microseconds per step
-over the pairs and the change's minus the parent's. A source whose train()
+change was lower, the change of the median in percent and the verdicts
+(see summary), and `phase_ab`: per workload, strategy and phase, each
+side's least microseconds per step over the pairs and the change's minus
+the parent's. A source whose train()
 keeps no phase clock has no phase split (null), and then `phase_ab` holds
 none. It exits 1 if any perfbench call failed, and 2 if the ref cannot be
 extracted, a run printed no result or phase_times.py failed otherwise.
@@ -40,8 +44,14 @@ import tempfile
 
 import gitref
 
+sys.path.insert(0, os.path.join(gitref.ROOT, "perfbench"))
+import catalog  # noqa: E402 - standard library only
+
 SIDES = ("parent", "change")
 PHASE_TIMES = os.path.join(gitref.ROOT, "devtools", "phase_times.py")
+# each end-to-end metric's bound on the rise of its median, from
+# BENCHMARK.json; every one of them is better lower
+BOUNDS = {metric["name"]: metric["bound"] for metric in catalog.SPEC["end_to_end"]}
 
 
 def schedule(pairs: int, first_seed: int) -> list[tuple[int, int, tuple[str, str]]]:
@@ -50,22 +60,44 @@ def schedule(pairs: int, first_seed: int) -> list[tuple[int, int, tuple[str, str
             for pair in range(1, pairs + 1)]
 
 
-def summary(runs: list[dict]) -> dict:
+def summary(runs: list[dict], bounds: dict[str, float] = BOUNDS) -> dict:
     """Per workload and metric, both sides' medians and quartiles over the
-    runs, how often the change was lower, and the change of the median in %."""
+    runs, how often the change was lower, the change of the median in %, and
+    the verdicts on a metric that is better lower:
+
+    parent_iqr    the parent's third quartile minus its first
+    gain_shown    the change was lower in at least 9 of 10 pairs, and its
+                  median lies more than parent_iqr below the parent's
+    within_bound  the change's median is at most the parent's times
+                  1 + the metric's bound in bounds
+    unresolved    parent_iqr exceeds bound times the parent's median, and
+                  some change run is not below every parent run
+
+    A metric without a bound has null for the last two."""
     made: dict = {}
     for workload, metrics in runs[0]["parent"].items():
         for metric in metrics:
             sides = {side: [run[side][workload][metric] for run in runs] for side in SIDES}
             medians = {side: statistics.median(values) for side, values in sides.items()}
+            cuts = {side: statistics.quantiles(values, n=4, method="inclusive")
+                    for side, values in sides.items()}
             row = {}
-            for side, values in sides.items():
-                cuts = statistics.quantiles(values, n=4, method="inclusive")
+            for side in SIDES:
                 row[f"{side}_median"] = round(medians[side], 6)
-                row[f"{side}_quartiles"] = [round(cuts[0], 6), round(cuts[2], 6)]
-            row["change_lower_in_pairs"] = sum(
-                new < old for old, new in zip(sides["parent"], sides["change"]))
+                row[f"{side}_quartiles"] = [round(cuts[side][0], 6), round(cuts[side][2], 6)]
+            iqr = cuts["parent"][2] - cuts["parent"][0]
+            lower = sum(new < old for old, new in zip(sides["parent"], sides["change"]))
+            row["change_lower_in_pairs"] = lower
             row["pct"] = round(100.0 * (medians["change"] / medians["parent"] - 1.0), 2)
+            row["parent_iqr"] = round(iqr, 6)
+            row["gain_shown"] = (10 * lower >= 9 * len(runs)
+                                 and medians["parent"] - medians["change"] > iqr)
+            bound = bounds.get(metric)
+            row["within_bound"] = (None if bound is None
+                                   else medians["change"] <= medians["parent"] * (1.0 + bound))
+            row["unresolved"] = (None if bound is None
+                                 else iqr > bound * medians["parent"]
+                                 and max(sides["change"]) >= min(sides["parent"]))
             made.setdefault(workload, {})[metric] = row
     return made
 
@@ -134,9 +166,10 @@ def main(argv: list[str]) -> int:
                     f"--seconds {args.seconds:g} --trace 0"),
         "phase_command": "python3 devtools/phase_times.py <side>/src --seed <seed>",
         "ref": args.ref,
-        "unit_note": ("odd pairs ran the parent first, even pairs the change, both with "
-                      "PYTHONDONTWRITEBYTECODE=1; quartiles are "
-                      "statistics.quantiles(n=4, method='inclusive') over the pairs"),
+        "unit_note": ("odd pairs ran the parent first, even pairs the change, each from "
+                      "a copy without bytecode caches and with PYTHONDONTWRITEBYTECODE=1; "
+                      "quartiles are statistics.quantiles(n=4, method='inclusive') over "
+                      "the pairs; bounds are BENCHMARK.json's end_to_end bounds"),
         "attempted_calls": dict.fromkeys(SIDES, 0),
         "failed_calls": dict.fromkeys(SIDES, 0),
         "summary": {},
@@ -144,12 +177,13 @@ def main(argv: list[str]) -> int:
         "runs": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        roots = {side: os.path.join(scratch, side) for side in SIDES}
         try:
-            gitref.extract(args.ref, scratch)
+            gitref.extract(args.ref, roots["parent"])
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        roots = {"parent": scratch, "change": gitref.ROOT}
+        gitref.copy_worktree(roots["change"])
         for pair, seed, order in schedule(args.pairs, args.first_seed):
             run = {"pair": pair, "seed": seed, "first": order[0], **dict.fromkeys(SIDES),
                    "phases": dict.fromkeys(SIDES)}

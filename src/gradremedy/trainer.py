@@ -152,8 +152,8 @@ class StepStats(typing.NamedTuple):
     K*||g_dom|| to the pair the strategy emitted (post-rescale); the
     pre-rescale flag stays available on each surgery.Remedy
     (was_wrongly_dominant) for callers that want it. mean_phi_rad averages
-    the pre-remedy angle over non-degenerate units, in unit order (nan if
-    none).
+    the pre-remedy angle over non-degenerate units, summed in unit order
+    from 0.0 (nan if none).
     """
 
     epoch: int
@@ -168,7 +168,9 @@ class StepStats(typing.NamedTuple):
 
 
 class EpochStats(typing.NamedTuple):
-    """Per-epoch averages of the step percentages plus held-out accuracy."""
+    """One epoch's means of its steps' conflicting_post and wrongly_dominant
+    as percentages of layers_total and of their losses, each summed in step
+    order from 0.0, plus held-out accuracy."""
 
     epoch: int
     pct_conflicting: float
@@ -176,26 +178,6 @@ class EpochStats(typing.NamedTuple):
     loss_aux: float
     loss_dom: float
     eval_accuracy: float
-
-    @classmethod
-    def from_steps(cls, steps: list[StepStats], eval_accuracy: float) -> "EpochStats":
-        """The means over one epoch's steps, which must be non-empty; each
-        percentage must lie in [0, 100]."""
-        n = len(steps)
-        record = cls(
-            epoch=steps[0].epoch,
-            pct_conflicting=sum(100.0 * s.conflicting_post / s.layers_total
-                                for s in steps) / n,
-            pct_wrongly_dominant=sum(100.0 * s.wrongly_dominant / s.layers_total
-                                     for s in steps) / n,
-            loss_aux=sum(s.loss_aux for s in steps) / n,
-            loss_dom=sum(s.loss_dom for s in steps) / n,
-            eval_accuracy=eval_accuracy,
-        )
-        for name in ("pct_conflicting", "pct_wrongly_dominant"):
-            if not 0.0 <= getattr(record, name) <= 100.0:
-                raise ValueError(f"{name} must lie in [0, 100]")
-        return record
 
 
 class SGD:
@@ -312,7 +294,8 @@ class _Arena:
 
 @dataclass
 class TrainResult:
-    """Trained network plus everything the CSV/JSON emitters need.
+    """Everything the CSV/JSON emitters need; train() trains the caller's
+    net in place, so the result does not hold it.
 
     rescale_events counts optimizer steps' per-unit rescale firings over
     the whole run; mean_r_applied averages the applied ratio (None when the
@@ -320,10 +303,10 @@ class TrainResult:
     widening the steps.csv column contract. phase_seconds holds train()'s
     own clock: the seconds spent in each phase of train()'s loop, summed
     over the run, and under "train" the whole call. It differs
-    between identical runs, so equality ignores it and no run file holds it.
+    between identical runs, so equality ignores it and no run file holds
+    it: two identical runs' results compare equal.
     """
 
-    net: Network
     epoch_stats: list[EpochStats]
     step_stats: list[StepStats]
     rescale_events: int = 0
@@ -377,6 +360,7 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     opt = (Adam if adam else SGD)(config.learning_rate)
     limit = _ADAM_LIMIT if adam else _FLOAT64_MAX
     remedy_cfg, lam = config.remedy, config.lam
+    per_epoch = config.batches_per_epoch
     step_stats: list[StepStats] = []
     epoch_stats: list[EpochStats] = []
     # the rescales' count and their ratios' sum, added in step and unit order
@@ -384,11 +368,13 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     eval_set = [
         data.eval_batch(config.batch_size, j) for j in range(config.eval_batches)
     ]
-    batches = data.train_batches(config.batch_size,
-                                 config.epochs * config.batches_per_epoch)
+    batches = data.train_batches(config.batch_size, config.epochs * per_epoch)
 
     for epoch in range(config.epochs):
-        for batch_idx in range(config.batches_per_epoch):
+        # the epoch's sums of conflict %, wrong-dominance % and both losses,
+        # added in step order from 0.0, so no float sum() sets their bits
+        conflict_sum = dominant_sum = aux_sum = dom_sum = 0.0
+        for batch_idx in range(per_epoch):
             t0 = clock()
             batch = next(batches)  # train_batch(batch_size, epoch * per_epoch + batch_idx)
             t1 = clock()
@@ -409,8 +395,8 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
             t4 = clock()
 
             # one pass over the units runs surgery and tallies the step's row
-            pre = post = dominant = 0
-            phis = []
+            pre = post = dominant = phi_count = 0
+            phi_sum = 0.0
             for g_aux, g_dom, g_total in units:
                 unit = remedy_pair(g_aux, g_dom, remedy_cfg)
                 np.add(unit.aux, unit.dom, out=g_total)
@@ -418,7 +404,8 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
                 post += unit.conflicting_post
                 dominant += unit.wrongly_dominant_post
                 if unit.phi is not None:
-                    phis.append(unit.phi)
+                    phi_count += 1
+                    phi_sum += unit.phi
                 if unit.r_applied is not None:
                     rescales += 1
                     r_sum += unit.r_applied
@@ -435,17 +422,21 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
             spent["optimizer"] += t6 - t5
             step_stats.append(StepStats(
                 epoch, batch_idx, len(units), pre, post, dominant,
-                sum(phis) / len(phis) if phis else math.nan, loss_aux, loss_dom))
+                phi_sum / phi_count if phi_count else math.nan, loss_aux, loss_dom))
+            conflict_sum += 100.0 * post / len(units)
+            dominant_sum += 100.0 * dominant / len(units)
+            aux_sum += loss_aux
+            dom_sum += loss_dom
 
         t0 = clock()
         arena.check_finite(arena.params, "parameter", epoch, batch_idx)
         accuracy = evaluate(net, eval_set)
         spent["eval"] += clock() - t0
-        epoch_stats.append(EpochStats.from_steps(
-            step_stats[epoch * config.batches_per_epoch:], accuracy))
+        epoch_stats.append(EpochStats(
+            epoch, conflict_sum / per_epoch, dominant_sum / per_epoch,
+            aux_sum / per_epoch, dom_sum / per_epoch, accuracy))
     spent["train"] = clock() - started
     return TrainResult(
-        net=net,
         epoch_stats=epoch_stats,
         step_stats=step_stats,
         rescale_events=rescales,

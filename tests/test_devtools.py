@@ -1,7 +1,8 @@
 """devtools/phase_times.py runs on this source tree and refuses a tree whose
 train() keeps no phase clock; devtools/bench_pairs.py alternates its sides,
-summarizes canned runs and their phase splits as stated, and records a tree
-without the phase clock as having no split; every devtools/compare_outputs.py
+summarizes canned runs, their verdicts and their phase splits as stated, and
+records a tree without the phase clock as having no split; gitref's copy of
+a working tree holds no bytecode cache; every devtools/compare_outputs.py
 call parses and has a name of its own."""
 
 import json
@@ -14,6 +15,7 @@ sys.path.insert(0, os.path.join(ROOT, "devtools"))
 
 import bench_pairs  # noqa: E402 - standard library only
 import compare_outputs  # noqa: E402 - standard library only
+import gitref  # noqa: E402 - standard library only
 from gradremedy.cli import build_parser  # noqa: E402
 PHASE_TIMES = os.path.join(ROOT, "devtools", "phase_times.py")
 KEYS = ["data", "forward", "loss", "backward", "surgery", "optimizer", "eval",
@@ -78,14 +80,68 @@ def test_bench_pairs_summary_arithmetic():
             _canned_run(3, 3.0, 2.0), _canned_run(4, 4.0, 3.0)]
     # inclusive quartiles of 4 sorted values sit at positions 0.75 and 2.25:
     # parent 1, 2, 3, 4 -> 1.75, 3.25; change 0.5, 2, 2.5, 3 -> 1.625, 2.625
-    assert bench_pairs.summary(runs) == {"w": {
+    assert bench_pairs.summary(runs, {"m": 0.2}) == {"w": {
+        # lower in 3 of 4 pairs shows no gain; the parent's spread of 1.5 is
+        # wider than 0.2 times its median, and a change run of 3 is not below
+        # the parent run of 1
         "m": {"parent_median": 2.5, "parent_quartiles": [1.75, 3.25],
               "change_median": 2.25, "change_quartiles": [1.625, 2.625],
-              "change_lower_in_pairs": 3, "pct": -10.0},
-        # an equal value is not lower
+              "change_lower_in_pairs": 3, "pct": -10.0, "parent_iqr": 1.5,
+              "gain_shown": False, "within_bound": True, "unresolved": True},
+        # an equal value is not lower; a metric without a bound gets no verdict on it
         "same": {"parent_median": 1.0, "parent_quartiles": [1.0, 1.0],
                  "change_median": 1.0, "change_quartiles": [1.0, 1.0],
-                 "change_lower_in_pairs": 0, "pct": 0.0}}}
+                 "change_lower_in_pairs": 0, "pct": 0.0, "parent_iqr": 0.0,
+                 "gain_shown": False, "within_bound": None, "unresolved": None}}}
+
+    # ten pairs; inclusive quartiles of 10 sorted values sit at 2.25 and 6.75
+    parent = {"gain": [10.0] * 5 + [11.0] * 5,  # median 10.5, iqr 1
+              "noisy": [float(v) for v in range(1, 11)],  # median 5.5, iqr 4.5
+              "spread": [float(v) for v in range(1, 11)],
+              "worse": [10.0] * 10}  # iqr 0
+    change = {"gain": [8.0] * 9 + [12.0],  # lower in 9 pairs, median 2.5 below
+              "noisy": [v - 0.5 for v in parent["noisy"]],  # lower in 10, by 0.5
+              "spread": [0.5] * 10,  # every run below every parent run
+              "worse": [13.0] * 10}  # 30% above
+    runs = [{"pair": k, "parent": {"w": {m: v[k] for m, v in parent.items()}},
+             "change": {"w": {m: v[k] for m, v in change.items()}}} for k in range(10)]
+    rows = bench_pairs.summary(runs, dict.fromkeys(parent, 0.2))["w"]
+    verdicts = {metric: {key: row[key] for key in
+                         ("parent_iqr", "gain_shown", "within_bound", "unresolved")}
+                for metric, row in rows.items()}
+    assert verdicts == {
+        "gain": {"parent_iqr": 1.0, "gain_shown": True, "within_bound": True,
+                 "unresolved": False},
+        "noisy": {"parent_iqr": 4.5, "gain_shown": False, "within_bound": True,
+                  "unresolved": True},
+        "spread": {"parent_iqr": 4.5, "gain_shown": True, "within_bound": True,
+                   "unresolved": False},
+        "worse": {"parent_iqr": 0.0, "gain_shown": False, "within_bound": False,
+                  "unresolved": False}}
+
+
+def test_bench_pairs_reads_each_end_to_end_bound_of_the_benchmark():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="ascii") as src:
+        spec = json.load(src)
+    assert bench_pairs.BOUNDS == {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def test_copy_worktree_leaves_out_bytecode_caches_and_ignored_files(tmp_path):
+    tree, copy = tmp_path / "tree", tmp_path / "copy"
+    (tree / "pkg" / "__pycache__").mkdir(parents=True)
+    (tree / ".gitignore").write_text("__pycache__/\n*.log\n")
+    (tree / "pkg" / "mod.py").write_text("x = 1\n")
+    (tree / "pkg" / "gone.py").write_text("")
+    subprocess.run(["git", "init", "-q", str(tree)], check=True)
+    subprocess.run(["git", "-C", str(tree), "add", "."], check=True)
+    (tree / "pkg" / "gone.py").unlink()  # deleted, but still in the index
+    (tree / "pkg" / "new.py").write_text("y = 2\n")  # untracked, not ignored
+    (tree / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+    (tree / "run.log").write_text("ignored")
+    gitref.copy_worktree(str(copy), str(tree))
+    copied = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (copy / "pkg" / "new.py").read_text() == "y = 2\n"
 
 
 def test_bench_pairs_phase_ab_takes_each_side_s_best_and_their_difference():

@@ -44,6 +44,7 @@ MAGIC = "gradremedy-net v1"
 
 
 def run_case(case, strategy):
+    """The case's TrainResult and the net it trained."""
     config_kw, data_kw = CASES[case]
     config = TrainConfig(**{
         "remedy": RemedyConfig(strategy=Strategy(strategy)),
@@ -52,7 +53,7 @@ def run_case(case, strategy):
     })
     data = TwoTaskDataset(seed=1, num_classes=3, dim=8, snr_db=0.0, **data_kw)
     net = init_network(seed=1, in_dim=8, trunk_widths=(6, 5), num_classes=3)
-    return train(config, data, net)
+    return train(config, data, net), net
 
 
 def counts_csv(result) -> str:
@@ -106,11 +107,11 @@ def _stem(case, strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("case", CASES)
 def test_run_matches_golden_trace(case, strategy):
-    result = run_case(case, strategy)
+    result, net = run_case(case, strategy)
     with open(_stem(case, strategy) + ".counts.csv", encoding="ascii") as src:
         assert counts_csv(result) == src.read()
     want = read_net(_stem(case, strategy) + ".net")
-    got = result.net.named_layers()
+    got = net.named_layers()
     assert [name for name, _ in got] == [name for name, _, _ in want]
     for (name, layer), (_, weights, bias) in zip(got, want):
         for attr, r in (("weights", weights), ("bias", bias)):
@@ -120,15 +121,15 @@ def test_run_matches_golden_trace(case, strategy):
 
 
 def test_rescale_case_fires_the_rescale():
-    assert run_case("rescale", "gradient-remedy").rescale_events > 0
+    assert run_case("rescale", "gradient-remedy")[0].rescale_events > 0
 
 
 if __name__ == "__main__":
     os.makedirs(DATA, exist_ok=True)
     for case in CASES:
         for strategy in STRATEGIES:
-            result = run_case(case, strategy)
-            write_net(result.net, _stem(case, strategy) + ".net")
+            result, net = run_case(case, strategy)
+            write_net(net, _stem(case, strategy) + ".net")
             with open(_stem(case, strategy) + ".counts.csv", "w", encoding="ascii") as out:
                 out.write(counts_csv(result))
     print(f"wrote {len(CASES) * len(STRATEGIES)} cases to {DATA}")

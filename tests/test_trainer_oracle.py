@@ -118,6 +118,29 @@ def _accuracy(net, batches):
     return correct / sum(len(b) for b in batches)
 
 
+def _mean_in_order(values):
+    """The mean of values, added left to right from 0.0: what train()
+    promises on any Python version, where sum() of floats may compensate."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def _epoch_row(epoch, steps, accuracy):
+    """The EpochStats of one epoch's steps."""
+    return EpochStats(
+        epoch=epoch,
+        pct_conflicting=_mean_in_order(
+            [100.0 * s.conflicting_post / s.layers_total for s in steps]),
+        pct_wrongly_dominant=_mean_in_order(
+            [100.0 * s.wrongly_dominant / s.layers_total for s in steps]),
+        loss_aux=_mean_in_order([s.loss_aux for s in steps]),
+        loss_dom=_mean_in_order([s.loss_dom for s in steps]),
+        eval_accuracy=accuracy,
+    )
+
+
 def reference_train(config: TrainConfig, data: TwoTaskDataset, net) -> TrainResult:
     """train()'s schedule with per-array gradients and optimizer state."""
     arrays = [a for _, layer in net.named_layers() for a in (layer.weights, layer.bias)]
@@ -165,14 +188,14 @@ def reference_train(config: TrainConfig, data: TwoTaskDataset, net) -> TrainResu
                 conflicting_pre=sum(o.was_conflicting for o in outcomes),
                 conflicting_post=sum(o.conflicting_post for o in outcomes),
                 wrongly_dominant=sum(o.wrongly_dominant_post for o in outcomes),
-                mean_phi_rad=sum(phis) / len(phis) if phis else math.nan,
+                mean_phi_rad=_mean_in_order(phis) if phis else math.nan,
                 loss_aux=loss_aux,
                 loss_dom=loss_dom,
             ))
-        epochs.append(EpochStats.from_steps(
-            steps[epoch * config.batches_per_epoch:], _accuracy(net, eval_set)))
-    return TrainResult(net, epochs, steps, len(ratios),
-                       sum(ratios) / len(ratios) if ratios else None)
+        epochs.append(_epoch_row(epoch, steps[epoch * config.batches_per_epoch:],
+                                 _accuracy(net, eval_set)))
+    return TrainResult(epochs, steps, len(ratios),
+                       _mean_in_order(ratios) if ratios else None)
 
 
 def _outcome(trainer, config, data, net):
