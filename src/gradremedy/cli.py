@@ -135,7 +135,7 @@ def _load(raw: dict) -> tuple[ExperimentSpec, list[str]]:
         if key in kinds:
             try:
                 data[key] = _typed(kinds[key], value)
-            except ValueError as err:
+            except (ValueError, OverflowError) as err:
                 errors.append(f"{key}: {err}")
     return ExperimentSpec(**data), errors
 
@@ -161,7 +161,8 @@ def _write_json(value, path: str) -> None:
 
 def _typed(kind, value):
     """value as a spec field of type kind holds it: enum members from their
-    values, tuples from lists of integers; ValueError when it does not fit."""
+    values, tuples from lists of integers; ValueError when it does not fit,
+    OverflowError for an integer in a float field that float64 cannot hold."""
     if isinstance(kind, type) and issubclass(kind, Enum):
         return kind(value)
     if kind == tuple[int, ...]:
@@ -169,6 +170,8 @@ def _typed(kind, value):
             return tuple(value)
         raise ValueError(f"must be a list of integers, got {value!r}")
     if type(value) in ((int, float) if kind is float else (kind,)):
+        if kind is float:
+            float(value)  # the bound checks and the run read it as a float
         return value
     raise ValueError(f"must be {_EXPECTED[kind]}, got {value!r}")
 
@@ -179,7 +182,7 @@ def _checked(
     """Every config error at once (none means runnable), and the dataset of
     each seed whose templates it placed: a run trains on these, so it places
     each seed's templates once. Each spec in children, which differs from
-    spec only in its remedy fields, also gets its first step checked."""
+    spec only in its remedy fields, gets those and its first step checked."""
     errors = bound_errors(spec, ((
         "name", lambda n: n not in ("", ".", "..") and os.path.basename(n) == n,
         "must be one plain directory name: not empty, '.', '..' or a path",
@@ -190,7 +193,8 @@ def _checked(
         errors.append(f"seeds: each seed must be >= 0 (got {list(spec.seeds)})")
     if len(set(spec.seeds)) < len(spec.seeds):
         errors.append(f"seeds: each seed may appear once (got {list(spec.seeds)})")
-    errors += remedy_config_errors(spec)
+    for trained in (spec, *children):
+        errors += remedy_config_errors(trained)
     errors += train_config_errors(spec)
     datasets = {}
     field_errors = dataset_errors(spec)
@@ -201,6 +205,9 @@ def _checked(
                 datasets[seed] = spec.dataset(seed)
             except ValueError as err:  # its templates cannot be placed
                 errors.append(f"num_classes: {err} (seed {seed})")
+                break
+            except MemoryError as err:  # nor their table allocated
+                errors.append(f"dim, num_classes: {err} (seed {seed})")
                 break
         for trained in (spec, *children):
             errors += first_step_errors(trained)
@@ -492,10 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         runs, token_errors = _strategy_runs(args, spec)
         # a child spec differs from spec only in its remedy fields, so it
         # trains on spec's datasets
-        children = [child for _, child, _ in runs]
-        checked = [e for child in children for e in remedy_config_errors(child)]
-        spec_errors, datasets = _checked(spec, children)
-        errors = list(dict.fromkeys(errors + spec_errors + token_errors + checked))
+        spec_errors, datasets = _checked(spec, [child for _, child, _ in runs])
+        errors = list(dict.fromkeys(errors + spec_errors + token_errors))
     if errors:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)

@@ -16,9 +16,9 @@ LayerGrads its gradients go to directly. The public `forward`, `losses` and
 `backward_two_task` check their inputs (the batch's rank and each layer's
 input width; lam and the shapes of targets and labels; that the cache came
 from this net) and then call the same cores; the trainer makes its checks
-once per run, before the first step. `_check_widths` is the one statement
-of the chaining rule: Network runs it when built, forward and train() on
-their inputs' width.
+once per run, before the first step. `_width_errors` is the one statement
+of the shape contract: Network runs it when built, forward and evaluate on
+their inputs' width, and train() on the dataset's dim and num_classes.
 
 Everything is plain float64 numpy; batches are (batch, dim) matrices.
 """
@@ -86,7 +86,7 @@ class Network:
         for name, chain in self.chains():
             if not chain:
                 raise ValueError(f"{name} must contain at least one layer")
-        _check_widths(self, self.trunk[0].in_dim)
+        raise_if_any(_width_errors(self, self.trunk[0].in_dim))
 
     def chains(self) -> list[tuple[str, list[Layer]]]:
         """(name, layers) of the trunk and each head, in field order."""
@@ -173,18 +173,25 @@ class LayerGrads(NamedTuple):
     bias: np.ndarray
 
 
-def _check_widths(net: Network, width: int) -> None:
-    """The chaining rule: raise ValueError for the first layer, in walk
-    order, whose input width differs from the width that reaches it from
-    inputs this wide (each head's input is the trunk's output)."""
+def _width_errors(net: Network, width: int, num_classes: int | None = None) -> list[str]:
+    """The net's shape contract for inputs this wide, as errors in walk
+    order: each layer takes the width that reaches it (a head, the trunk's
+    output) up to the first that does not, past which widths mean nothing;
+    given num_classes, the aux head emits width (it reconstructs the
+    input) and the dom head num_classes."""
+    emits = {"aux_head": ("dim", width), "dom_head": ("num_classes", num_classes)}
+    errors, chained = [], True
     for name, chain in net.chains():
-        if chain is not net.trunk:
-            width = net.trunk[-1].out_dim
+        reach = width if chain is net.trunk else net.trunk[-1].out_dim
         for i, layer in enumerate(chain):
-            if width != layer.in_dim:
-                raise ValueError(
-                    f"{name}[{i}] expects input dim {layer.in_dim}, got {width}")
-            width = layer.out_dim
+            if chained and reach != layer.in_dim:
+                errors.append(f"{name}[{i}] expects input dim {layer.in_dim}, got {reach}")
+                chained = False
+            reach = layer.out_dim
+        if num_classes is not None and name in emits and reach != emits[name][1]:
+            errors.append(f"{name}[{len(chain) - 1}] emits {reach}, but the dataset "
+                          f"has {emits[name][0]} {emits[name][1]}")
+    return errors
 
 
 def _forward_chain(chain: list[Layer], x: np.ndarray, relu: bool) -> list[np.ndarray]:
@@ -211,7 +218,7 @@ def forward(net: Network, batch_inputs: np.ndarray) -> ForwardCache:
     x = np.ascontiguousarray(batch_inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"batch_inputs must be 2-D (batch, dim), got ndim {x.ndim}")
-    _check_widths(net, x.shape[1])
+    raise_if_any(_width_errors(net, x.shape[1]))
     return ForwardCache(net=net, acts=_forward(net, x))
 
 

@@ -203,13 +203,16 @@ def class_templates(seed: int, num_classes: int, dim: int) -> np.ndarray:
     """Random unit vectors with every pairwise angle >= ANGLE_FLOOR_DEG.
 
     Rejection sampling from an isotropic Gaussian; deterministic in seed.
-    Raises, without drawing, if the caps of half the floor around that
-    many templates would cover more than the sphere, and otherwise if the
-    floor cannot be met within _TEMPLATE_DRAWS draws.
+    Raises, without allocating or drawing, if that many templates outnumber
+    the _TEMPLATE_DRAWS draws or their caps of half the floor would cover
+    more than the sphere, and otherwise if the draws cannot meet the floor.
     """
     raise_if_any(dataset_errors(SimpleNamespace(num_classes=num_classes, dim=dim)))
     failure = (f"could not place {num_classes} templates in dim {dim} with pairwise "
                f"angle >= {ANGLE_FLOOR_DEG} deg")
+    if num_classes > _TEMPLATE_DRAWS:  # also keeps num_classes * share finite
+        raise ValueError(f"{failure}: each of the {_TEMPLATE_DRAWS} draws places "
+                         "at most one")
     share = _cap_share(dim)
     if num_classes * share > 1.0:
         raise ValueError(f"{failure}: at most {math.floor(1.0 / share)} fit")

@@ -37,10 +37,10 @@ from .net import (
     Network,
     TwoTaskGradients,
     _backward,
-    _check_widths,
     _forward,
     _loss_and_deltas,
     _row_starts,
+    _width_errors,
     chain_size,
     forward,  # noqa: F401 - perfbench's span tests wrap it under this name
     layer_views,
@@ -223,7 +223,7 @@ def evaluate(net: Network, batches: list[SampleBatch]) -> float:
         raise ValueError("evaluate needs at least one batch with at least one sample")
     correct = 0
     for b in batches:
-        _check_widths(net, b.noisy.shape[1])
+        raise_if_any(_width_errors(net, b.noisy.shape[1]))
         logits = _forward(net, b.noisy)[2][-1]
         correct += int((logits.argmax(axis=1) == b.labels).sum())
     return correct / samples
@@ -314,28 +314,13 @@ class TrainResult:
     phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
 
-def _fit_errors(net: Network, data: TwoTaskDataset) -> list[str]:
-    """An error for each outer width of the net that the dataset does not
-    match: the trunk's input and the aux head's output against dim, the dom
-    head's output against num_classes."""
-    widths = (
-        ("trunk[0] takes inputs of width", net.trunk[0].in_dim, "dim", data.dim),
-        (f"aux_head[{len(net.aux_head) - 1}] emits", net.aux_head[-1].out_dim,
-         "dim", data.dim),
-        (f"dom_head[{len(net.dom_head) - 1}] emits", net.dom_head[-1].out_dim,
-         "num_classes", data.num_classes),
-    )
-    return [f"{layer} {width}, but the dataset has {name} {want}"
-            for layer, width, name, want in widths if width != want]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResult:
     """Run the full schedule, mutating `net` in place; its layer arrays end
     up as views of one parameter buffer (see the module docstring). A net
-    whose input or output widths do not fit the dataset is refused first
-    (ValueError naming each such layer), and then one whose layers no
-    longer chain (net._check_widths's ValueError), with its arrays untouched.
+    that breaks net._width_errors' contract for the dataset's dim and
+    num_classes is refused first, with one ValueError naming each layer at
+    fault in walk order, and its arrays untouched.
 
     Deterministic given (config, dataset seed, initial parameters): batches
     are addressed by global step index, so there is no hidden RNG state.
@@ -350,8 +335,7 @@ def train(config: TrainConfig, data: TwoTaskDataset, net: Network) -> TrainResul
     started = clock()
     spent = dict.fromkeys(
         ("data", "forward", "loss", "backward", "surgery", "optimizer", "eval"), 0.0)
-    raise_if_any(_fit_errors(net, data))
-    _check_widths(net, data.dim)
+    raise_if_any(_width_errors(net, data.dim, data.num_classes))
     arena = _Arena(net)
     grads, units, total = arena.grads, arena.units, arena.total
     trunk_delta = np.empty((2, config.batch_size, net.trunk[-1].out_dim))

@@ -266,32 +266,64 @@ def test_malformed_input_exits_2_with_error_lines(command, case, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-def test_unplaceable_templates_exit_2_before_any_directory(command, tmp_path, capsys):
-    # 40 templates 45 degrees apart do not fit in 3 dimensions: the first
-    # seed is refused before training, as an input error, without a draw
+def test_unplaceable_templates_exit_2_before_any_directory(
+        command, monkeypatch, tmp_path, capsys):
+    # the first seed is refused before training, as an input error: 40
+    # templates 45 degrees apart do not fit in 3 dimensions, and 10**12 or
+    # 10**400 are more than the rejection draws, each refused without a
+    # draw (10**400 times a cap's share would overflow float64); a table
+    # of dim 10**12 cannot be allocated. np.empty refuses any array of more
+    # than 2**32 entries here, as numpy does when it cannot allocate one: a
+    # host that overcommits memory may grant it, and the draws would then
+    # touch its pages
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 2 ** 32:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
     out = tmp_path / "out"
-    assert main([command, "--classes", "40", "--dim", "3", "--seeds", "5,6",
-                 "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: num_classes: could not place 40 templates in dim 3 with pairwise "
-        "angle >= 45.0 deg: at most 26 fit (seed 5)\n")
-    assert not out.exists()
+    for flags, message in [
+        (["--classes", "40", "--dim", "3"],
+         "num_classes: could not place 40 templates in dim 3 with pairwise "
+         "angle >= 45.0 deg: at most 26 fit"),
+        *((["--classes", str(count)],
+           f"num_classes: could not place {count} templates in dim 32 with pairwise "
+           "angle >= 45.0 deg: each of the 100000 draws places at most one")
+          for count in (10 ** 12, 10 ** 400)),
+        (["--dim", str(10 ** 12)],
+         "dim, num_classes: Unable to allocate an array with shape (4, 1000000000000)"),
+    ]:
+        assert main([command, *flags, "--seeds", "5,6", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} (seed 5)\n"
+        assert not out.exists()
 
 
 def test_config_type_and_bound_errors_print_one_line_each(tmp_path, capsys):
-    config = tmp_path / "f.json"
-    config.write_text(json.dumps(
-        {"seeds": 5, "epochs": "3", "bogus": 1, "dominance_k": 0.5}
-    ))
-    assert main(["validate", "--config", str(config)]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    starts = ("error: unknown config keys: bogus", "error: seeds: ",
-              "error: epochs: ", "error: dominance_k: K must exceed 1")
-    assert len(lines) == len(starts), lines
-    for start in starts:
-        assert sum(line.startswith(start) for line in lines) == 1, start
+    # every float field also refuses an integer float64 cannot hold, which
+    # the bound checks and the run would read as a float
+    floats = [f.name for f in fields(ExperimentSpec) if f.type is float]
+    cases = [
+        ({"seeds": 5, "epochs": "3", "bogus": 1, "dominance_k": 0.5},
+         ("error: unknown config keys: bogus", "error: seeds: ",
+          "error: epochs: ", "error: dominance_k: K must exceed 1")),
+        ({name: 10 ** 400 for name in floats},
+         tuple(f"error: {name}: int too large to convert to float" for name in floats)),
+    ]
+    config, out = tmp_path / "f.json", tmp_path / "out"
+    for raw, starts in cases:
+        config.write_text(json.dumps(raw))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == len(starts), lines
+            for start in starts:
+                assert sum(line.startswith(start) for line in lines) == 1, start
+            assert not out.exists()
 
 
 def test_every_readme_command_line_parses():

@@ -265,21 +265,33 @@ def _layer(out_dim, in_dim):
     return Layer(np.zeros((out_dim, in_dim)), np.zeros(out_dim))
 
 
+def _unchained_and_misfit(net):
+    """net with trunk[1] swapped for one that no longer chains, and a dom
+    head that takes the trunk's output but emits 4 classes."""
+    net.trunk[1] = _layer(5, 4)
+    net.dom_head[0] = _layer(4, 5)
+    return net
+
+
 @pytest.mark.parametrize(
     "swap, message",
     [
         (lambda n: Network([_layer(6, 7), *n.trunk[1:]], n.aux_head, n.dom_head),
-         "trunk[0] takes inputs of width 7, but the dataset has dim 8"),
+         "trunk[0] expects input dim 7, got 8"),
         (lambda n: Network(n.trunk, [_layer(9, 5)], n.dom_head),
          "aux_head[0] emits 9, but the dataset has dim 8"),
         (lambda n: Network(n.trunk, n.aux_head, [_layer(4, 5)]),
          "dom_head[0] emits 4, but the dataset has num_classes 3"),
         (lambda n: init_network(seed=1, in_dim=5, trunk_widths=(4,), num_classes=2),
-         "trunk[0] takes inputs of width 5, but the dataset has dim 8; "
+         "trunk[0] expects input dim 5, got 8; "
          "aux_head[0] emits 5, but the dataset has dim 8; "
          "dom_head[0] emits 2, but the dataset has num_classes 3"),
+        # one walk: the chaining error, then the head whose output misfits
+        (_unchained_and_misfit,
+         "trunk[1] expects input dim 4, got 6; "
+         "dom_head[0] emits 4, but the dataset has num_classes 3"),
     ],
-    ids=["trunk-input", "aux-output", "dom-output", "all-three"],
+    ids=["trunk-input", "aux-output", "dom-output", "all-three", "chain-and-dom-output"],
 )
 def test_a_net_that_does_not_fit_the_dataset_is_refused_before_training(swap, message):
     net = swap(make_net())
