@@ -26,10 +26,10 @@ first and third cut) over the pairs, the number of pairs in which the
 change was lower, the change of the median in percent and the verdicts
 (see summary), and `phase_ab`: per workload, strategy and phase, each
 side's least microseconds per step over the pairs and the change's minus
-the parent's. A source whose train()
-keeps no phase clock has no phase split (null), and then `phase_ab` holds
-none. It exits 1 if any perfbench call failed, and 2 if the ref cannot be
-extracted, a run printed no result or phase_times.py failed otherwise.
+the parent's. It exits 1 if any perfbench call failed, and 2 if the ref
+cannot be extracted, a run printed no result or phase_times.py failed
+otherwise; a ref whose train() keeps no phase clock (TrainResult has no
+phase_seconds) fails phase_times.py at the first pair, so it exits 2.
 """
 
 from __future__ import annotations
@@ -102,13 +102,10 @@ def summary(runs: list[dict], bounds: dict[str, float] = BOUNDS) -> dict:
     return made
 
 
-def phase_ab(runs: list[dict]) -> dict | None:
+def phase_ab(runs: list[dict]) -> dict:
     """Per workload, strategy and phase, each side's least microseconds per
-    step over the runs' phase splits and the change's minus the parent's;
-    None if a side has no phase split."""
+    step over the runs' phase splits and the change's minus the parent's."""
     splits = {side: [run["phases"][side] for run in runs] for side in SIDES}
-    if None in splits["parent"] + splits["change"]:
-        return None
     made: dict = {}
     for workload, strategies in splits["parent"][0].items():
         for strategy, phases in strategies.items():
@@ -120,15 +117,13 @@ def phase_ab(runs: list[dict]) -> dict | None:
     return made
 
 
-def run_phase_times(root: str, seed: int) -> dict | None:
+def run_phase_times(root: str, seed: int) -> dict:
     """phase_times.py's us per step of each workload, strategy and phase for
-    root's source at seed, or None if its train() keeps no phase clock."""
+    root's source at seed."""
     done = subprocess.run(
         [sys.executable, PHASE_TIMES, os.path.join(root, "src"), "--seed", str(seed)],
         cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True, check=False)
-    if done.returncode == 1 and "has no phase_seconds field" in done.stderr:
-        return None
     if done.returncode != 0:
         raise ValueError(f"{root}: phase_times.py failed (exit {done.returncode}): "
                          f"{done.stderr.strip()[-500:]}")

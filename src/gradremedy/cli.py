@@ -162,7 +162,8 @@ def _write_json(value, path: str) -> None:
 def _typed(kind, value):
     """value as a spec field of type kind holds it: enum members from their
     values, tuples from lists of integers; ValueError when it does not fit,
-    OverflowError for an integer in a float field that float64 cannot hold."""
+    OverflowError for an integer in an int or float field that float64
+    cannot hold."""
     if isinstance(kind, type) and issubclass(kind, Enum):
         return kind(value)
     if kind == tuple[int, ...]:
@@ -170,8 +171,8 @@ def _typed(kind, value):
             return tuple(value)
         raise ValueError(f"must be a list of integers, got {value!r}")
     if type(value) in ((int, float) if kind is float else (kind,)):
-        if kind is float:
-            float(value)  # the bound checks and the run read it as a float
+        if kind in (int, float):
+            float(value)  # the bound checks and the run compute with it in float64
         return value
     raise ValueError(f"must be {_EXPECTED[kind]}, got {value!r}")
 

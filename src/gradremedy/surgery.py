@@ -111,9 +111,6 @@ class GradientVector:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "shape", shape)
 
-    def __len__(self) -> int:
-        return self.values.size
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 

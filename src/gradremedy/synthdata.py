@@ -168,10 +168,12 @@ _NORMAL_BOUND = 14.0
 def _clean_norm_bound(config) -> float:
     """The most a clean batch of config's batch_size can measure: its
     templates' norm, template_scale*sqrt(batch_size) (unit templates), plus
-    its jitter's, jitter_std*_NORMAL_BOUND*sqrt(batch_size*dim)."""
+    its jitter's, jitter_std*_NORMAL_BOUND*sqrt(batch_size*dim). The
+    product is taken in float64, so one past its range gives inf, not an
+    OverflowError."""
     b = config.batch_size
     return (config.template_scale * math.sqrt(b)
-            + config.jitter_std * _NORMAL_BOUND * math.sqrt(b * config.dim))
+            + config.jitter_std * _NORMAL_BOUND * math.sqrt(b * float(config.dim)))
 
 
 @dataclass(frozen=True)
@@ -203,9 +205,10 @@ def class_templates(seed: int, num_classes: int, dim: int) -> np.ndarray:
     """Random unit vectors with every pairwise angle >= ANGLE_FLOOR_DEG.
 
     Rejection sampling from an isotropic Gaussian; deterministic in seed.
-    Raises, without allocating or drawing, if that many templates outnumber
-    the _TEMPLATE_DRAWS draws or their caps of half the floor would cover
-    more than the sphere, and otherwise if the draws cannot meet the floor.
+    Raises ValueError, without allocating or drawing, if that many
+    templates outnumber the _TEMPLATE_DRAWS draws or their caps of half the
+    floor would cover more than the sphere, and otherwise if the draws
+    cannot meet the floor; MemoryError if their table cannot be allocated.
     """
     raise_if_any(dataset_errors(SimpleNamespace(num_classes=num_classes, dim=dim)))
     failure = (f"could not place {num_classes} templates in dim {dim} with pairwise "
@@ -218,7 +221,10 @@ def class_templates(seed: int, num_classes: int, dim: int) -> np.ndarray:
         raise ValueError(f"{failure}: at most {math.floor(1.0 / share)} fit")
     rng = np.random.default_rng((seed, _TEMPLATE_STREAM))
     cos_ceiling = math.cos(math.radians(ANGLE_FLOOR_DEG))
-    accepted = np.empty((num_classes, dim))
+    try:
+        accepted = np.empty((num_classes, dim))
+    except ValueError as err:  # past numpy's size limit, so past any memory
+        raise MemoryError(str(err)) from None
     count = 0
     for _ in range(_TEMPLATE_DRAWS):
         v = rng.standard_normal(dim)
@@ -240,9 +246,14 @@ def _cap_share(dim: int) -> float:
     regularized incomplete beta function, summed as its hypergeometric
     series: every term is positive, so no digits cancel at any dim.
     Truncating the sum only lowers it, and the final 1e-9 trim outweighs
-    the rounding of the logs and gammas.
+    the rounding of the logs and gammas. The terms of log_share besides
+    a*log(x) sum below 0, so once a*log(x) lies below the log of half
+    float64's least subnormal the share is 0.0, returned before lgamma
+    could overflow (from dim about 5e305).
     """
     a, x = (dim - 1) / 2.0, math.sin(math.radians(ANGLE_FLOOR_DEG / 2.0)) ** 2
+    if a * math.log(x) < math.log(math.ulp(0.0)) - math.log(2.0):
+        return 0.0
     term = total = 1.0
     for n in range(40):  # the terms shrink by more than x ~ 0.15 each
         term *= (a + 0.5 + n) / (a + 1.0 + n) * x

@@ -70,13 +70,16 @@ class OptimizerKind(Enum):
 def train_config_errors(config) -> list[str]:
     """Every bound a TrainConfig, or anything with its field names (the
     CLI passes its ExperimentSpec), breaks, and a valid schedule longer
-    than the train_batches that train draws from."""
+    than the train_batches that train draws from. The held-out batches,
+    all drawn before the first step, take the same cap."""
     errors = bound_errors(config, (
         ("learning_rate", lambda lr: 0.0 < lr < math.inf,
          "learning rate must be positive and finite"),
         ("lam", lambda lam: 0.0 <= lam <= 1.0, "lambda must lie in [0, 1]"),
         *((name, lambda n: n >= 1, f"{name} must be >= 1")
           for name in ("epochs", "batches_per_epoch", "batch_size", "eval_batches")),
+        ("eval_batches", lambda n: n <= MAX_TRAIN_BATCHES,
+         "eval_batches must be <= 2**32, the cap on a run's training batches"),
     ))
     epochs, per_epoch = config.epochs, config.batches_per_epoch
     if min(epochs, per_epoch) >= 1 and epochs * per_epoch > MAX_TRAIN_BATCHES:

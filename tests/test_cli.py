@@ -265,47 +265,64 @@ def test_malformed_input_exits_2_with_error_lines(command, case, tmp_path,
     assert {p.name for p in tmp_path.iterdir()} <= {"bad.json"}
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_unplaceable_templates_exit_2_before_any_directory(
-        command, monkeypatch, tmp_path, capsys):
-    # the first seed is refused before training, as an input error: 40
-    # templates 45 degrees apart do not fit in 3 dimensions, and 10**12 or
-    # 10**400 are more than the rejection draws, each refused without a
-    # draw (10**400 times a cap's share would overflow float64); a table
-    # of dim 10**12 cannot be allocated. np.empty refuses any array of more
-    # than 2**32 entries here, as numpy does when it cannot allocate one: a
-    # host that overcommits memory may grant it, and the draws would then
-    # touch its pages
+def _refuse_tables_past(monkeypatch, entries):
+    """Make np.empty raise MemoryError, as numpy does when it cannot
+    allocate, for any array of more than entries entries that numpy would
+    try to allocate: a host that overcommits memory may grant it, and the
+    draws would then touch its pages. numpy refuses an array of 2**63
+    bytes or more itself, with a ValueError and without allocating."""
     empty = np.empty
 
     def refusing(shape, *args, **kwargs):
-        if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 2 ** 32:
+        size = math.prod(shape if isinstance(shape, tuple) else (shape,))
+        if entries < size and 8 * size < 2 ** 63:
             raise MemoryError(f"Unable to allocate an array with shape {shape}")
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", refusing)
+    return empty
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unplaceable_templates_exit_2_before_any_directory(
+        command, monkeypatch, tmp_path, capsys):
+    # the first seed is refused before training, as an input error: 40
+    # templates 45 degrees apart do not fit in 3 dimensions, and 10**12 are
+    # more than the rejection draws, refused without a draw; 10**400 is
+    # refused on intake, since float64 cannot hold it. A table of dim 10**12
+    # cannot be allocated, and numpy refuses dims 10**18 and 10**19 itself
+    empty = _refuse_tables_past(monkeypatch, 2 ** 32)
+    numpy_refusals = []
+    for dim in (10 ** 18, 10 ** 19):
+        with pytest.raises(ValueError) as refused:
+            empty((4, dim))
+        numpy_refusals.append(
+            (["--dim", str(dim)], f"dim, num_classes: {refused.value} (seed 5)"))
     out = tmp_path / "out"
     for flags, message in [
         (["--classes", "40", "--dim", "3"],
          "num_classes: could not place 40 templates in dim 3 with pairwise "
-         "angle >= 45.0 deg: at most 26 fit"),
-        *((["--classes", str(count)],
-           f"num_classes: could not place {count} templates in dim 32 with pairwise "
-           "angle >= 45.0 deg: each of the 100000 draws places at most one")
-          for count in (10 ** 12, 10 ** 400)),
-        (["--dim", str(10 ** 12)],
-         "dim, num_classes: Unable to allocate an array with shape (4, 1000000000000)"),
+         "angle >= 45.0 deg: at most 26 fit (seed 5)"),
+        (["--classes", str(10 ** 12)],
+         f"num_classes: could not place {10 ** 12} templates in dim 32 with pairwise "
+         "angle >= 45.0 deg: each of the 100000 draws places at most one (seed 5)"),
+        (["--classes", str(10 ** 400)], "num_classes: int too large to convert to float"),
+        (["--dim", str(10 ** 12)], "dim, num_classes: Unable to allocate an array with "
+         "shape (4, 1000000000000) (seed 5)"),
+        *numpy_refusals,
     ]:
         assert main([command, *flags, "--seeds", "5,6", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message} (seed 5)\n"
+        assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
 
 def test_config_type_and_bound_errors_print_one_line_each(tmp_path, capsys):
     # every float field also refuses an integer float64 cannot hold, which
-    # the bound checks and the run would read as a float
+    # the bound checks and the run would read as a float; a batch_size below
+    # 1 or a fixed-theta angle whose sine is negative gets only its bound
+    # line, not a first-step check that would take its square root
     floats = [f.name for f in fields(ExperimentSpec) if f.type is float]
     cases = [
         ({"seeds": 5, "epochs": "3", "bogus": 1, "dominance_k": 0.5},
@@ -313,6 +330,9 @@ def test_config_type_and_bound_errors_print_one_line_each(tmp_path, capsys):
           "error: epochs: ", "error: dominance_k: K must exceed 1")),
         ({name: 10 ** 400 for name in floats},
          tuple(f"error: {name}: int too large to convert to float" for name in floats)),
+        ({"batch_size": -1}, ("error: batch_size: batch_size must be >= 1 (got -1)",)),
+        ({"strategy": "fixed-theta", "fixed_theta": -0.5},
+         ("error: fixed_theta: theta must lie in (0, 90] degrees",)),
     ]
     config, out = tmp_path / "f.json", tmp_path / "out"
     for raw, starts in cases:
@@ -324,6 +344,29 @@ def test_config_type_and_bound_errors_print_one_line_each(tmp_path, capsys):
             for start in starts:
                 assert sum(line.startswith(start) for line in lines) == 1, start
             assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [2 ** 32 + 1, 10 ** 19, 10 ** 306, 10 ** 308, 10 ** 400],
+                         ids=["2**32+1", "10**19", "10**306", "10**308", "10**400"])
+def test_validate_takes_every_huge_integer_without_a_traceback(
+        value, monkeypatch, tmp_path, capsys):
+    # every int and tuple-of-int field alone in a config file: validate
+    # prints ok or only error: lines, never a traceback (which would raise
+    # here); no table of more than 2**20 entries is allocated
+    _refuse_tables_past(monkeypatch, 2 ** 20)
+    config = tmp_path / "f.json"
+    for f in fields(ExperimentSpec):
+        if f.type not in (int, tuple[int, ...]):
+            continue
+        config.write_text(json.dumps({f.name: value if f.type is int else [value]}))
+        code = main(["validate", "--config", str(config)])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert (captured.out, captured.err) == ("ok\n", ""), f.name
+        else:
+            assert code == 2 and captured.out == "", f.name
+            lines = captured.err.splitlines()
+            assert lines and all(line.startswith("error: ") for line in lines), f.name
 
 
 def test_every_readme_command_line_parses():
@@ -422,9 +465,21 @@ def test_a_schedule_past_the_batch_key_limit_exits_2_before_any_directory(
 
 
 def test_a_schedule_of_exactly_2_to_the_32_batches_validates(capsys):
-    assert main(["validate", "--epochs", "65536", "--batches-per-epoch", "65536"]) == 0
+    assert main(["validate", "--epochs", "65536", "--batches-per-epoch", "65536",
+                 "--eval-batches", str(2 ** 32)]) == 0
     assert capsys.readouterr().out == "ok\n"
-    TrainConfig(epochs=65536, batches_per_epoch=65536)
+    TrainConfig(epochs=65536, batches_per_epoch=65536, eval_batches=2 ** 32)
+
+
+def test_held_out_batches_past_the_batch_key_limit_are_refused(capsys):
+    # train() draws every held-out batch before its first step, so they take
+    # the training schedule's cap
+    assert main(["validate", "--eval-batches", str(2 ** 32 + 1)]) == 2
+    assert capsys.readouterr().err == (
+        "error: eval_batches: eval_batches must be <= 2**32, the cap on a run's "
+        "training batches (got 4294967297)\n")
+    with pytest.raises(ValueError, match=r"eval_batches must be <= 2\*\*32"):
+        TrainConfig(eval_batches=2 ** 32 + 1)
 
 
 def test_validate_command_exit_codes(capsys):

@@ -19,9 +19,8 @@ def test_gradient_vector_validates_shape_and_length():
         GradientVector(np.array([0.0, 1.0, np.nan, 2.0]), (2, 2))
 
 
-def test_gradient_vector_norm_and_len():
+def test_gradient_vector_norm():
     g = GradientVector(np.array([3.0, 4.0]), (2,))
-    assert len(g) == 2
     assert g.norm() == pytest.approx(5.0, rel=1e-15)
 
 

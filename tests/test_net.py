@@ -86,6 +86,15 @@ def test_init_network_validates_arguments():
         init_network(seed=0, in_dim=4, trunk_widths=(3,), num_classes=1)
 
 
+def test_network_refuses_an_empty_chain():
+    layer = Layer(np.zeros((3, 3)), np.zeros(3))
+    for name in ("trunk", "aux_head", "dom_head"):
+        chains = dict.fromkeys(("trunk", "aux_head", "dom_head"), [layer])
+        chains[name] = []
+        with pytest.raises(ValueError, match=f"^{name} must contain at least one layer$"):
+            Network(**chains)
+
+
 def test_network_rejects_dimension_mismatch():
     good = Layer(np.zeros((3, 4)), np.zeros(3))
     bad = Layer(np.zeros((2, 5)), np.zeros(2))
@@ -98,6 +107,8 @@ def test_layer_validates_shapes():
         Layer(np.zeros((3, 4)), np.zeros(2))
     with pytest.raises(ValueError, match="finite"):
         Layer(np.full((2, 2), np.nan), np.zeros(2))
+    with pytest.raises(ValueError, match="weights must be 2-D, got ndim 1"):
+        Layer(np.zeros(3), np.zeros(3))
 
 
 def test_forward_matches_hand_computation():

@@ -335,6 +335,16 @@ def test_labels_and_shapes():
     assert len(batch) == 33
 
 
+def test_sample_batch_refuses_mismatched_shapes():
+    rows = np.zeros((3, 2))
+    with pytest.raises(ValueError, match=r"noisy shape \(3, 2\) != clean shape \(3, 3\)"):
+        SampleBatch(rows, np.zeros((3, 3)), np.zeros(3))
+    with pytest.raises(ValueError, match="batch must be 2-D, got ndim 1"):
+        SampleBatch(np.zeros(3), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match=r"labels shape \(2,\) does not match batch size 3"):
+        SampleBatch(rows, rows, np.zeros(2))
+
+
 def test_generate_is_first_train_batch():
     data = TwoTaskDataset(seed=17, num_classes=4, dim=8, snr_db=3.0)
     np.testing.assert_array_equal(
