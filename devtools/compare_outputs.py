@@ -11,7 +11,9 @@ four strategy tokens at seeds 1-4, one sweep of all four tokens on the
 `dominance` workload's arguments, one `dominance` run at seed 2**32 + 3,
 whose batch keys spend two words on the seed, so its training batches are
 seeded from wider keys, and one `dominance` gradient-remedy run with
-`--no-rescale`, the projection-only variant. Three more calls are refused
+`--no-rescale`, the projection-only variant, and one `default`
+gradient-remedy run on a 3-layer trunk, 24,16,8, deeper than any
+workload's. Three more calls are refused
 or fail, so a change to a message or an exit code shows: a `validate` whose
 batches overflow float64, a `run` of fixed-theta at 0.001 degrees whose
 first step could pass the entry Adam can square, and a diverging SGD
@@ -39,6 +41,7 @@ import gitref  # noqa: E402 - standard library only
 SEEDS = (1, 2, 3, 4)
 SWEEP_WORKLOAD = "dominance"
 TWO_WORD_SEED = 2**32 + 3
+DEEP_WORKLOAD, DEEP_TRUNK = "default", "24,16,8"
 
 # (name, argv) of the calls that exit with an error
 REFUSED = [
@@ -73,6 +76,9 @@ def calls() -> list[tuple[str, list[str]]]:
         catalog.RESCALING, TWO_WORD_SEED, "out/two-word-seed")))
     made.append((f"{SWEEP_WORKLOAD}-no-rescale", [*catalog.WORKLOADS[SWEEP_WORKLOAD].argv(
         catalog.RESCALING, SEEDS[0], "out/no-rescale"), "--no-rescale"]))
+    argv = catalog.WORKLOADS[DEEP_WORKLOAD].argv(catalog.RESCALING, SEEDS[0], "out/deep")
+    argv[argv.index("--trunk-widths") + 1] = DEEP_TRUNK
+    made.append((f"{DEEP_WORKLOAD}-deep-trunk", argv))
     return made + REFUSED
 
 

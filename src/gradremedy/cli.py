@@ -36,7 +36,9 @@ import typing
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
-from .net import init_network, network_errors
+import numpy as np
+
+from .net import init_network, layer_bounds, layer_shapes, network_errors
 from .surgery import (
     RatioRule,
     RemedyConfig,
@@ -183,7 +185,10 @@ def _checked(
     """Every config error at once (none means runnable), and the dataset of
     each seed whose templates it placed: a run trains on these, so it places
     each seed's templates once. Each spec in children, which differs from
-    spec only in its remedy fields, gets those and its first step checked."""
+    spec only in its remedy fields, gets those and its first step checked.
+    A spec with no other error must also fit two of a run's first
+    allocations, tried here: the net's flat parameter buffer and the
+    held-out set."""
     errors = bound_errors(spec, ((
         "name", lambda n: n not in ("", ".", "..") and os.path.basename(n) == n,
         "must be one plain directory name: not empty, '.', '..' or a path",
@@ -213,6 +218,16 @@ def _checked(
         for trained in (spec, *children):
             errors += first_step_errors(trained)
     errors += network_errors(spec)
+    if not errors:
+        size = layer_bounds(layer_shapes(spec.dim, spec.trunk_widths, spec.num_classes))[-1]
+        for names, what, shape in (
+                ("dim, trunk_widths, num_classes", "the net's parameters", size),
+                ("eval_batches, batch_size, dim", "the held-out set",
+                 (spec.eval_batches, 2, spec.batch_size, spec.dim))):
+            try:
+                np.empty(shape)
+            except (ValueError, MemoryError) as err:  # past numpy's size limit, or memory
+                errors.append(f"{names}: {what} cannot be allocated ({err})")
     return errors, datasets
 
 

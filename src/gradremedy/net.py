@@ -19,6 +19,8 @@ from this net) and then call the same cores; the trainer makes its checks
 once per run, before the first step. `_width_errors` is the one statement
 of the shape contract: Network runs it when built, forward and evaluate on
 their inputs' width, and train() on the dataset's dim and num_classes.
+`layer_bounds` states the flat layout of parameters and gradients, and
+`_gradient_views` builds the views both `backward_two_task` and train() use.
 
 Everything is plain float64 numpy; batches are (batch, dim) matrices.
 """
@@ -26,6 +28,7 @@ Everything is plain float64 numpy; batches are (batch, dim) matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -128,15 +131,27 @@ def init_network(
     raise_if_any(network_errors(shape) + dataset_errors(shape))
     rng = np.random.default_rng(seed)
 
-    def dense(fan_in: int, fan_out: int) -> Layer:
+    def dense(fan_out: int, fan_in: int) -> Layer:
         bound = 1.0 / np.sqrt(fan_in)
         return Layer(rng.uniform(-bound, bound, size=(fan_out, fan_in)),
                      rng.uniform(-bound, bound, size=fan_out))
 
-    widths = (in_dim, *trunk_widths)
-    trunk = [dense(fan_in, fan_out) for fan_in, fan_out in zip(widths, widths[1:])]
-    return Network(trunk=trunk, aux_head=[dense(widths[-1], in_dim)],
-                   dom_head=[dense(widths[-1], num_classes)])
+    layers = [dense(out, fan_in)
+              for out, fan_in in layer_shapes(in_dim, trunk_widths, num_classes)]
+    return Network(trunk=layers[:-2], aux_head=layers[-2:-1], dom_head=layers[-1:])
+
+
+def layer_shapes(dim: int, trunk_widths: tuple[int, ...],
+                 num_classes: int) -> list[tuple[int, int]]:
+    """Each weights shape (out, in) init_network builds, in named_layers order."""
+    widths = (dim, *trunk_widths)
+    return [*zip(widths[1:], widths), (dim, widths[-1]), (num_classes, widths[-1])]
+
+
+def layer_bounds(shapes) -> list[int]:
+    """0, then the end of each layer's segment of the flat layout of layers with
+    these weights shapes (out, in), in order: its row-major weights, then its bias."""
+    return list(accumulate((out * fan_in + out for out, fan_in in shapes), initial=0))
 
 
 @dataclass
@@ -314,22 +329,12 @@ def losses(
 
 def layer_views(buffer: np.ndarray, chain: list[Layer]) -> list[LayerGrads]:
     """Each layer's (weights, bias) as views of buffer's last axis, laid out
-    from its start, each layer's row-major weights before its bias; leading
-    axes of buffer lead each view."""
+    from its start as layer_bounds states; buffer's leading axes lead each view."""
     lead = buffer.shape[:-1]
-    views, offset = [], 0
-    for layer in chain:
-        mid = offset + layer.weights.size
-        stop = mid + layer.bias.size
-        views.append(LayerGrads(buffer[..., offset:mid].reshape(lead + layer.weights.shape),
-                                buffer[..., mid:stop]))
-        offset = stop
-    return views
-
-
-def chain_size(chain: list[Layer]) -> int:
-    """The number of parameters of a chain."""
-    return sum(layer.weights.size + layer.bias.size for layer in chain)
+    bounds = layer_bounds(layer.weights.shape for layer in chain)
+    return [LayerGrads(buffer[..., a:b - layer.out_dim].reshape(lead + layer.weights.shape),
+                       buffer[..., b - layer.out_dim:b])
+            for layer, a, b in zip(chain, bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -353,6 +358,14 @@ class TwoTaskGradients:
     @property
     def trunk_dom(self) -> list[LayerGrads]:
         return [LayerGrads(g.weights[1], g.bias[1]) for g in self.trunk]
+
+
+def _gradient_views(net: Network, tasks: np.ndarray, total: np.ndarray) -> TwoTaskGradients:
+    """Views of the trunk layers' gradients in tasks, a (2, trunk size) array,
+    and of each head layer's in its segment of total, which holds the net's layout."""
+    heads = layer_views(total[tasks.shape[1]:], net.aux_head + net.dom_head)
+    return TwoTaskGradients(layer_views(tasks, net.trunk), heads[:len(net.aux_head)],
+                            heads[len(net.aux_head):])
 
 
 def _backward_chain(chain: list[Layer], grads: list[LayerGrads],
@@ -417,17 +430,15 @@ def backward_two_task(
     The loss weights are folded in here: the auxiliary task propagates
     (1-lam)*d(MSE), the dominant task lam*d(CE). Surgery downstream
     therefore sees exactly the gradients that would otherwise be summed.
-    One fresh (2, trunk size) array holds the trunk's gradients and fresh
-    arrays the heads'.
+    The gradients are _gradient_views of fresh buffers in the trainer's
+    layout.
     """
     targets_clean, labels = _checked_targets(cache, targets_clean, labels, lam)
     if cache.net is not net:
         raise ValueError("cache was produced by a different network")
-    grads = TwoTaskGradients(
-        trunk=layer_views(np.empty((2, chain_size(net.trunk))), net.trunk),
-        aux_head=layer_views(np.empty(chain_size(net.aux_head)), net.aux_head),
-        dom_head=layer_views(np.empty(chain_size(net.dom_head)), net.dom_head),
-    )
+    bounds = layer_bounds(layer.weights.shape for _, layer in net.named_layers())
+    grads = _gradient_views(net, np.empty((2, bounds[len(net.trunk)])),
+                            np.empty(bounds[-1]))
     _, _, d_aux, d_dom = _loss_and_deltas(
         cache.aux_out, cache.dom_logits, targets_clean, labels,
         _row_starts(*cache.dom_logits.shape), lam)

@@ -1,14 +1,13 @@
 """Two-task training loop with per-layer gradient surgery on the trunk.
 
 train() moves every parameter of the net into one contiguous float64
-buffer, laid out trunk, auxiliary head, dominant head, each layer's
-row-major weights before its bias, and rebinds the layers' arrays as views
-of it, so that one optimizer call updates the whole net. Both tasks' trunk
-gradients share one (2, trunk size) array laid out like the trunk part.
-Each surgery unit is one trunk layer's segment of it: the strategy sees a
-layer's weights and bias as one vector pair and writes aux' + dom' into the
-same segment of `total`, the gradient the optimizer applies. Heads get
-their own task's gradient, untouched by surgery.
+buffer, in the flat layout net.layer_bounds states, and rebinds the layers'
+arrays as views of it, so that one optimizer call updates the whole net.
+Both tasks' trunk gradients share one (2, trunk size) array laid out like
+the trunk part. Each surgery unit is one trunk layer's segment of it: the
+strategy sees a layer's weights and bias as one vector pair and writes
+aux' + dom' into the same segment of `total`, the gradient the optimizer
+applies. Heads get their own task's gradient, untouched by surgery.
 
 Every finite check is one BLAS pass, the buffer's sum of squares. A finite
 sum bounds every entry by sqrt(float64 max), within both the finite limit
@@ -24,7 +23,6 @@ that differs between identical runs, and no run file holds it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import typing
@@ -35,14 +33,14 @@ import numpy as np
 
 from .net import (
     Network,
-    TwoTaskGradients,
     _backward,
     _forward,
+    _gradient_views,
     _loss_and_deltas,
     _row_starts,
     _width_errors,
-    chain_size,
     forward,  # noqa: F401 - perfbench's span tests wrap it under this name
+    layer_bounds,
     layer_views,
 )
 from .surgery import RemedyConfig, Strategy, bound_errors, raise_if_any, remedy_pair
@@ -240,34 +238,29 @@ class _Arena:
     gradient, start, stop), where gradient names what total holds there;
     the trunk layers come first, and their segments are also those of aux
     and dom. units holds each trunk layer's (aux, dom, total) views. grads
-    holds each layer's gradient views: the trunk layers' two rows of tasks
+    holds each layer's gradient views, built by net._gradient_views as
+    backward_two_task builds its own: the trunk layers' two rows of tasks
     and the head layers' segments of total.
     """
 
     def __init__(self, net: Network):
         named = net.named_layers()
+        layers = [layer for _, layer in named]
         gradients = [gradient for (_, chain), gradient in zip(
             net.chains(), ("post-surgery total gradient", *_TASK_GRADIENTS)) for _ in chain]
-        bounds = list(itertools.accumulate(
-            (layer.weights.size + layer.bias.size for _, layer in named), initial=0))
+        bounds = layer_bounds(layer.weights.shape for layer in layers)
         self.places = [(name, gradient, start, stop) for (name, _), gradient, start, stop
                        in zip(named, gradients, bounds, bounds[1:])]
 
         self.params = np.empty(bounds[-1])
         self.total = np.empty(bounds[-1])
-        self.tasks = np.empty((2, chain_size(net.trunk)))
+        self.tasks = np.empty((2, bounds[len(net.trunk)]))
         self.aux, self.dom = self.tasks
-        layers = [layer for _, layer in named]
         for layer, view in zip(layers, layer_views(self.params, layers)):
             view.weights[...] = layer.weights
             view.bias[...] = layer.bias
             layer.weights, layer.bias = view
-        heads = layer_views(self.total, layers)[len(net.trunk):]
-        self.grads = TwoTaskGradients(
-            trunk=layer_views(self.tasks, net.trunk),
-            aux_head=heads[:len(net.aux_head)],
-            dom_head=heads[len(net.aux_head):],
-        )
+        self.grads = _gradient_views(net, self.tasks, self.total)
         self.units = [(self.aux[a:b], self.dom[a:b], self.total[a:b])
                       for _, _, a, b in self.places[:len(net.trunk)]]
 

@@ -369,6 +369,38 @@ def test_validate_takes_every_huge_integer_without_a_traceback(
             assert lines and all(line.startswith("error: ") for line in lines), f.name
 
 
+# the default net on a trunk of width w holds w*(32+1) trunk parameters and
+# (32+4)*(w+1) head parameters; numpy refuses 2**63 bytes or more itself
+@pytest.mark.parametrize("flags, message", [
+    (["--trunk-widths", str(2 ** 32 + 1)],
+     "dim, trunk_widths, num_classes: the net's parameters cannot be allocated (Unable "
+     f"to allocate an array with shape {69 * 2 ** 32 + 105})"),
+    (["--trunk-widths", str(10 ** 19)], None),
+    (["--trunk-widths", str(10 ** 400)], None),
+    (["--eval-batches", str(2 ** 32)],
+     "eval_batches, batch_size, dim: the held-out set cannot be allocated (Unable to "
+     "allocate an array with shape (4294967296, 2, 64, 32))"),
+    (["--batch-size", str(10 ** 9)],
+     "eval_batches, batch_size, dim: the held-out set cannot be allocated (Unable to "
+     "allocate an array with shape (4, 2, 1000000000, 32))"),
+], ids=["width-2**32+1", "width-10**19", "width-10**400", "eval-batches-2**32",
+        "batch-size-10**9"])
+def test_validate_refuses_a_net_or_held_out_set_that_cannot_be_allocated(
+        flags, message, monkeypatch, tmp_path, capsys):
+    empty = _refuse_tables_past(monkeypatch, 2 ** 20)
+    if message is None:
+        with pytest.raises(ValueError) as refused:
+            empty(10 ** 20)
+        message = ("dim, trunk_widths, num_classes: the net's parameters cannot be "
+                   f"allocated ({refused.value})")
+    out = tmp_path / "out"
+    assert main(["validate", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_every_readme_command_line_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = readme.replace("\\\n", " ").splitlines()
@@ -465,8 +497,9 @@ def test_a_schedule_past_the_batch_key_limit_exits_2_before_any_directory(
 
 
 def test_a_schedule_of_exactly_2_to_the_32_batches_validates(capsys):
-    assert main(["validate", "--epochs", "65536", "--batches-per-epoch", "65536",
-                 "--eval-batches", str(2 ** 32)]) == 0
+    # 2**32 held-out batches are within the cap, but validate refuses them
+    # as a held-out set that cannot be allocated (128 TiB at the defaults)
+    assert main(["validate", "--epochs", "65536", "--batches-per-epoch", "65536"]) == 0
     assert capsys.readouterr().out == "ok\n"
     TrainConfig(epochs=65536, batches_per_epoch=65536, eval_batches=2 ** 32)
 

@@ -31,7 +31,7 @@ from gradremedy import (
     remedy_layer,
     rescale,
 )
-from gradremedy.surgery import POST_CONFLICT_TOL, Remedy, remedy_pair
+from gradremedy.surgery import POST_CONFLICT_TOL, Remedy, pair_gram, remedy_pair
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -156,6 +156,18 @@ def test_135_degree_pair_survives_an_overflowing_dot():
     # a huge gradient does not make a modest partner look degenerate
     assert not angle_between(vec([1e200, 0.0]), vec([0.0, 1e-5])).degenerate
     assert angle_between(vec([1e200, 0.0]), vec([0.0, 1e-13])).degenerate
+
+
+def test_a_norm_of_exactly_the_tolerance_is_not_degenerate():
+    # Gram.degenerate's two strict comparisons, on the plain path and on the
+    # overflow-scaled one, where norms are in units of 2**exponent
+    below = np.nextafter(DEFAULT_TOL_NORM, 0.0)
+    assert not angle_between(vec([DEFAULT_TOL_NORM, 0.0]), vec([1.0, 0.0])).degenerate
+    assert angle_between(vec([below, 0.0]), vec([1.0, 0.0])).degenerate
+    for tiny, degenerate in ((DEFAULT_TOL_NORM, False), (below, True)):
+        gram = pair_gram(np.array([1e200, 0.0]), np.array([0.0, tiny]))
+        assert gram.exponent == 665
+        assert gram.degenerate() is degenerate
 
 
 def test_active_backend_is_numpy():

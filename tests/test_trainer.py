@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradremedy
+import gradremedy.net as net_module
 import gradremedy.trainer as trainer_module
 from gradremedy import (
     EpochStats,
@@ -180,6 +181,70 @@ def test_each_trunk_layer_is_one_surgery_unit():
     assert [len(g_total) for _, _, g_total in arena.units] == [54, 35, 24]
     result = train(tiny_config(), make_dataset(), net)
     assert {s.layers_total for s in result.step_stats} == {3}
+
+
+def _layers_of(grads):
+    """The LayerGrads of a TwoTaskGradients in named_layers order."""
+    return [*grads.trunk, *grads.aux_head, *grads.dom_head]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.integers(2, 6),
+       st.integers(2, 5), st.integers(0, 2 ** 16))
+def test_arena_views_tile_the_flat_layout_and_match_backward_two_task(
+        widths, dim, classes, seed):
+    net = init_network(seed=seed, in_dim=dim, trunk_widths=tuple(widths), num_classes=classes)
+    named, depth = net.named_layers(), len(widths)
+    arena = trainer_module._Arena(net)
+    # the places tile [0, P) in named_layers order, out*in + out entries each
+    assert [place[0] for place in arena.places] == [name for name, _ in named]
+    stop = 0
+    for (_, _, start, stop_here), (_, layer) in zip(arena.places, named):
+        out, fan_in = layer.weights.shape
+        assert (start, stop_here - start) == (stop, out * fan_in + out)
+        stop = stop_here
+    trunk_size = arena.places[depth - 1][3]
+    assert arena.params.shape == arena.total.shape == (stop,)
+    assert arena.tasks.shape == (2, trunk_size)
+
+    # filled with arange, every view reads exactly its place's entries,
+    # weights before bias: each layer's parameters and, in tasks, each trunk
+    # layer's two rows, in total each head layer's segment
+    params = arena.params.copy()
+    arena.params[...] = np.arange(stop)
+    arena.total[...] = np.arange(stop)
+    arena.tasks[...] = np.arange(2 * trunk_size).reshape(2, trunk_size)
+    views = _layers_of(arena.grads)
+    for i, ((_, _, a, b), (_, layer), view) in enumerate(zip(arena.places, named, views)):
+        places = np.arange(a, b)
+        assert np.array_equal(np.concatenate([layer.weights.ravel(), layer.bias]), places)
+        assert view.weights.shape[-2:] == layer.weights.shape
+        rows = [(view.weights[r], view.bias[r]) for r in range(2)] if i < depth else [view]
+        for row, (weights, bias) in enumerate(rows):
+            expected = places + row * trunk_size
+            assert np.array_equal(np.concatenate([weights.ravel(), bias]), expected)
+    for (g_aux, g_dom, g_total), (_, _, a, b) in zip(arena.units, arena.places[:depth]):
+        assert np.array_equal(g_aux, np.arange(a, b))
+        assert np.array_equal(g_dom, np.arange(a, b) + trunk_size)
+        assert np.array_equal(g_total, np.arange(a, b))
+    arena.params[...] = params
+
+    # backward_two_task's fresh buffers and _backward on the arena's views
+    # hold the same bits
+    rng = np.random.default_rng(seed)
+    noisy, clean = rng.standard_normal((2, 5, dim))
+    labels = rng.integers(0, classes, size=5)
+    cache = forward(net, noisy)
+    fresh = backward_two_task(net, cache, clean, labels, 0.7)
+    _, _, d_aux, d_dom = net_module._loss_and_deltas(
+        cache.aux_out, cache.dom_logits, clean, labels,
+        net_module._row_starts(5, classes), 0.7)
+    net_module._backward(net, arena.grads, cache.acts, d_aux, d_dom,
+                         np.empty((2, 5, widths[-1])))
+    for mine, theirs in zip(_layers_of(fresh), _layers_of(arena.grads), strict=True):
+        assert mine.weights.shape == theirs.weights.shape
+        assert mine.weights.tobytes() == theirs.weights.tobytes()
+        assert mine.bias.tobytes() == theirs.bias.tobytes()
 
 
 def test_rescale_telemetry_is_recorded():
